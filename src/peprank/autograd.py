@@ -510,13 +510,12 @@ def grad_check(
 
 
 class ParameterStore:
-    """Named trainable tensors with recorded initializer specs and seed."""
+    """Named trainable tensors, initialized in creation order from one seeded generator."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._params: dict[str, Tensor] = {}
-        self._init_spec: dict[str, tuple[str, float]] = {}
 
     def create(self, name: str, shape: tuple[int, ...], init: str = "normal", scale: float = 0.02) -> Tensor:
         if name in self._params:
@@ -535,20 +534,13 @@ class ParameterStore:
             raise ValueError(f"unknown initializer {init!r}")
         tensor = Tensor(data, requires_grad=True)
         self._params[name] = tensor
-        self._init_spec[name] = (init, scale)
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()

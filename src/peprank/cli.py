@@ -11,10 +11,11 @@ stderr; all reports are TSV with a header row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from . import pipeline
 from .evaluation import (
@@ -25,7 +26,17 @@ from .evaluation import (
 )
 from .masses import MassTable, default_mass_table, load_mass_table, parse_peptide
 from .metrics import gap_penalty, pmd, rmd
-from .spectra import parse_mgf, preprocess_spectra, validate_precursor, write_mgf
+from .model import MODEL_KEYS, ModelConfig
+from .spectra import RawSpectrum, parse_mgf, preprocess_spectra, validate_precursor, write_mgf
+
+T = TypeVar("T")
+
+# `train --config` keys: the model's scalar fields, the two embedding limits a
+# user may tune (the m/z window stays fixed), and every TrainConfig field.
+CONFIG_MODEL_KEYS = MODEL_KEYS + ("max_len", "max_charge")
+CONFIG_TRAIN_KEYS = tuple(
+    f.name for f in dataclasses.fields(pipeline.TrainConfig) if f.name != "model"
+)
 
 
 class CliParser(argparse.ArgumentParser):
@@ -43,17 +54,30 @@ def _echo(args: argparse.Namespace, resolved: dict) -> None:
     print(f"# resolved: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
 
 
+def _read(path: str, reader: Callable[[TextIO], T]) -> T:
+    with open(path, "r", encoding="utf-8") as handle:
+        return reader(handle)
+
+
 def _load_table(args: argparse.Namespace) -> MassTable:
     if getattr(args, "mass_table", None):
-        with open(args.mass_table, "r", encoding="utf-8") as handle:
-            return load_mass_table(handle)
+        return _read(args.mass_table, load_mass_table)
     return default_mass_table()
 
 
-def _open_out(path: str | None):
+def _read_corpus(args) -> tuple[list[RawSpectrum], list[pipeline.CandidateSet]]:
+    """The --mgf spectra and the --candidates sets."""
+    return _read(args.mgf, parse_mgf), _read(args.candidates, pipeline.load_candidates)
+
+
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Write to ``path``, or to stdout when it is absent or ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as sink:
+            yield sink
 
 
 # ---------------------------------------------------------------------------
@@ -64,46 +88,37 @@ def _cmd_metrics(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "metrics", "pairs": args.pairs})
     gap = gap_penalty(table)
-    sink, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as sink, open(args.pairs, "r", encoding="utf-8") as handle:
         sink.write("query\ttarget\tpmd\trmd\n")
-        with open(args.pairs, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                text = line.rstrip("\n")
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"{args.pairs}:{lineno}: expected 'query<TAB>target'"
-                    )
-                if lineno == 1 and parts == ["query", "target"]:
-                    continue
-                query = parse_peptide(parts[0], table)
-                target = parse_peptide(parts[1], table)
-                score = pmd(query, target, table, gap=gap)
-                if len(query) and len(target):
-                    deviations = ",".join(
-                        repr(float(v)) for v in rmd(query, target, table)
-                    )
-                else:
-                    deviations = ""  # rmd is defined only for non-empty pairs
-                sink.write(f"{parts[0]}\t{parts[1]}\t{score!r}\t{deviations}\n")
-    finally:
-        if owned:
-            sink.close()
+        for lineno, line in enumerate(handle, start=1):
+            text = line.rstrip("\n")
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split("\t")
+            if len(parts) != 2:
+                raise ValueError(
+                    f"{args.pairs}:{lineno}: expected 'query<TAB>target'"
+                )
+            if lineno == 1 and parts == ["query", "target"]:
+                continue
+            query = parse_peptide(parts[0], table)
+            target = parse_peptide(parts[1], table)
+            score = pmd(query, target, table, gap=gap)
+            if len(query) and len(target):
+                deviations = ",".join(
+                    repr(float(v)) for v in rmd(query, target, table)
+                )
+            else:
+                deviations = ""  # rmd is defined only for non-empty pairs
+            sink.write(f"{parts[0]}\t{parts[1]}\t{score!r}\t{deviations}\n")
     return 0
 
 
 def _cmd_preprocess(args) -> int:
     table = _load_table(args)
-    _echo(args, {"subcommand": "preprocess", "mgf": args.mgf, "strict": args.strict,
-                 "workers": args.workers})
-    with open(args.mgf, "r", encoding="utf-8") as handle:
-        spectra = parse_mgf(handle)
-    processed, excluded = preprocess_spectra(
-        spectra, strict=args.strict, workers=args.workers
-    )
+    _echo(args, {"subcommand": "preprocess", "mgf": args.mgf, "strict": args.strict})
+    spectra = _read(args.mgf, parse_mgf)
+    processed, excluded = preprocess_spectra(spectra, strict=args.strict)
     exclusions = [(sid, "empty_after_preprocessing") for sid in excluded]
     kept = []
     for spec in processed:
@@ -149,31 +164,19 @@ def _train_config(args, vocab: Sequence[str]) -> pipeline.TrainConfig:
     else:
         config = pipeline.TrainConfig.paper_scale(vocab)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            overrides = json.load(handle)
-        model_keys = {"d", "n_layers", "n_heads", "ff_dim", "dropout_rate", "loss_lambda"}
-        embed_keys = {"max_len", "max_charge"}
-        train_keys = {"lr", "weight_decay", "batch_size", "epochs", "warmup_epochs", "clip_norm"}
-        unknown = set(overrides) - model_keys - embed_keys - train_keys
+        overrides = _read(args.config, json.load)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        unknown = set(overrides) - set(CONFIG_MODEL_KEYS) - set(CONFIG_TRAIN_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        embedding = config.model.embedding
-        if embed_keys & set(overrides) or "d" in overrides:
-            embedding = dataclasses.replace(
-                embedding,
-                d=overrides.get("d", embedding.d),
-                max_len=overrides.get("max_len", embedding.max_len),
-                max_charge=overrides.get("max_charge", embedding.max_charge),
-            )
-        model = dataclasses.replace(
-            config.model,
-            embedding=embedding,
-            **{k: overrides[k] for k in model_keys & set(overrides)},
-        )
+        model = ModelConfig.from_dict({
+            **config.model.to_dict(),
+            **{k: v for k, v in overrides.items() if k in CONFIG_MODEL_KEYS},
+        })
         config = dataclasses.replace(
-            config,
-            model=model,
-            **{k: overrides[k] for k in train_keys & set(overrides)},
+            config, model=model,
+            **{k: v for k, v in overrides.items() if k in CONFIG_TRAIN_KEYS},
         )
     return config
 
@@ -183,25 +186,16 @@ def _cmd_train(args) -> int:
     config = _train_config(args, table.tokens)
     _echo(args, {"subcommand": "train", "profile": args.profile,
                  "model": config.model.to_dict(),
-                 "train": {"lr": config.lr, "weight_decay": config.weight_decay,
-                            "batch_size": config.batch_size, "epochs": config.epochs,
-                            "warmup_epochs": config.warmup_epochs,
-                            "clip_norm": config.clip_norm}})
-    with open(args.mgf, "r", encoding="utf-8") as handle:
-        spectra = parse_mgf(handle)
-    with open(args.candidates, "r", encoding="utf-8") as handle:
-        candidate_sets = pipeline.load_candidates(handle)
+                 "train": {k: getattr(config, k) for k in CONFIG_TRAIN_KEYS}})
+    spectra, candidate_sets = _read_corpus(args)
     instances, excluded = pipeline.build_training_set(spectra, candidate_sets, table)
     print(f"# training on {len(instances)} instances ({len(excluded)} excluded)",
           file=sys.stderr)
-    log_sink = open(args.loss_log, "w", encoding="utf-8") if args.loss_log else None
-    try:
+    with (open(args.loss_log, "w", encoding="utf-8") if args.loss_log
+          else contextlib.nullcontext()) as log_sink:
         checkpoint, _history = pipeline.train(
             config, instances, table, seed=args.seed, log_sink=log_sink
         )
-    finally:
-        if log_sink is not None:
-            log_sink.close()
     pipeline.save_checkpoint(checkpoint, args.out)
     return 0
 
@@ -212,25 +206,17 @@ def _cmd_rerank(args) -> int:
     _echo(args, {"subcommand": "rerank", "checkpoint": args.checkpoint,
                  "model": checkpoint.config.to_dict(), "seed": checkpoint.seed})
     model = checkpoint.build_model(table)
-    with open(args.mgf, "r", encoding="utf-8") as handle:
-        spectra = parse_mgf(handle)
-    with open(args.candidates, "r", encoding="utf-8") as handle:
-        candidate_sets = pipeline.load_candidates(handle)
+    spectra, candidate_sets = _read_corpus(args)
     selections = pipeline.rerank_run(model, spectra, candidate_sets, strict=args.strict)
-    sink, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         pipeline.write_selections(selections, sink)
-    finally:
-        if owned:
-            sink.close()
     return 0
 
 
 def _evaluation_pairs(args, table: MassTable):
     """(pred, truth) peptide pairs from either input layout."""
     if args.predictions:
-        with open(args.predictions, "r", encoding="utf-8") as handle:
-            records = pipeline.load_predictions(handle)
+        records = _read(args.predictions, pipeline.load_predictions)
         return [
             (parse_peptide(r["pred"], table), parse_peptide(r["truth"], table))
             for r in records
@@ -239,10 +225,8 @@ def _evaluation_pairs(args, table: MassTable):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
         )
-    with open(args.selections, "r", encoding="utf-8") as handle:
-        selections = pipeline.read_selections(handle)
-    with open(args.candidates, "r", encoding="utf-8") as handle:
-        candidate_sets = pipeline.load_candidates(handle)
+    selections = _read(args.selections, pipeline.read_selections)
+    candidate_sets = _read(args.candidates, pipeline.load_candidates)
     labels = {}
     for cs in candidate_sets:
         if cs.label is None:
@@ -263,8 +247,7 @@ def _cmd_evaluate(args) -> int:
     _echo(args, {"subcommand": "evaluate"})
     pairs = _evaluation_pairs(args, table)
     stats = corpus_stats(pairs, table)
-    sink, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         sink.write("metric\tvalue\n")
         sink.write(f"n_match_pep\t{stats.n_match_pep}\n")
         sink.write(f"n_all_pep\t{stats.n_all_pep}\n")
@@ -272,9 +255,6 @@ def _cmd_evaluate(args) -> int:
         sink.write(f"n_all_aa\t{stats.n_all_aa}\n")
         sink.write(f"aa_precision\t{stats.aa_precision!r}\n")
         sink.write(f"peptide_recall\t{stats.peptide_recall!r}\n")
-    finally:
-        if owned:
-            sink.close()
     return 0
 
 
@@ -293,8 +273,7 @@ def _parse_bins(text: str) -> list[tuple[int, int]]:
 def _cmd_analyze(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "analyze", "analysis": args.analysis})
-    sink, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         if args.analysis == "length":
             if not (args.predictions and args.bins):
                 raise ValueError("length analysis needs --predictions and --bins")
@@ -314,10 +293,8 @@ def _cmd_analyze(args) -> int:
         elif args.analysis == "contribution":
             if not (args.selections and args.candidates):
                 raise ValueError("contribution analysis needs --selections and --candidates")
-            with open(args.selections, "r", encoding="utf-8") as handle:
-                selections = pipeline.read_selections(handle)
-            with open(args.candidates, "r", encoding="utf-8") as handle:
-                candidate_sets = pipeline.load_candidates(handle)
+            selections = _read(args.selections, pipeline.read_selections)
+            candidate_sets = _read(args.candidates, pipeline.load_candidates)
             by_id = {cs.spectrum_id: cs for cs in candidate_sets}
             records = []
             for sel in selections:
@@ -338,10 +315,7 @@ def _cmd_analyze(args) -> int:
                 )
             checkpoint = pipeline.load_checkpoint(args.checkpoint)
             model = checkpoint.build_model(table)
-            with open(args.mgf, "r", encoding="utf-8") as handle:
-                spectra = parse_mgf(handle)
-            with open(args.candidates, "r", encoding="utf-8") as handle:
-                candidate_sets = pipeline.load_candidates(handle)
+            spectra, candidate_sets = _read_corpus(args)
             subsets = [
                 [name.strip() for name in chunk.split(",") if name.strip()]
                 for chunk in args.subsets.split(";")
@@ -355,9 +329,6 @@ def _cmd_analyze(args) -> int:
                 )
         else:  # unreachable behind argparse choices
             raise ValueError(f"unknown analysis {args.analysis!r}")
-    finally:
-        if owned:
-            sink.close()
     return 0
 
 
@@ -388,7 +359,6 @@ def build_parser() -> CliParser:
     p.add_argument("--mgf", required=True)
     p.add_argument("--out", required=True, help="filtered MGF path")
     p.add_argument("--report", help="exclusion report TSV")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")

@@ -69,10 +69,6 @@ class MsaBatch:
     lengths: tuple[int, ...]
 
     @property
-    def n_candidates(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
     def width(self) -> int:
         return self.embeddings.shape[1]
 

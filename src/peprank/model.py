@@ -13,7 +13,7 @@ the candidate with the smallest predicted peptide-level deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -55,69 +55,48 @@ class ModelConfig:
             raise ValueError("model config needs a residue vocabulary")
 
     @classmethod
-    def desk(cls, vocab: Sequence[str], **overrides) -> "ModelConfig":
-        """CPU-sized profile used by the synthetic-data pipeline."""
-        base = cls(
-            d=64,
-            n_layers=2,
-            n_heads=8,
-            ff_dim=128,
-            dropout_rate=0.0,
-            loss_lambda=0.5,
-            embedding=EmbeddingConfig(d=64),
-            vocab=tuple(vocab),
-        )
-        return replace(base, **overrides) if overrides else base
+    def desk(cls, vocab: Sequence[str]) -> "ModelConfig":
+        """CPU-sized profile used by the synthetic-data pipeline (the field defaults)."""
+        return cls(vocab=tuple(vocab))
 
     @classmethod
-    def paper_scale(cls, vocab: Sequence[str], **overrides) -> "ModelConfig":
+    def paper_scale(cls, vocab: Sequence[str]) -> "ModelConfig":
         """Full-size profile (not runnable at desk scale in sensible time)."""
-        base = cls(
+        return cls(
             d=512,
             n_layers=8,
-            n_heads=8,
             ff_dim=1024,
             dropout_rate=0.30,
-            loss_lambda=0.5,
             embedding=EmbeddingConfig(d=512),
             vocab=tuple(vocab),
         )
-        return replace(base, **overrides) if overrides else base
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "ff_dim": self.ff_dim,
-            "dropout_rate": self.dropout_rate,
-            "loss_lambda": self.loss_lambda,
-            "mu_min": self.embedding.mu_min,
-            "mu_max": self.embedding.mu_max,
-            "max_len": self.embedding.max_len,
-            "max_charge": self.embedding.max_charge,
-            "vocab": list(self.vocab),
-        }
+        """Flat header: MODEL_KEYS, then EMBEDDING_KEYS, then the vocabulary."""
+        data = {name: getattr(self, name) for name in MODEL_KEYS}
+        data.update((name, getattr(self.embedding, name)) for name in EMBEDDING_KEYS)
+        data["vocab"] = list(self.vocab)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        embedding = EmbeddingConfig(
-            d=data["d"],
-            mu_min=data["mu_min"],
-            mu_max=data["mu_max"],
-            max_len=data["max_len"],
-            max_charge=data["max_charge"],
-        )
-        return cls(
-            d=data["d"],
-            n_layers=data["n_layers"],
-            n_heads=data["n_heads"],
-            ff_dim=data["ff_dim"],
-            dropout_rate=data["dropout_rate"],
-            loss_lambda=data["loss_lambda"],
-            embedding=embedding,
-            vocab=tuple(data["vocab"]),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("model config must be a JSON object")
+        expected = {*MODEL_KEYS, *EMBEDDING_KEYS, "vocab"}
+        missing, unknown = expected - set(data), set(data) - expected
+        if missing or unknown:
+            raise ValueError(
+                f"model config: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
+            )
+        embedding = EmbeddingConfig(d=data["d"], **{k: data[k] for k in EMBEDDING_KEYS})
+        return cls(embedding=embedding, vocab=tuple(data["vocab"]),
+                   **{k: data[k] for k in MODEL_KEYS})
+
+
+# Serialized hyperparameter names, derived from the dataclasses; the embedding's
+# d is not stored because it always equals the model's d.
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("embedding", "vocab"))
+EMBEDDING_KEYS = tuple(f.name for f in fields(EmbeddingConfig) if f.name != "d")
 
 
 @dataclass
@@ -131,8 +110,7 @@ class ModelOutput:
 class RerankModel:
     """Spectrum encoder + axial candidate mixer + prediction heads."""
 
-    def __init__(self, config: ModelConfig, table: MassTable, seed: int = 0,
-                 store: ParameterStore | None = None):
+    def __init__(self, config: ModelConfig, table: MassTable, seed: int = 0):
         if tuple(table.tokens) != tuple(config.vocab):
             raise ValueError(
                 "mass table tokens do not match the model vocabulary; the "
@@ -140,10 +118,8 @@ class RerankModel:
             )
         self.config = config
         self.table = table
-        if store is None:
-            store = ParameterStore(seed)
-            self._create_params(store)
-        self.store = store
+        self.store = ParameterStore(seed)
+        self._create_params(self.store)
         self.attn_counts = {"spectrum": 0, "row": 0, "col": 0, "cross": 0}
 
     # -- parameters ---------------------------------------------------------
@@ -314,49 +290,11 @@ def joint_loss(output: ModelOutput, pmd_targets: np.ndarray, rmd_targets: np.nda
     return ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda))
 
 
-def pointwise_loss(scores: Tensor, labels: np.ndarray) -> Tensor:
-    """Sum of binary cross-entropies of sigmoid(score) against 0/1 labels."""
-    y = np.asarray(labels, dtype=np.float64)
-    _check_binary(y)
-    pos = ag.mul(ag.softplus(ag.mul(scores, -1.0)), y)
-    neg = ag.mul(ag.softplus(scores), 1.0 - y)
-    return ag.tensor_sum(ag.add(pos, neg))
-
-
-def pairwise_loss(scores: Tensor, labels: np.ndarray) -> Tensor:
-    """Sum of log(1 + exp(s_worse - s_better)) over label-discordant pairs."""
-    y = np.asarray(labels, dtype=np.float64)
-    _check_binary(y)
-    indicator = (y[:, None] > y[None, :]).astype(np.float64)
-    if indicator.sum() == 0:
-        return Tensor(0.0)
-    c = scores.shape[0]
-    better = ag.reshape(scores, (c, 1))
-    worse = ag.reshape(scores, (1, c))
-    margins = ag.add(worse, ag.mul(better, -1.0))  # [j, j'] = s_j' - s_j
-    return ag.tensor_sum(ag.mul(ag.softplus(margins), indicator))
-
-
-def listwise_loss(scores: Tensor, labels: np.ndarray) -> Tensor:
-    """Cross-entropy of softmax(scores) against labels normalized over positives."""
-    y = np.asarray(labels, dtype=np.float64)
-    _check_binary(y)
-    total = y.sum()
-    if total == 0:
-        raise ValueError("list-wise loss requires at least one positive label")
-    target = y / total
-    probs = ag.softmax_masked(scores, np.ones(scores.shape, dtype=bool))
-    return ag.mul(ag.tensor_sum(ag.mul(ag.log(probs), target)), -1.0)
-
-
-def _check_binary(labels: np.ndarray) -> None:
-    if not np.isin(labels, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary")
-
-
 def rerank_select(pmd_pred) -> int:
     """Index of the smallest predicted peptide-level deviation (ties: lowest index)."""
     values = pmd_pred.data if isinstance(pmd_pred, Tensor) else np.asarray(pmd_pred)
     if values.size == 0:
         raise ValueError("cannot select from an empty candidate list")
+    if not np.isfinite(values).all():
+        raise ValueError(f"cannot select from non-finite scores {values.tolist()}")
     return int(np.argmin(values))

@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -69,10 +69,8 @@ class CandidateSet:
         return [peptide for _, peptide in self.candidates]
 
 
-def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
-    """Parse a JSON Lines candidate file; order and duplicates are preserved."""
-    sets: list[CandidateSet] = []
-    seen: set[str] = set()
+def _read_json_lines(source: TextIO | Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) per non-blank line; each record must be an object."""
     for lineno, line in enumerate(source, start=1):
         text = line.strip()
         if not text:
@@ -83,6 +81,14 @@ def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
             raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from None
         if not isinstance(record, dict):
             raise ValueError(f"line {lineno}: record must be a JSON object")
+        yield lineno, record
+
+
+def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
+    """Parse a JSON Lines candidate file; order and duplicates are preserved."""
+    sets: list[CandidateSet] = []
+    seen: set[str] = set()
+    for lineno, record in _read_json_lines(source):
         try:
             spectrum_id = record["spectrum_id"]
             raw_candidates = record["candidates"]
@@ -122,14 +128,7 @@ def write_candidates(sets: Iterable[CandidateSet], sink: TextIO) -> None:
 def load_predictions(source: TextIO | Iterable[str]) -> list[dict]:
     """Parse a prediction corpus: JSON Lines of spectrum_id / pred / truth."""
     records: list[dict] = []
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from None
+    for lineno, record in _read_json_lines(source):
         for key in ("spectrum_id", "pred", "truth"):
             if key not in record:
                 raise ValueError(f"line {lineno}: missing field {key!r}")
@@ -702,6 +701,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<I", _read_exact(source, 4, "header length"))
         header = json.loads(_read_exact(source, header_len, "header").decode("utf-8"))
+        if not isinstance(header, dict) or set(header) != {"model", "seed", "step_count"}:
+            raise ValueError("checkpoint header must hold exactly model, seed and step_count")
         config = ModelConfig.from_dict(header["model"])
         (n_params,) = struct.unpack("<I", _read_exact(source, 4, "parameter count"))
         params: dict[str, np.ndarray] = {}
@@ -716,6 +717,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             count = int(np.prod(shape)) if shape else 1
             payload = _read_exact(source, count * 8, f"payload of {name!r}")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"parameter {name!r} holds non-finite values")
+        if source.read(1):
+            raise ValueError("trailing bytes after the last parameter record")
         return Checkpoint(
             config=config,
             params=params,

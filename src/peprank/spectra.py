@@ -47,6 +47,10 @@ class RawSpectrum:
         self.intensity = np.asarray(self.intensity, dtype=np.float64)
         if self.mz.shape != self.intensity.shape:
             raise ValueError("mz and intensity arrays must have equal length")
+        if not (np.isfinite(self.mz).all() and np.isfinite(self.intensity).all()):
+            raise ValueError(
+                f"spectrum {self.spectrum_id!r} has non-finite m/z or intensity values"
+            )
         if np.any(self.intensity < 0):
             raise ValueError(f"spectrum {self.spectrum_id!r} has negative intensities")
         order = np.argsort(self.mz, kind="stable")
@@ -140,17 +144,21 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
                 raise ValueError(
                     f"{context}: unparseable PEPMASS {headers['PEPMASS']!r}"
                 ) from None
+            if not np.isfinite(pepmass):
+                raise ValueError(f"{context}: non-finite PEPMASS {headers['PEPMASS']!r}")
             charge = _parse_charge(headers["CHARGE"], context)
             spectrum_id = headers.get("TITLE", f"spectrum_{len(spectra)}")
-            spectra.append(
-                RawSpectrum(
+            try:
+                spectrum = RawSpectrum(
                     spectrum_id=spectrum_id,
                     mz=np.array(mzs, dtype=np.float64),
                     intensity=np.array(intensities, dtype=np.float64),
                     precursor=Precursor.from_mz(pepmass, charge),
                     label=headers.get("SEQ"),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{context}: {exc}") from None
+            spectra.append(spectrum)
             in_block = False
             continue
         if not in_block:
@@ -243,28 +251,15 @@ def preprocess_spectra(
     mz_max: float = MZ_MAX,
     max_peaks: int = MAX_PEAKS,
     strict: bool = False,
-    workers: int = 1,
 ) -> tuple[list[ProcessedSpectrum], list[str]]:
-    """Preprocess a batch; returns (processed, excluded spectrum ids).
+    """Preprocess a batch in input order; returns (processed, excluded spectrum ids).
 
     With ``strict`` an exclusion raises instead of being collected.
-    ``workers`` > 1 preprocesses spectra concurrently; results keep input
-    order either way.
     """
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda s: preprocess_spectrum(s, mz_min, mz_max, max_peaks), spectra
-                )
-            )
-    else:
-        results = [preprocess_spectrum(s, mz_min, mz_max, max_peaks) for s in spectra]
     processed: list[ProcessedSpectrum] = []
     excluded: list[str] = []
-    for spectrum, result in zip(spectra, results):
+    for spectrum in spectra:
+        result = preprocess_spectrum(spectrum, mz_min, mz_max, max_peaks)
         if result is None:
             if strict:
                 raise ValueError(

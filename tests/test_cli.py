@@ -1,8 +1,15 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from peprank.cli import main
+from peprank.cli import CONFIG_MODEL_KEYS, CONFIG_TRAIN_KEYS, _train_config, main
+from peprank.encoders import EmbeddingConfig
+from peprank.model import ModelConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -208,6 +215,40 @@ class TestTrainRerankEvaluateChain:
         assert "unknown config keys" in err
 
 
+    def test_readme_config_table_matches_accepted_keys(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("### Training config JSON (`train --config`)", 1)[1]
+        section = section.split("\n#", 1)[0]
+        documented = set(re.findall(r"^\|\s*`(\w+)`\s*\|", section, flags=re.MULTILINE))
+        accepted = set(CONFIG_MODEL_KEYS) | set(CONFIG_TRAIN_KEYS)
+        assert documented == accepted == {
+            "d", "n_layers", "n_heads", "ff_dim", "dropout_rate", "loss_lambda",
+            "max_len", "max_charge", "lr", "weight_decay", "batch_size", "epochs",
+            "warmup_epochs", "clip_norm",
+        }
+
+    def test_config_overrides_reach_model_and_embedding(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d": 32, "n_heads": 4, "max_len": 40, "epochs": 3}))
+        args = argparse.Namespace(profile="paper", config=str(config))
+        resolved = _train_config(args, ("G", "A"))
+        assert resolved.model == ModelConfig(
+            d=32, n_layers=8, n_heads=4, ff_dim=1024, dropout_rate=0.3,
+            embedding=EmbeddingConfig(d=32, max_len=40), vocab=("G", "A"),
+        )
+        assert (resolved.epochs, resolved.lr, resolved.batch_size) == (3, 1e-4, 256)
+
+    @pytest.mark.parametrize("key", ["mu_min", "mu_max", "vocab", "model"])
+    def test_non_tunable_config_keys_rejected(self, tmp_path, synth_files, capsys, key):
+        mgf, cands = synth_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "train", "--mgf", str(mgf), "--candidates", str(cands),
+                           "--config", str(config), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert f"unknown config keys: ['{key}']" in err
+
+
 class TestAnalyzeCommands:
     def test_length_and_confusion_from_predictions(self, tmp_path, capsys):
         preds = tmp_path / "preds.jsonl"
@@ -246,6 +287,13 @@ class TestAnalyzeCommands:
         code, out, _ = run(capsys, "evaluate", "--predictions", str(preds))
         assert code == 0
         assert "peptide_recall\t1.0" in out
+
+    def test_predictions_record_must_be_an_object(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("5\n")
+        code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
+        assert code == 2
+        assert "line 1: record must be a JSON object" in err
 
     def test_missing_inputs_are_usage_like_data_errors(self, capsys):
         code, _, err = run(capsys, "analyze", "--analysis", "length")

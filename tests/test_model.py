@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,6 @@ from peprank.model import (
     ModelConfig,
     RerankModel,
     joint_loss,
-    listwise_loss,
-    pairwise_loss,
-    pointwise_loss,
     rerank_select,
 )
 from peprank.spectra import RawSpectrum, preprocess_spectrum
@@ -191,49 +190,6 @@ class TestJointLoss:
             joint_loss(output, np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3), bool), 0.5)
 
 
-class TestBaselineLosses:
-    def test_pointwise_zero_scores(self):
-        scores = Tensor(np.zeros(5))
-        labels = np.array([1, 0, 0, 1, 0])
-        assert pointwise_loss(scores, labels).item() == pytest.approx(5 * np.log(2))
-
-    def test_pairwise_empty_sum(self):
-        scores = Tensor(np.array([0.3, -0.2]))
-        assert pairwise_loss(scores, np.array([1, 1])).item() == 0.0
-        assert pairwise_loss(scores, np.array([0, 0])).item() == 0.0
-
-    def test_pairwise_single_pair(self):
-        scores = Tensor(np.array([2.0, 0.5]))
-        expected = np.log(1 + np.exp(0.5 - 2.0))
-        assert pairwise_loss(scores, np.array([1, 0])).item() == pytest.approx(expected)
-
-    def test_listwise_uniform_scores(self):
-        for c in (2, 4, 7):
-            scores = Tensor(np.zeros(c))
-            labels = np.zeros(c)
-            labels[1] = 1
-            assert listwise_loss(scores, labels).item() == pytest.approx(np.log(c))
-
-    def test_listwise_no_positives_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            listwise_loss(Tensor(np.zeros(3)), np.zeros(3))
-
-    def test_non_binary_labels_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            pointwise_loss(Tensor(np.zeros(2)), np.array([0.5, 1.0]))
-
-    @pytest.mark.parametrize("loss_fn,labels", [
-        (pointwise_loss, np.array([1.0, 0.0, 1.0, 0.0])),
-        (pairwise_loss, np.array([1.0, 0.0, 1.0, 0.0])),
-        (listwise_loss, np.array([1.0, 0.0, 0.0, 0.0])),
-    ])
-    def test_gradients(self, loss_fn, labels):
-        rng = np.random.default_rng(6)
-        scores = Tensor(rng.normal(size=4), requires_grad=True)
-        err = ag.grad_check(lambda: loss_fn(scores, labels), [scores])
-        assert err < 1e-4
-
-
 class TestRerankSelect:
     def test_argmin(self):
         assert rerank_select(np.array([0.5, 0.1, 0.9])) == 1
@@ -247,6 +203,11 @@ class TestRerankSelect:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             rerank_select(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            rerank_select(np.array([0.5, bad, 0.1]))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
@@ -290,3 +251,23 @@ class TestModelConfig:
         config = tiny_config(table)
         again = ModelConfig.from_dict(config.to_dict())
         assert again == config
+
+    def test_profiles_serialize_to_the_version_1_header(self, table):
+        tokens = json.dumps(list(table.tokens))
+        assert json.dumps(ModelConfig.desk(table.tokens).to_dict()) == (
+            '{"d": 64, "n_layers": 2, "n_heads": 8, "ff_dim": 128, "dropout_rate": 0.0, '
+            '"loss_lambda": 0.5, "mu_min": 50.5, "mu_max": 4500.0, "max_len": 100, '
+            f'"max_charge": 10, "vocab": {tokens}}}'
+        )
+        assert json.dumps(ModelConfig.paper_scale(table.tokens).to_dict()) == (
+            '{"d": 512, "n_layers": 8, "n_heads": 8, "ff_dim": 1024, "dropout_rate": 0.3, '
+            '"loss_lambda": 0.5, "mu_min": 50.5, "mu_max": 4500.0, "max_len": 100, '
+            f'"max_charge": 10, "vocab": {tokens}}}'
+        )
+
+    def test_from_dict_names_missing_and_unknown_keys(self, table):
+        data = tiny_config(table).to_dict()
+        del data["ff_dim"]
+        data["width"] = 3
+        with pytest.raises(ValueError, match=r"missing keys \['ff_dim'\].*unknown keys \['width'\]"):
+            ModelConfig.from_dict(data)

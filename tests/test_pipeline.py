@@ -1,5 +1,7 @@
 import io
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from peprank.pipeline import (
     zero_shot_eval,
 )
 from peprank.spectra import write_mgf
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(table, **overrides):
@@ -453,3 +457,61 @@ class TestCheckpointIo:
         a = rerank_run(model, spectra, cands)
         b = rerank_run(checkpoint.build_model(table), spectra, cands)
         assert a == b
+
+    def saved_bytes(self, table, tmp_path) -> bytes:
+        config = small_config(table)
+        model = RerankModel(config.model, table, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Checkpoint(config.model, model.store.export_arrays(), 0, 0), str(path))
+        return path.read_bytes()
+
+    @staticmethod
+    def with_header(data: bytes, mutate) -> bytes:
+        (length,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + length])
+        mutate(header)
+        encoded = json.dumps(header).encode("utf-8")
+        return data[:8] + struct.pack("<I", len(encoded)) + encoded + data[12 + length :]
+
+    def test_trailing_bytes_rejected(self, table, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self.saved_bytes(table, tmp_path) + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, table, tmp_path, bad):
+        data = self.saved_bytes(table, tmp_path)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data[:-8] + struct.pack("<d", bad))  # last record: head/rmd_b
+        with pytest.raises(ValueError, match="'head/rmd_b' holds non-finite"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda h: h["model"].update(width=3), r"unknown keys \['width'\]"),
+        (lambda h: h["model"].pop("max_len"), r"missing keys \['max_len'\]"),
+        (lambda h: h.update(model=[16]), "model config must be a JSON object"),
+        (lambda h: h.update(epoch=2), "header must hold exactly"),
+        (lambda h: h.pop("seed"), "header must hold exactly"),
+    ])
+    def test_header_keys_checked(self, table, tmp_path, mutate, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self.with_header(self.saved_bytes(table, tmp_path), mutate))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
+    def test_version_1_fixture_loads_unchanged(self, table, tmp_path):
+        expected = json.loads((DATA / "v1_tiny_scores.json").read_text())
+        checkpoint = load_checkpoint(str(DATA / "v1_tiny.ckpt"))
+        config = checkpoint.config
+        assert ModelConfig.from_dict(config.to_dict()) == config
+        assert json.dumps(config.to_dict()) == expected["model_header"]
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(checkpoint, str(resaved))
+        assert resaved.read_bytes() == (DATA / "v1_tiny.ckpt").read_bytes()
+        spectra, cands = synthesize_dataset(
+            table, seed=expected["synth_seed"], n_spectra=expected["n_spectra"]
+        )
+        selections = rerank_run(checkpoint.build_model(table), spectra, cands)
+        scores = {s.spectrum_id: [repr(v) for v in s.scores] for s in selections}
+        assert scores == expected["scores"]

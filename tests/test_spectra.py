@@ -176,19 +176,6 @@ class TestPreprocess:
         assert [p.spectrum_id for p in processed] == ["good", "good"]
         assert excluded == ["bad"]
 
-    def test_workers_match_serial(self):
-        rng = np.random.default_rng(24)
-        spectra = [
-            make_spectrum(rng.uniform(60, 4000, size=20), rng.uniform(0.1, 5, size=20),
-                          spectrum_id=f"s{i}")
-            for i in range(20)
-        ]
-        serial, _ = preprocess_spectra(spectra, workers=1)
-        parallel, _ = preprocess_spectra(spectra, workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.spectrum_id == b.spectrum_id
-            np.testing.assert_array_equal(a.intensity, b.intensity)
-
 
 class TestValidatePrecursor:
     def test_exact_theoretical_precursor(self, table):
@@ -227,3 +214,21 @@ class TestRawSpectrum:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             make_spectrum([100.0, 200.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="'s9' has non-finite"):
+            make_spectrum([100.0, 200.0], [1.0, bad], spectrum_id="s9")
+        with pytest.raises(ValueError, match="'s9' has non-finite"):
+            make_spectrum([bad, 200.0], [1.0, 1.0], spectrum_id="s9")
+
+    def test_non_finite_peak_in_mgf_names_the_block(self):
+        text = MINIMAL_MGF + MINIMAL_MGF.replace("spec_1", "spec_2").replace("4.0", "nan")
+        with pytest.raises(ValueError, match="block at line 9: spectrum 'spec_2'"):
+            parse_mgf(io.StringIO(text))
+
+    @pytest.mark.parametrize("pepmass", ["nan", "inf", "-inf"])
+    def test_non_finite_pepmass_rejected(self, pepmass):
+        text = MINIMAL_MGF + MINIMAL_MGF.replace("500.0", pepmass)
+        with pytest.raises(ValueError, match="block at line 9: non-finite PEPMASS"):
+            parse_mgf(io.StringIO(text))
