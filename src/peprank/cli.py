@@ -27,7 +27,7 @@ from .evaluation import (
 from .masses import MassTable, default_mass_table, load_mass_table, parse_peptide
 from .metrics import gap_penalty, pmd, rmd
 from .model import MODEL_KEYS, ModelConfig
-from .spectra import RawSpectrum, parse_mgf, preprocess_spectra, validate_precursor, write_mgf
+from .spectra import RawSpectrum, parse_mgf, write_mgf
 
 T = TypeVar("T")
 
@@ -118,20 +118,14 @@ def _cmd_preprocess(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "preprocess", "mgf": args.mgf, "strict": args.strict})
     spectra = _read(args.mgf, parse_mgf)
-    processed, excluded = preprocess_spectra(spectra, strict=args.strict)
-    exclusions = [(sid, "empty_after_preprocessing") for sid in excluded]
-    kept = []
-    for spec in processed:
-        if spec.label is not None:
-            label = parse_peptide(spec.label, table, max_len=pipeline.MAX_PEPTIDE_LEN)
-            if not validate_precursor(spec.to_raw(), label, table):
-                if args.strict:
-                    raise ValueError(
-                        f"spectrum {spec.spectrum_id!r} fails the precursor gates"
-                    )
-                exclusions.append((spec.spectrum_id, "precursor_mismatch"))
-                continue
-        kept.append(spec)
+    kept, exclusions = [], []
+    for raw in spectra:
+        label = None if raw.label is None else parse_peptide(raw.label, table)
+        processed, reason = pipeline.gate_spectrum(raw, label, table)
+        if reason is None:
+            kept.append(processed)
+        else:
+            pipeline.skip_record(exclusions, raw.spectrum_id, reason, args.strict)
     with open(args.out, "w", encoding="utf-8") as sink:
         write_mgf((spec.to_raw() for spec in kept), sink)
     if args.report:
@@ -188,7 +182,9 @@ def _cmd_train(args) -> int:
                  "model": config.model.to_dict(),
                  "train": {k: getattr(config, k) for k in CONFIG_TRAIN_KEYS}})
     spectra, candidate_sets = _read_corpus(args)
-    instances, excluded = pipeline.build_training_set(spectra, candidate_sets, table)
+    instances, excluded = pipeline.build_training_set(
+        spectra, candidate_sets, table, config.model.embedding
+    )
     print(f"# training on {len(instances)} instances ({len(excluded)} excluded)",
           file=sys.stderr)
     with (open(args.loss_log, "w", encoding="utf-8") if args.loss_log
@@ -208,6 +204,8 @@ def _cmd_rerank(args) -> int:
     model = checkpoint.build_model(table)
     spectra, candidate_sets = _read_corpus(args)
     selections = pipeline.rerank_run(model, spectra, candidate_sets, strict=args.strict)
+    print(f"# reranked {len(selections)} of {len(candidate_sets)} spectra "
+          f"({len(candidate_sets) - len(selections)} excluded)", file=sys.stderr)
     with _output(args.out) as sink:
         pipeline.write_selections(selections, sink)
     return 0

@@ -100,6 +100,8 @@ class Precursor:
     neutral_mass: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mz) and math.isfinite(self.neutral_mass)):
+            raise ValueError(f"precursor m/z {self.mz} and neutral mass must be finite")
         if self.charge < 1:
             raise ValueError(f"precursor charge must be >= 1, got {self.charge}")
         expected = (self.mz - PROTON_MASS) * self.charge
@@ -150,13 +152,12 @@ def default_mass_table() -> MassTable:
         return load_mass_table(handle)
 
 
-def parse_peptide(text: str, table: MassTable, max_len: int | None = None) -> Peptide:
+def parse_peptide(text: str, table: MassTable) -> Peptide:
     """Tokenize peptide text greedily left to right.
 
     A parenthesized group binds to the immediately preceding base letter,
     forming a single token, e.g. ``"M(O)K"`` -> ``[M(O), K]``. Unknown
-    tokens and dangling parentheses raise ValueError. ``max_len`` truncates
-    the token sequence after parsing (ingestion rule).
+    tokens and dangling parentheses raise ValueError.
     """
     tokens: list[str] = []
     i, n = 0, len(text)
@@ -177,8 +178,6 @@ def parse_peptide(text: str, table: MassTable, max_len: int | None = None) -> Pe
         if token not in table:
             raise ValueError(f"unknown residue token {token!r} in {text!r}")
         tokens.append(token)
-    if max_len is not None and len(tokens) > max_len:
-        tokens = tokens[:max_len]
     return Peptide(tuple(tokens))
 
 

@@ -27,7 +27,7 @@ from .encoders import (
     create_embedding_params,
     embed_spectrum,
 )
-from .masses import MassTable, Peptide, Precursor
+from .masses import MassTable, Peptide
 from .spectra import ProcessedSpectrum
 
 
@@ -88,6 +88,11 @@ class ModelConfig:
             raise ValueError(
                 f"model config: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
             )
+        for key, accepted in SCALAR_TYPES.items():
+            if type(data[key]) not in accepted:
+                raise ValueError(f"model config: {key} has the wrong type: {data[key]!r}")
+        if not (isinstance(data["vocab"], list) and all(isinstance(t, str) for t in data["vocab"])):
+            raise ValueError("model config: vocab must be a list of strings")
         embedding = EmbeddingConfig(d=data["d"], **{k: data[k] for k in EMBEDDING_KEYS})
         return cls(embedding=embedding, vocab=tuple(data["vocab"]),
                    **{k: data[k] for k in MODEL_KEYS})
@@ -97,6 +102,10 @@ class ModelConfig:
 # d is not stored because it always equals the model's d.
 MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("embedding", "vocab"))
 EMBEDDING_KEYS = tuple(f.name for f in fields(EmbeddingConfig) if f.name != "d")
+# JSON types accepted per serialized scalar: an int is a valid float, a bool neither.
+SCALAR_TYPES = {f.name: {"int": (int,), "float": (int, float)}[f.type]
+                for f in (*fields(ModelConfig), *fields(EmbeddingConfig))
+                if f.name in MODEL_KEYS + EMBEDDING_KEYS}
 
 
 @dataclass
@@ -263,15 +272,15 @@ class RerankModel:
         return ModelOutput(pmd_pred=pmd_pred, rmd_pred=rmd_pred)
 
     def forward(self, spectrum: ProcessedSpectrum, candidates: list[Peptide],
-                precursor: Precursor | None = None, training: bool = False,
-                rng=None) -> tuple[ModelOutput, MsaBatch]:
+                training: bool = False, rng=None) -> tuple[ModelOutput, MsaBatch]:
         """Full forward pass for one spectrum and its candidate list."""
         if training and self.config.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        precursor = spectrum.precursor if precursor is None else precursor
         peaks = embed_spectrum(spectrum, self.store, self.config.embedding)
         encoded = self.spectrum_encoder(peaks, training, rng)
-        batch = assemble_msa(candidates, precursor, self.table, self.store, self.config.embedding)
+        batch = assemble_msa(
+            candidates, spectrum.precursor, self.table, self.store, self.config.embedding
+        )
         grid = batch.embeddings
         for i in range(self.config.n_layers):
             grid = self.axial_block(grid, batch.mask, encoded, i, training, rng)

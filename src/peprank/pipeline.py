@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterStore, Tensor
+from .encoders import EmbeddingConfig
 from .evaluation import aa_match, corpus_stats
 from .masses import (
     PROTON_MASS,
@@ -41,8 +42,6 @@ from .spectra import (
 )
 
 logger = logging.getLogger(__name__)
-
-MAX_PEPTIDE_LEN = 100  # ingestion truncation limit
 
 CHECKPOINT_MAGIC = b"RNKV"
 CHECKPOINT_VERSION = 1
@@ -84,17 +83,22 @@ def _read_json_lines(source: TextIO | Iterable[str]) -> Iterator[tuple[int, dict
         yield lineno, record
 
 
+def _require_strings(lineno: int, record: dict, keys: Sequence[str]) -> None:
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"line {lineno}: missing field {key!r}")
+        if not isinstance(record[key], str):
+            raise ValueError(f"line {lineno}: {key!r} must be a string, got {record[key]!r}")
+
+
 def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
     """Parse a JSON Lines candidate file; order and duplicates are preserved."""
     sets: list[CandidateSet] = []
     seen: set[str] = set()
     for lineno, record in _read_json_lines(source):
-        try:
-            spectrum_id = record["spectrum_id"]
-            raw_candidates = record["candidates"]
-        except KeyError as exc:
-            raise ValueError(f"line {lineno}: missing field {exc.args[0]!r}") from None
-        if not isinstance(spectrum_id, str) or not spectrum_id:
+        _require_strings(lineno, record, ("spectrum_id",))
+        spectrum_id, raw_candidates = record["spectrum_id"], record.get("candidates")
+        if not spectrum_id:
             raise ValueError(f"line {lineno}: spectrum_id must be a non-empty string")
         if spectrum_id in seen:
             raise ValueError(f"line {lineno}: duplicate spectrum_id {spectrum_id!r}")
@@ -103,13 +107,13 @@ def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
             raise ValueError(f"line {lineno}: candidates must be a non-empty list")
         candidates: list[tuple[str, str]] = []
         for entry in raw_candidates:
-            try:
-                candidates.append((entry["model"], entry["peptide"]))
-            except (TypeError, KeyError):
-                raise ValueError(
-                    f"line {lineno}: each candidate needs 'model' and 'peptide'"
-                ) from None
+            if not isinstance(entry, dict):
+                raise ValueError(f"line {lineno}: each candidate must be a JSON object")
+            _require_strings(lineno, entry, ("model", "peptide"))
+            candidates.append((entry["model"], entry["peptide"]))
         label = record.get("label")
+        if label is not None:
+            _require_strings(lineno, record, ("label",))
         sets.append(CandidateSet(spectrum_id=spectrum_id, candidates=candidates, label=label))
     return sets
 
@@ -129,11 +133,79 @@ def load_predictions(source: TextIO | Iterable[str]) -> list[dict]:
     """Parse a prediction corpus: JSON Lines of spectrum_id / pred / truth."""
     records: list[dict] = []
     for lineno, record in _read_json_lines(source):
-        for key in ("spectrum_id", "pred", "truth"):
-            if key not in record:
-                raise ValueError(f"line {lineno}: missing field {key!r}")
+        _require_strings(lineno, record, ("spectrum_id", "pred", "truth"))
         records.append(record)
     return records
+
+
+# ---------------------------------------------------------------------------
+# record admission
+
+
+def gate_spectrum(raw: RawSpectrum, label: Peptide | None,
+                  table: MassTable) -> tuple[ProcessedSpectrum | None, str | None]:
+    """Precursor check against the label (when given), then preprocessing.
+    Returns ``(processed, None)`` or ``(None, reason)``."""
+    if label is not None and not validate_precursor(raw, label, table):
+        return None, "precursor_mismatch"
+    processed = preprocess_spectrum(raw)
+    return processed, (None if processed is not None else "empty_after_preprocessing")
+
+
+def skip_record(excluded: list[tuple[str, str]], spectrum_id: str, reason: str,
+                strict: bool, detail: str = "") -> None:
+    """Log and list one excluded record; with ``strict``, raise instead."""
+    message = f"spectrum {spectrum_id!r} excluded: {reason}{detail}"
+    if strict:
+        raise ValueError(message)
+    logger.warning("%s", message)
+    excluded.append((spectrum_id, reason))
+
+
+def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[CandidateSet],
+                  table: MassTable, limits: EmbeddingConfig, labeled: bool,
+                  strict: bool = False) -> tuple[list[tuple], list[tuple[str, str]]]:
+    """Decide which candidate sets a run uses, and why not the others.
+
+    Joins each set to its spectrum by id, resolves the label (the set's,
+    else the spectrum's) when ``labeled``, parses every peptide, applies
+    the model's ``limits`` and then :func:`gate_spectrum`. An unjoinable
+    id, a missing label and an empty or unparseable peptide are hard
+    errors. Admitted: ``(candidate_set, processed, candidates, label)``.
+    """
+    by_id = {s.spectrum_id: s for s in spectra}
+    admitted: list[tuple] = []
+    excluded: list[tuple[str, str]] = []
+    for cs in candidate_sets:
+        spectrum_id = cs.spectrum_id
+        raw = by_id.get(spectrum_id)
+        if raw is None:
+            raise ValueError(f"candidate set {spectrum_id!r} has no matching spectrum")
+        label_text = (cs.label if cs.label is not None else raw.label) if labeled else None
+        if labeled and label_text is None:
+            raise ValueError(f"spectrum {spectrum_id!r} has no label peptide")
+        try:
+            label = None if label_text is None else parse_peptide(label_text, table)
+            candidates = [parse_peptide(text, table) for text in cs.peptides]
+        except ValueError as exc:
+            raise ValueError(f"spectrum {spectrum_id!r}: {exc}") from None
+        peptides = candidates + ([] if label is None else [label])
+        if not all(peptides):
+            raise ValueError(f"spectrum {spectrum_id!r} has an empty label or candidate")
+        longest, charge = max(len(p) for p in peptides), raw.precursor.charge
+        if longest > limits.max_len:
+            skip_record(excluded, spectrum_id, "too_long", strict,
+                        f" ({longest} residues, max_len={limits.max_len})")
+        elif not 1 <= charge <= limits.max_charge:
+            skip_record(excluded, spectrum_id, "charge_out_of_range", strict,
+                        f" (charge {charge}, max_charge={limits.max_charge})")
+        else:
+            processed, reason = gate_spectrum(raw, label, table)
+            if reason is not None:
+                skip_record(excluded, spectrum_id, reason, strict)
+            else:
+                admitted.append((cs, processed, candidates, label))
+    return admitted, excluded
 
 
 # ---------------------------------------------------------------------------
@@ -160,55 +232,28 @@ def build_training_set(
     spectra: Sequence[RawSpectrum],
     candidate_sets: Sequence[CandidateSet],
     table: MassTable,
-    max_len: int = MAX_PEPTIDE_LEN,
+    limits: EmbeddingConfig = EmbeddingConfig(d=64),
 ) -> tuple[list[TrainingInstance], list[tuple[str, str]]]:
-    """Join spectra with candidates and compute supervision targets.
-
-    Spectra emptied by preprocessing or failing the precursor gates are
-    skipped (collected in the exclusion list); so are instances where
-    every candidate already matches the label, which carry no ranking
-    signal. Unjoinable ids and missing labels are hard errors.
+    """Admit labeled records under the model's ``limits`` and compute their
+    supervision targets. Admitted records whose candidates all match the
+    label carry no ranking signal; they are excluded last, as
+    ``all_candidates_correct``.
     """
-    by_id = {s.spectrum_id: s for s in spectra}
+    admitted, excluded = admit_records(spectra, candidate_sets, table, limits, labeled=True)
     gap = gap_penalty(table)
     instances: list[TrainingInstance] = []
-    excluded: list[tuple[str, str]] = []
-    for cs in candidate_sets:
-        raw = by_id.get(cs.spectrum_id)
-        if raw is None:
-            raise ValueError(f"candidate set {cs.spectrum_id!r} has no matching spectrum")
-        label_text = cs.label if cs.label is not None else raw.label
-        if label_text is None:
-            raise ValueError(f"spectrum {cs.spectrum_id!r} has no label peptide")
-        label = parse_peptide(label_text, table, max_len=max_len)
-        if len(label) == 0:
-            raise ValueError(f"spectrum {cs.spectrum_id!r} has an empty label")
-        if not validate_precursor(raw, label, table):
-            excluded.append((cs.spectrum_id, "precursor_mismatch"))
-            continue
-        processed = preprocess_spectrum(raw)
-        if processed is None:
-            excluded.append((cs.spectrum_id, "empty_after_preprocessing"))
-            continue
-        candidates = [
-            parse_peptide(text, table, max_len=max_len) for text in cs.peptides
-        ]
-        if any(len(c) == 0 for c in candidates):
-            raise ValueError(f"spectrum {cs.spectrum_id!r} has an empty candidate")
-        matches = [aa_match(c, label, table).peptide_matched for c in candidates]
-        if all(matches):
+    for cs, spectrum, candidates, label in admitted:
+        if all(aa_match(c, label, table).peptide_matched for c in candidates):
             excluded.append((cs.spectrum_id, "all_candidates_correct"))
             continue
-        pmd_targets = np.array([pmd(c, label, table, gap=gap) for c in candidates])
-        rmd_targets = [rmd(c, label, table) for c in candidates]
         instances.append(
             TrainingInstance(
-                spectrum=processed,
+                spectrum=spectrum,
                 candidates=candidates,
                 model_names=cs.model_names,
                 label=label,
-                pmd_targets=pmd_targets,
-                rmd_targets=rmd_targets,
+                pmd_targets=np.array([pmd(c, label, table, gap=gap) for c in candidates]),
+                rmd_targets=[rmd(c, label, table) for c in candidates],
             )
         )
     return instances, excluded
@@ -513,36 +558,17 @@ def rerank_run(
     candidate_sets: Sequence[CandidateSet],
     strict: bool = False,
 ) -> list[Selection]:
-    """Forward every candidate set in evaluation mode and pick per spectrum.
+    """Forward every candidate set admitted, unlabeled, under the model's
+    limits (see :func:`admit_records`) and pick per spectrum.
 
     Rows keep candidate-file order; exact score ties resolve to the lowest
-    index. Spectra emptied by preprocessing are skipped with a warning
-    (an error in strict mode).
+    index.
     """
-    by_id = {s.spectrum_id: s for s in spectra}
-    max_len = model.config.embedding.max_len
+    admitted, _ = admit_records(spectra, candidate_sets, model.table,
+                                model.config.embedding, labeled=False, strict=strict)
     selections: list[Selection] = []
-    for cs in candidate_sets:
-        raw = by_id.get(cs.spectrum_id)
-        if raw is None:
-            raise ValueError(f"candidate set {cs.spectrum_id!r} has no matching spectrum")
-        candidates = [parse_peptide(text, model.table) for text in cs.peptides]
-        for peptide in candidates:
-            if len(peptide) > max_len:
-                raise ValueError(
-                    f"candidate {peptide.render()!r} exceeds max_len={max_len}"
-                )
-            if len(peptide) == 0:
-                raise ValueError(f"spectrum {cs.spectrum_id!r} has an empty candidate")
-        processed = preprocess_spectrum(raw)
-        if processed is None:
-            if strict:
-                raise ValueError(
-                    f"spectrum {cs.spectrum_id!r} excluded by preprocessing"
-                )
-            logger.warning("skipping spectrum %r: no usable peaks", cs.spectrum_id)
-            continue
-        output, _ = model.forward(processed, candidates, training=False)
+    for cs, spectrum, candidates, _ in admitted:
+        output, _ = model.forward(spectrum, candidates, training=False)
         index = rerank_select(output.pmd_pred)
         selections.append(
             Selection(
@@ -703,6 +729,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(_read_exact(source, header_len, "header").decode("utf-8"))
         if not isinstance(header, dict) or set(header) != {"model", "seed", "step_count"}:
             raise ValueError("checkpoint header must hold exactly model, seed and step_count")
+        if not (type(header["seed"]) is int and type(header["step_count"]) is int):
+            raise ValueError("checkpoint header: seed and step_count must be integers")
         config = ModelConfig.from_dict(header["model"])
         (n_params,) = struct.unpack("<I", _read_exact(source, 4, "parameter count"))
         params: dict[str, np.ndarray] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -195,26 +195,21 @@ def write_mgf(spectra: Iterable[RawSpectrum], sink: TextIO) -> None:
         sink.write("END IONS\n")
 
 
-def preprocess_spectrum(
-    spectrum: RawSpectrum,
-    mz_min: float = MZ_MIN,
-    mz_max: float = MZ_MAX,
-    max_peaks: int = MAX_PEAKS,
-) -> ProcessedSpectrum | None:
+def preprocess_spectrum(spectrum: RawSpectrum) -> ProcessedSpectrum | None:
     """Filter, truncate, and normalize one spectrum.
 
-    Peaks outside [mz_min, mz_max] are dropped; if more than ``max_peaks``
+    Peaks outside [MZ_MIN, MZ_MAX] are dropped; if more than ``MAX_PEAKS``
     remain, only the most intense survive (ties keep the lower m/z);
     intensities of the retained peaks are square-root transformed and
     normalized to sum to one. Returns None, with a logged warning, when
     no peaks survive.
     """
-    keep = (spectrum.mz >= mz_min) & (spectrum.mz <= mz_max)
+    keep = (spectrum.mz >= MZ_MIN) & (spectrum.mz <= MZ_MAX)
     mz = spectrum.mz[keep]
     intensity = spectrum.intensity[keep]
-    if mz.size > max_peaks:
+    if mz.size > MAX_PEAKS:
         # sort by descending intensity, ascending m/z on ties
-        order = np.lexsort((mz, -intensity))[:max_peaks]
+        order = np.lexsort((mz, -intensity))[:MAX_PEAKS]
         mz = mz[order]
         intensity = intensity[order]
         resort = np.argsort(mz, kind="stable")
@@ -224,8 +219,8 @@ def preprocess_spectrum(
         logger.warning(
             "spectrum %r has no peaks in [%g, %g] Da; excluded",
             spectrum.spectrum_id,
-            mz_min,
-            mz_max,
+            MZ_MIN,
+            MZ_MAX,
         )
         return None
     roots = np.sqrt(intensity)
@@ -245,47 +240,16 @@ def preprocess_spectrum(
     )
 
 
-def preprocess_spectra(
-    spectra: Sequence[RawSpectrum],
-    mz_min: float = MZ_MIN,
-    mz_max: float = MZ_MAX,
-    max_peaks: int = MAX_PEAKS,
-    strict: bool = False,
-) -> tuple[list[ProcessedSpectrum], list[str]]:
-    """Preprocess a batch in input order; returns (processed, excluded spectrum ids).
-
-    With ``strict`` an exclusion raises instead of being collected.
-    """
-    processed: list[ProcessedSpectrum] = []
-    excluded: list[str] = []
-    for spectrum in spectra:
-        result = preprocess_spectrum(spectrum, mz_min, mz_max, max_peaks)
-        if result is None:
-            if strict:
-                raise ValueError(
-                    f"spectrum {spectrum.spectrum_id!r} excluded by preprocessing"
-                )
-            excluded.append(spectrum.spectrum_id)
-        else:
-            processed.append(result)
-    return processed, excluded
-
-
-def validate_precursor(
-    spectrum: RawSpectrum,
-    label: Peptide,
-    table: MassTable,
-    mz_tol: float = PRECURSOR_MZ_TOLERANCE,
-    ppm_tol: float = PRECURSOR_PPM_TOLERANCE,
-) -> bool:
+def validate_precursor(spectrum: RawSpectrum, label: Peptide, table: MassTable) -> bool:
     """Check the observed precursor against the label peptide.
 
-    True when the observed m/z is within ``mz_tol`` Da of the theoretical
-    m/z at the observed charge and the observed neutral mass is within
-    ``ppm_tol`` parts per million of the label's neutral mass.
+    True when the observed m/z is within ``PRECURSOR_MZ_TOLERANCE`` Da of
+    the theoretical m/z at the observed charge and the observed neutral
+    mass is within ``PRECURSOR_PPM_TOLERANCE`` parts per million of the
+    label's neutral mass.
     """
     theoretical_mz = peptide_mz(label, table, spectrum.precursor.charge)
     theoretical_mass = peptide_neutral_mass(label, table)
-    mz_ok = abs(spectrum.precursor.mz - theoretical_mz) <= mz_tol
+    mz_ok = abs(spectrum.precursor.mz - theoretical_mz) <= PRECURSOR_MZ_TOLERANCE
     ppm = abs(spectrum.precursor.neutral_mass - theoretical_mass) / theoretical_mass * 1e6
-    return mz_ok and ppm <= ppm_tol
+    return mz_ok and ppm <= PRECURSOR_PPM_TOLERANCE

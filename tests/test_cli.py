@@ -7,15 +7,28 @@ import pytest
 
 from peprank.cli import CONFIG_MODEL_KEYS, CONFIG_TRAIN_KEYS, _train_config, main
 from peprank.encoders import EmbeddingConfig
+from peprank.masses import Precursor, default_mass_table
 from peprank.model import ModelConfig
+from peprank.pipeline import SynthConfig, synthesize_dataset, write_candidates
+from peprank.spectra import write_mgf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+V1_CHECKPOINT = Path(__file__).parent / "data" / "v1_tiny.ckpt"  # max_len 30, max_charge 4
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_corpus(directory, spectra, candidate_sets):
+    mgf, cands = directory / "spectra.mgf", directory / "candidates.jsonl"
+    with open(mgf, "w", encoding="utf-8") as sink:
+        write_mgf(spectra, sink)
+    with open(cands, "w", encoding="utf-8") as sink:
+        write_candidates(candidate_sets, sink)
+    return mgf, cands
 
 
 @pytest.fixture()
@@ -299,3 +312,65 @@ class TestAnalyzeCommands:
         code, _, err = run(capsys, "analyze", "--analysis", "length")
         assert code == 2
         assert "--predictions" in err
+
+
+class TestRecordAdmission:
+    def test_rerank_skips_a_charge_above_the_model_limit(self, tmp_path, capsys):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=8)
+        spectra[0].precursor = Precursor.from_mz(spectra[0].precursor.mz, 12)
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        args = ("rerank", "--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
+                "--candidates", str(cands_path))
+        out = tmp_path / "selections.tsv"
+        code, _, err = run(capsys, *args, "--out", str(out))
+        assert code == 0, err
+        assert "# reranked 7 of 8 spectra (1 excluded)" in err
+        rows = [line.split("\t")[0] for line in out.read_text().splitlines()[1:]]
+        assert rows == [cs.spectrum_id for cs in cands[1:]]
+        code, _, err = run(capsys, *args, "--strict")
+        assert code == 2
+        assert "'synth_00000' excluded: charge_out_of_range" in err
+
+    def test_train_excludes_records_longer_than_max_len(self, tmp_path, capsys):
+        table = default_mass_table()
+        spectra, cands = synthesize_dataset(table, seed=7, n_spectra=8)
+        long_spectra, long_cands = synthesize_dataset(
+            table, seed=8, n_spectra=3, config=SynthConfig(min_length=32, max_length=36)
+        )
+        for i, (spectrum, cs) in enumerate(zip(long_spectra, long_cands)):
+            spectrum.spectrum_id = cs.spectrum_id = f"long_{i}"
+        mgf, cands_path = write_corpus(tmp_path, spectra + long_spectra, cands + long_cands)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "d": 16, "n_layers": 1, "n_heads": 2, "ff_dim": 32,
+            "epochs": 1, "batch_size": 4, "max_len": 30, "max_charge": 4,
+        }))
+        code, _, err = run(capsys, "train", "--mgf", str(mgf), "--candidates", str(cands_path),
+                           "--config", str(config), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 0, err
+        assert "# training on 8 instances (3 excluded)" in err
+
+    @pytest.mark.parametrize("candidate,label,field", [
+        ({"model": "m1", "peptide": 7}, "GAV", "peptide"),
+        ({"model": "m1", "peptide": "GAV"}, 9, "label"),
+    ])
+    def test_non_string_candidate_fields_are_data_errors(
+        self, tmp_path, synth_files, capsys, candidate, label, field
+    ):
+        mgf, _ = synth_files
+        cands = tmp_path / "bad.jsonl"
+        cands.write_text(json.dumps(
+            {"spectrum_id": "synth_00000", "candidates": [candidate], "label": label}) + "\n")
+        code, _, err = run(capsys, "rerank", "--checkpoint", str(V1_CHECKPOINT),
+                           "--mgf", str(mgf), "--candidates", str(cands))
+        assert code == 2
+        assert f"line 1: '{field}' must be a string" in err
+
+    @pytest.mark.parametrize("field", ["spectrum_id", "pred", "truth"])
+    def test_non_string_prediction_fields_are_data_errors(self, tmp_path, capsys, field):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(
+            {"spectrum_id": "a", "pred": "GAV", "truth": "GAV", field: 5}) + "\n")
+        code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
+        assert code == 2
+        assert f"line 1: '{field}' must be a string" in err

@@ -75,10 +75,6 @@ class TestParsePeptide:
     def test_empty_text_gives_empty_peptide(self, table):
         assert len(parse_peptide("", table)) == 0
 
-    def test_truncation(self, table):
-        long = "G" * 120
-        assert len(parse_peptide(long, table, max_len=100)) == 100
-
     def test_render_round_trip(self, table):
         rng = np.random.default_rng(11)
         tokens = table.tokens

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peprank import pipeline
+from peprank.cli import main as cli_main
 from peprank.encoders import EmbeddingConfig
-from peprank.masses import PROTON_MASS, parse_peptide
+from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
 from peprank.metrics import pmd, rmd
 from peprank.model import ModelConfig, RerankModel
 from peprank.pipeline import (
@@ -16,6 +19,7 @@ from peprank.pipeline import (
     Checkpoint,
     SynthConfig,
     TrainConfig,
+    admit_records,
     build_training_set,
     learning_rate,
     load_candidates,
@@ -29,7 +33,7 @@ from peprank.pipeline import (
     write_selections,
     zero_shot_eval,
 )
-from peprank.spectra import write_mgf
+from peprank.spectra import RawSpectrum, write_mgf
 
 DATA = Path(__file__).parent / "data"
 
@@ -98,6 +102,55 @@ class TestLoadCandidates:
         write_candidates(sets, sink)
         again = load_candidates(io.StringIO(sink.getvalue()))
         assert again == sets
+
+    @pytest.mark.parametrize("record,field", [
+        ({"spectrum_id": "x", "candidates": [{"model": "m1", "peptide": 7}]}, "peptide"),
+        ({"spectrum_id": "x", "candidates": [{"model": 1, "peptide": "GAV"}]}, "model"),
+        ({"spectrum_id": "x", "candidates": [{"model": "m1", "peptide": "GAV"}], "label": 9},
+         "label"),
+        ({"spectrum_id": 3, "candidates": [{"model": "m1", "peptide": "GAV"}]}, "spectrum_id"),
+    ])
+    def test_non_string_fields_rejected(self, record, field):
+        with pytest.raises(ValueError, match=f"line 2: '{field}' must be a string"):
+            load_candidates(io.StringIO(candidate_line() + "\n" + json.dumps(record)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_records_load_or_raise_value_error(self, data):
+        """Each mutated record loads into well-typed sets or raises ValueError."""
+        record = json.loads(candidate_line())
+        where = data.draw(st.sampled_from([
+            (), ("candidates",), ("candidates", 0), ("candidates", 1),
+        ]))
+        target = record
+        for step in where:
+            target = target[step]
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+            | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        )
+        if isinstance(target, dict):
+            key = data.draw(st.sampled_from(sorted(target) + ["extra"]))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(json_values)
+        else:
+            target.append(data.draw(json_values))
+        line = json.dumps(record)
+        if data.draw(st.booleans()):
+            line = line[: data.draw(st.integers(0, len(line)))]
+        try:
+            sets = load_candidates(io.StringIO(line))
+        except ValueError:
+            return
+        for cs in sets:
+            assert isinstance(cs, CandidateSet) and isinstance(cs.spectrum_id, str)
+            assert all(isinstance(m, str) and isinstance(p, str) for m, p in cs.candidates)
+            assert cs.label is None or isinstance(cs.label, str)
 
 
 class TestSynthesizeDataset:
@@ -216,6 +269,58 @@ class TestBuildTrainingSet:
         instances, excluded = build_training_set(spectra, [bad], table)
         assert not instances
         assert excluded[0][1] == "precursor_mismatch"
+
+
+class TestAdmitRecords:
+    LIMITS = EmbeddingConfig(d=16, max_len=30, max_charge=4)
+
+    @staticmethod
+    def break_record(reason, spectra, cands, table):
+        raw, cs = spectra[1], cands[1]
+        if reason == "too_long":
+            cs.candidates[0] = ("model_1", "G" * 31)
+        elif reason == "charge_out_of_range":  # consistent with the label at 12+
+            raw.precursor = Precursor.from_mz(
+                peptide_mz(parse_peptide(cs.label, table), table, 12), 12
+            )
+        elif reason == "precursor_mismatch":
+            cs.label = "GGGG"
+        else:
+            spectra[1] = RawSpectrum(raw.spectrum_id, [10.0], [1.0], raw.precursor, raw.label)
+
+    @pytest.mark.parametrize("reason", [
+        "too_long", "charge_out_of_range", "precursor_mismatch", "empty_after_preprocessing",
+    ])
+    def test_reason_skips_lists_and_raises_when_strict(self, table, reason):
+        spectra, cands = synthesize_dataset(table, seed=24, n_spectra=3)
+        self.break_record(reason, spectra, cands, table)
+        ids = [cs.spectrum_id for cs in cands]
+        admitted, excluded = admit_records(spectra, cands, table, self.LIMITS, labeled=True)
+        assert [record[0].spectrum_id for record in admitted] == [ids[0], ids[2]]
+        assert excluded == [(ids[1], reason)]
+        with pytest.raises(ValueError, match=f"'{ids[1]}' excluded: {reason}"):
+            admit_records(spectra, cands, table, self.LIMITS, labeled=True, strict=True)
+        instances, excluded = build_training_set(spectra, cands, table, self.LIMITS)
+        assert len(instances) + len(excluded) == len(cands)
+        assert (ids[1], reason) in excluded
+
+    def test_correct_long_label_is_too_long(self, table):
+        label_text = "GAVK" * 30
+        label = parse_peptide(label_text, table)
+        assert len(label) == 120
+        raw = RawSpectrum("long", [100.0, 200.0], [1.0, 1.0],
+                          Precursor.from_mz(peptide_mz(label, table, 2), 2), label_text)
+        cs = CandidateSet("long", [("m1", label_text), ("m2", "GAV")], label_text)
+        assert build_training_set([raw], [cs], table) == ([], [("long", "too_long")])
+
+    @pytest.mark.parametrize("cs,message", [
+        (CandidateSet("synth_00000", [("m1", "GZV")]), "spectrum 'synth_00000': unknown residue"),
+        (CandidateSet("synth_00000", [("m1", "")]), "'synth_00000' has an empty"),
+    ])
+    def test_bad_peptides_are_hard_errors(self, table, cs, message):
+        spectra, _ = synthesize_dataset(table, seed=24, n_spectra=1)
+        with pytest.raises(ValueError, match=message):
+            admit_records(spectra, [cs], table, self.LIMITS, labeled=False)
 
 
 class TestSchedule:
@@ -343,7 +448,8 @@ class TestRerankRun:
         long_text = "G" * (config.model.embedding.max_len + 1)
         bad = CandidateSet(cands[0].spectrum_id, [("m1", long_text)], cands[0].label)
         with pytest.raises(ValueError, match="max_len"):
-            rerank_run(model, spectra, [bad])
+            rerank_run(model, spectra, [bad], strict=True)
+        assert rerank_run(model, spectra, [bad]) == []
 
     def test_selection_round_trip(self, table):
         spectra, cands = synthesize_dataset(table, seed=19, n_spectra=3)
@@ -499,6 +605,24 @@ class TestCheckpointIo:
         path.write_bytes(self.with_header(self.saved_bytes(table, tmp_path), mutate))
         with pytest.raises(ValueError, match=message):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda h: h.update(seed="x"), "seed and step_count must be integers"),
+        (lambda h: h.update(step_count=True), "seed and step_count must be integers"),
+        (lambda h: h["model"].update(d="16"), "d has the wrong type"),
+        (lambda h: h["model"].update(max_len=30.0), "max_len has the wrong type"),
+        (lambda h: h["model"].update(loss_lambda=None), "loss_lambda has the wrong type"),
+        (lambda h: h["model"].update(vocab=["G", 1]), "vocab must be a list of strings"),
+    ])
+    def test_header_value_types_checked(self, tmp_path, capsys, mutate, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self.with_header((DATA / "v1_tiny.ckpt").read_bytes(), mutate))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+        code = cli_main(["rerank", "--checkpoint", str(path),
+                         "--mgf", "unused.mgf", "--candidates", "unused.jsonl"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_version_1_fixture_loads_unchanged(self, table, tmp_path):
         expected = json.loads((DATA / "v1_tiny_scores.json").read_text())

@@ -3,11 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from peprank.cli import main
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
+from peprank.pipeline import gate_spectrum, skip_record
 from peprank.spectra import (
     RawSpectrum,
     parse_mgf,
-    preprocess_spectra,
     preprocess_spectrum,
     validate_precursor,
     write_mgf,
@@ -164,17 +165,24 @@ class TestPreprocess:
             assert preprocess_spectrum(spectrum) is None
         assert "excluded" in caplog.text
 
-    def test_strict_mode_raises(self):
+    def test_strict_mode_raises(self, table):
         spectrum = make_spectrum([10.0], [1.0])
-        with pytest.raises(ValueError, match="excluded"):
-            preprocess_spectra([spectrum], strict=True)
+        processed, reason = gate_spectrum(spectrum, None, table)
+        assert processed is None and reason == "empty_after_preprocessing"
+        with pytest.raises(ValueError, match="'s' excluded: empty_after_preprocessing"):
+            skip_record([], spectrum.spectrum_id, reason, strict=True)
 
-    def test_batch_keeps_order_and_reports_exclusions(self):
+    def test_batch_keeps_order_and_reports_exclusions(self, tmp_path):
         good = make_spectrum([100.0], [1.0], spectrum_id="good")
         bad = make_spectrum([10.0], [1.0], spectrum_id="bad")
-        processed, excluded = preprocess_spectra([good, bad, good])
-        assert [p.spectrum_id for p in processed] == ["good", "good"]
-        assert excluded == ["bad"]
+        mgf, out, report = tmp_path / "in.mgf", tmp_path / "out.mgf", tmp_path / "report.tsv"
+        with open(mgf, "w", encoding="utf-8") as sink:
+            write_mgf([good, bad, good], sink)
+        assert main(["preprocess", "--mgf", str(mgf), "--out", str(out),
+                     "--report", str(report)]) == 0
+        kept = parse_mgf(io.StringIO(out.read_text()))
+        assert [s.spectrum_id for s in kept] == ["good", "good"]
+        assert report.read_text().splitlines()[1:] == ["bad\tempty_after_preprocessing"]
 
 
 class TestValidatePrecursor:
@@ -232,3 +240,10 @@ class TestRawSpectrum:
         text = MINIMAL_MGF + MINIMAL_MGF.replace("500.0", pepmass)
         with pytest.raises(ValueError, match="block at line 9: non-finite PEPMASS"):
             parse_mgf(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_precursor_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            Precursor.from_mz(bad, 2)
+        with pytest.raises(ValueError, match="must be finite"):
+            Precursor(mz=500.0, charge=2, neutral_mass=bad)
