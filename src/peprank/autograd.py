@@ -83,12 +83,22 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``.
+
+    ``fresh`` says the caller allocated ``grad`` for ``t`` alone, so a
+    first contribution is stored as it is. Any other first contribution
+    is copied: it may be (a view of) a buffer that another tensor also
+    receives, and a later in-place update must not reach both.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+    if t.grad is not None:
+        t.grad += grad
+    elif fresh and grad.shape == t.shape and grad.dtype == t.data.dtype:
+        t.grad = grad
+    else:
+        t.grad = np.array(np.broadcast_to(grad, t.shape), dtype=t.data.dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -101,8 +111,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+_grad_enabled = True
+
+
+class no_grad:
+    """Context in which ops record no graph: no output requires a gradient.
+
+    The previous mode is restored on exit, also when the body raises.
+    """
+
+    def __enter__(self) -> "no_grad":
+        global _grad_enabled
+        self._previous, _grad_enabled = _grad_enabled, False
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _grad_enabled
+        _grad_enabled = self._previous
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -129,21 +158,40 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(data, (a, b), backward_fn)
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product; a 2-D right operand is applied to all leading axes of
+    the left one as a single GEMM, forward and backward."""
     a, b = as_tensor(a), as_tensor(b)
+    if b.ndim == 2 and a.ndim >= 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        data = (rows @ b.data).reshape(*a.shape[:-1], b.shape[1])
+
+        def backward_fn(g):
+            g_rows = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g_rows @ b.data.T).reshape(a.shape), fresh=True)
+            if b.requires_grad:
+                _accumulate(b, rows.T @ g_rows, fresh=True)
+
+        return _make(data, (a, b), backward_fn)
+
     data = np.matmul(a.data, b.data)
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _accumulate(a, _unbroadcast(ga, a.shape), fresh=True)
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            _accumulate(b, _unbroadcast(gb, b.shape), fresh=True)
 
     return _make(data, (a, b), backward_fn)
 
@@ -197,7 +245,7 @@ def split(a, sections, axis: int = 0) -> list[Tensor]:
             index = [slice(None)] * a.ndim
             index[axis] = slice(start, start + width)
             ga[tuple(index)] = g
-            _accumulate(a, ga)
+            _accumulate(a, ga, fresh=True)
 
         outs.append(_make(piece.copy(), (a,), backward_fn))
     return outs
@@ -214,7 +262,7 @@ def take(a, indices, axis: int = 0) -> Tensor:
             return
         ga = np.zeros_like(a.data)
         np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
-        _accumulate(a, ga)
+        _accumulate(a, ga, fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -226,7 +274,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.shape).copy(), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -239,7 +287,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape) / count)
+        _accumulate(a, np.broadcast_to(g, a.shape) / count, fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -253,7 +301,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward_fn(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (a.data > 0), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -266,7 +314,7 @@ def gelu(a) -> Tensor:
 
     def backward_fn(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        _accumulate(a, g * (cdf + a.data * pdf))
+        _accumulate(a, g * (cdf + a.data * pdf), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -276,7 +324,7 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
 
     def backward_fn(g):
-        _accumulate(a, g * data)
+        _accumulate(a, g * data, fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -288,7 +336,7 @@ def log(a) -> Tensor:
     data = np.log(a.data)
 
     def backward_fn(g):
-        _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data, fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -300,7 +348,7 @@ def sqrt(a) -> Tensor:
     data = np.sqrt(a.data)
 
     def backward_fn(g):
-        _accumulate(a, g / (2.0 * data))
+        _accumulate(a, g / (2.0 * data), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -311,7 +359,7 @@ def sigmoid(a) -> Tensor:
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def backward_fn(g):
-        _accumulate(a, g * data * (1.0 - data))
+        _accumulate(a, g * data * (1.0 - data), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -324,7 +372,7 @@ def softplus(a) -> Tensor:
 
     def backward_fn(g):
         s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        _accumulate(a, g * s)
+        _accumulate(a, g * s, fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -355,8 +403,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        _accumulate(x, dx)
-        _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
+        _accumulate(x, dx, fresh=True)
+        _accumulate(gain, _unbroadcast(g * xhat, gain.shape), fresh=True)
         _accumulate(bias, _unbroadcast(g, bias.shape))
 
     return _make(data, (x, gain, bias), backward_fn)
@@ -371,17 +419,18 @@ def softmax_masked(logits, mask) -> Tensor:
     error.
     """
     logits = as_tensor(logits)
-    valid = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
+    valid = np.atleast_1d(np.asarray(mask, dtype=bool))
     if not valid.any(axis=-1).all():
         raise ValueError("softmax row with all entries masked")
-    z = np.where(valid, logits.data, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = np.where(valid, logits.data, -np.inf)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        dz = p * (g - (g * p).sum(axis=-1, keepdims=True))
-        _accumulate(logits, dz)
+        dz = g - (g * p).sum(axis=-1, keepdims=True)
+        dz *= p
+        _accumulate(logits, dz, fresh=True)
 
     return _make(p, (logits,), backward_fn)
 
@@ -399,30 +448,36 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     data = x.data * keep
 
     def backward_fn(g):
-        _accumulate(x, g * keep)
+        _accumulate(x, g * keep, fresh=True)
 
     return _make(data, (x,), backward_fn)
 
 
-def rmse(pred, target, mask=None) -> Tensor:
-    """Root mean squared error over the unmasked elements."""
+def rmse(pred, target, mask=None, per_row: bool = False) -> Tensor:
+    """Root mean squared error over the unmasked elements.
+
+    With ``per_row``, one RMSE per index of the leading axis, each over
+    that row's unmasked elements. A zero RMSE passes no gradient.
+    """
     pred, target = as_tensor(pred), as_tensor(target)
     diff = pred.data - target.data
     if mask is None:
         valid = np.ones_like(diff, dtype=bool)
     else:
         valid = np.broadcast_to(np.asarray(mask, dtype=bool), diff.shape)
-    count = int(valid.sum())
-    if count == 0:
+    axes = tuple(range(1, diff.ndim)) if per_row else None
+    count = valid.sum(axis=axes)
+    if np.any(count == 0):
         raise ValueError("rmse with zero unmasked elements")
-    value = float(np.sqrt((diff * diff * valid).sum() / count))
+    value = np.sqrt((diff * diff * valid).sum(axis=axes) / count)
 
     def backward_fn(g):
-        if value == 0.0:
-            return
-        gp = g * valid * diff / (count * value)
-        _accumulate(pred, gp)
-        _accumulate(target, -gp)
+        denom = count * value
+        shape = np.shape(denom) + (1,) * (diff.ndim - np.ndim(denom))
+        denom = np.where(denom == 0, np.inf, denom).reshape(shape)
+        gp = g.reshape(shape) * valid * diff / denom
+        _accumulate(pred, gp, fresh=True)
+        _accumulate(target, -gp, fresh=True)
 
     return _make(np.asarray(value), (pred, target), backward_fn)
 
@@ -432,7 +487,13 @@ def rmse(pred, target, mask=None) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Populate gradients of every leaf reachable from a scalar loss.
+
+    The graph is consumed as it is walked: once a node has passed its
+    gradient on, its gradient, closure and parent links are released, so
+    interior buffers are freed during the walk and only leaf gradients
+    remain.
+    """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -451,9 +512,13 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, None, ()
 
 
 def grad_check(

@@ -120,7 +120,10 @@ def _cmd_preprocess(args) -> int:
     spectra = _read(args.mgf, parse_mgf)
     kept, exclusions = [], []
     for raw in spectra:
-        label = None if raw.label is None else parse_peptide(raw.label, table)
+        try:
+            label = None if raw.label is None else parse_peptide(raw.label, table)
+        except ValueError as exc:
+            raise ValueError(f"spectrum {raw.spectrum_id!r}: {exc}") from None
         processed, reason = pipeline.gate_spectrum(raw, label, table)
         if reason is None:
             kept.append(processed)

@@ -9,6 +9,11 @@ feed-forward sublayer, all pre-norm residual. Two linear heads read the
 final grid: a peptide-level mass-deviation score per candidate from its
 CLS vector, and a residue-level deviation per token. Reranking selects
 the candidate with the smallest predicted peptide-level deviation.
+
+The forward pass takes B spectra at once: peaks are padded to [B, K, d]
+and the candidate grids to [B, C, W, d], and masks keep every padded
+cell away from every real one. A training minibatch is one such batch
+(one autograd graph); a single spectrum is the B=1 call.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .encoders import (
     EmbeddingConfig,
     MsaBatch,
     assemble_msa,
+    collate_peaks,
     create_embedding_params,
     embed_spectrum,
 )
@@ -112,8 +118,8 @@ SCALAR_TYPES = {f.name: {"int": (int,), "float": (int, float)}[f.type]
 class ModelOutput:
     """Per-candidate peptide-level scores and per-residue deviations."""
 
-    pmd_pred: Tensor  # [c]
-    rmd_pred: Tensor  # [c, L], CLS column excluded
+    pmd_pred: Tensor  # [c], or [B, C] for a batch
+    rmd_pred: Tensor  # [c, L], or [B, C, W-1] for a batch; CLS column excluded
 
 
 class RerankModel:
@@ -177,7 +183,9 @@ class RerankModel:
     # -- building blocks ----------------------------------------------------
 
     def _attention(self, prefix: str, query: Tensor, key_value: Tensor,
-                   key_mask: np.ndarray | None, counter: str) -> Tensor:
+                   key_mask: np.ndarray) -> Tensor:
+        """Multi-head attention of query [batch, n_q, d] over key_value
+        [batch, n_k, d]; ``key_mask`` [batch, n_k] marks the valid keys."""
         store = self.store
         n_heads = self.config.n_heads
         batch, n_q, d = query.shape
@@ -192,21 +200,16 @@ class RerankModel:
         v = heads(ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"]), n_k)
 
         scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        self.attn_counts[counter] += batch * n_q * n_k
-        if key_mask is None:
-            mask = np.ones((batch, 1, 1, n_k), dtype=bool)
-        else:
-            mask = key_mask.reshape(batch, 1, 1, n_k)
-        probs = ag.softmax_masked(scores, mask)
+        probs = ag.softmax_masked(scores, key_mask.reshape(batch, 1, 1, n_k))
         context = ag.matmul(probs, v)
         context = ag.reshape(ag.transpose(context, (0, 2, 1, 3)), (batch, n_q, d))
         return ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
 
-    def _self_attention_sublayer(self, x: Tensor, prefix: str, key_mask: np.ndarray | None,
-                                 counter: str, training: bool, rng) -> Tensor:
+    def _self_attention_sublayer(self, x: Tensor, prefix: str, key_mask: np.ndarray,
+                                 training: bool, rng) -> Tensor:
         store = self.store
         normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
-        out = self._attention(prefix, normed, normed, key_mask, counter)
+        out = self._attention(prefix, normed, normed, key_mask)
         return ag.add(x, ag.dropout(out, self.config.dropout_rate, training, rng))
 
     def _ff_sublayer(self, x: Tensor, prefix: str, training: bool, rng) -> Tensor:
@@ -218,73 +221,121 @@ class RerankModel:
 
     # -- model stages -------------------------------------------------------
 
-    def spectrum_encoder(self, peaks: Tensor, training: bool = False, rng=None) -> Tensor:
-        """Self-attention stack over the embedded peaks [k, d] -> [1, k, d]."""
-        k = peaks.shape[0]
-        x = ag.reshape(peaks, (1, k, self.config.d))
+    def spectrum_encoder(self, peaks: Tensor, peak_mask: np.ndarray | None = None,
+                         training: bool = False, rng=None) -> Tensor:
+        """Self-attention stack over embedded peaks [B, K, d] -> [B, K, d].
+
+        ``peak_mask`` [B, K] marks real peaks (default: all); padded peaks
+        are masked as keys. One spectrum's [k, d] is encoded as [1, k, d].
+        """
+        x = ag.reshape(peaks, (-1, *peaks.shape[-2:]))
+        if peak_mask is None:
+            peak_mask = np.ones(x.shape[:2], dtype=bool)
+        n_peaks = peak_mask.sum(axis=1)
         for i in range(self.config.n_layers):
-            x = self._self_attention_sublayer(x, f"enc{i}/attn", None, "spectrum", training, rng)
+            self.attn_counts["spectrum"] += int((n_peaks * n_peaks).sum())
+            x = self._self_attention_sublayer(x, f"enc{i}/attn", peak_mask, training, rng)
             x = self._ff_sublayer(x, f"enc{i}/ff", training, rng)
         store = self.store
         return ag.layer_norm(x, store["enc_final_norm/gain"], store["enc_final_norm/bias"])
 
-    def axial_block(self, grid: Tensor, mask: np.ndarray, spectrum: Tensor, index: int,
-                    training: bool = False, rng=None) -> Tensor:
-        """One mixer block: row, column, cross attention, then feed-forward.
+    def axial_block(self, grid: Tensor, mask: np.ndarray, spectrum: Tensor,
+                    peak_mask: np.ndarray, index: int, training: bool = False,
+                    rng=None) -> Tensor:
+        """One mixer block over the grid [B, C, W, d]: row, column and cross
+        attention, then feed-forward.
 
-        Row attention masks padded keys within each candidate; column
-        attention masks candidates whose token at that column is padding;
-        cross attention lets every candidate token query the spectrum.
+        ``mask`` [B, C, W] marks real tokens and ``peak_mask`` [B, K] real
+        peaks. Row attention runs over the B*C rows and masks padded keys;
+        a padded candidate row keeps only its CLS key, so no softmax row is
+        empty. Column attention runs over the B*W columns and masks pad
+        cells and padded rows; a column past its spectrum's own width has
+        no real cell and attends freely, since its output reaches no real
+        cell. Cross attention lets every token query its spectrum's real
+        peaks. Attention counts cover each spectrum's own c x w grid.
         """
-        c, width, d = grid.shape
-        grid = self._self_attention_sublayer(
-            grid, f"mix{index}/row", mask, "row", training, rng
+        n_spectra, n_rows, width, d = grid.shape
+        real_rows, widths = mask[:, :, 0].sum(axis=1), mask.any(axis=1).sum(axis=1)
+        counts = self.attn_counts
+        counts["row"] += int((real_rows * widths * widths).sum())
+        counts["col"] += int((widths * real_rows * real_rows).sum())
+        counts["cross"] += int((real_rows * widths * peak_mask.sum(axis=1)).sum())
+
+        row_keys = mask.copy()
+        row_keys[:, :, 0] = True
+        rows = ag.reshape(grid, (n_spectra * n_rows, width, d))
+        rows = self._self_attention_sublayer(
+            rows, f"mix{index}/row", row_keys.reshape(-1, width), training, rng
         )
-        columns = ag.transpose(grid, (1, 0, 2))
+        columns = ag.transpose(ag.reshape(rows, grid.shape), (0, 2, 1, 3))
+        col_keys = mask.transpose(0, 2, 1)
+        col_keys = col_keys | ~col_keys.any(axis=2, keepdims=True)
         columns = self._self_attention_sublayer(
-            columns, f"mix{index}/col", mask.T.copy(), "col", training, rng
+            ag.reshape(columns, (n_spectra * width, n_rows, d)), f"mix{index}/col",
+            col_keys.reshape(-1, n_rows), training, rng
         )
-        grid = ag.transpose(columns, (1, 0, 2))
+        grid = ag.transpose(ag.reshape(columns, (n_spectra, width, n_rows, d)), (0, 2, 1, 3))
 
         store = self.store
-        flat = ag.reshape(grid, (1, c * width, d))
+        flat = ag.reshape(grid, (n_spectra, n_rows * width, d))
         normed = ag.layer_norm(
             flat, store[f"mix{index}/cross_norm/gain"], store[f"mix{index}/cross_norm/bias"]
         )
-        crossed = self._attention(f"mix{index}/cross", normed, spectrum, None, "cross")
+        crossed = self._attention(f"mix{index}/cross", normed, spectrum, peak_mask)
         crossed = ag.dropout(crossed, self.config.dropout_rate, training, rng)
-        grid = ag.add(grid, ag.reshape(crossed, (c, width, d)))
+        grid = ag.add(grid, ag.reshape(crossed, grid.shape))
 
         return self._ff_sublayer(grid, f"mix{index}/ff", training, rng)
 
     def predict_heads(self, grid: Tensor) -> ModelOutput:
         """Linear readouts: CLS column -> peptide score, tokens -> residue scores."""
-        c, width, d = grid.shape
+        n_spectra, n_rows, width, d = grid.shape
         store = self.store
-        cls = ag.reshape(ag.take(grid, [0], axis=1), (c, d))
+        cls = ag.reshape(ag.take(grid, [0], axis=2), (n_spectra, n_rows, d))
         pmd_pred = ag.reshape(
-            ag.linear(cls, store["head/pmd_w"], store["head/pmd_b"]), (c,)
+            ag.linear(cls, store["head/pmd_w"], store["head/pmd_b"]), (n_spectra, n_rows)
         )
-        tokens = ag.take(grid, np.arange(1, width), axis=1)
+        tokens = ag.take(grid, np.arange(1, width), axis=2)
         rmd_pred = ag.reshape(
-            ag.linear(tokens, store["head/rmd_w"], store["head/rmd_b"]), (c, width - 1)
+            ag.linear(tokens, store["head/rmd_w"], store["head/rmd_b"]),
+            (n_spectra, n_rows, width - 1),
         )
         return ModelOutput(pmd_pred=pmd_pred, rmd_pred=rmd_pred)
 
-    def forward(self, spectrum: ProcessedSpectrum, candidates: list[Peptide],
+    def forward(self, spectra: ProcessedSpectrum | Sequence[ProcessedSpectrum],
+                candidates: Sequence[Peptide] | Sequence[Sequence[Peptide]],
                 training: bool = False, rng=None) -> tuple[ModelOutput, MsaBatch]:
-        """Full forward pass for one spectrum and its candidate list."""
+        """Score the candidates of B spectra in one padded batch.
+
+        ``spectra`` is a sequence of B processed spectra and ``candidates``
+        their candidate lists; the outputs are pmd [B, C] and rmd
+        [B, C, W-1] over the padded grid that the returned batch masks.
+        One spectrum with its candidate list is the B=1 call, returned
+        without the batch axis: pmd [c], rmd [c, L] and a [c, L+1] mask.
+        """
         if training and self.config.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        peaks = embed_spectrum(spectrum, self.store, self.config.embedding)
-        encoded = self.spectrum_encoder(peaks, training, rng)
+        single = isinstance(spectra, ProcessedSpectrum)
+        if single:
+            spectra, candidates = [spectra], [candidates]
+        config = self.config.embedding
+        peaks = collate_peaks(spectra, config)
+        encoded = self.spectrum_encoder(
+            embed_spectrum(peaks, self.store, config), peaks.mask, training, rng
+        )
         batch = assemble_msa(
-            candidates, spectrum.precursor, self.table, self.store, self.config.embedding
+            candidates, [s.precursor for s in spectra], self.table, self.store, config
         )
         grid = batch.embeddings
         for i in range(self.config.n_layers):
-            grid = self.axial_block(grid, batch.mask, encoded, i, training, rng)
-        return self.predict_heads(grid), batch
+            grid = self.axial_block(grid, batch.mask, encoded, peaks.mask, i, training, rng)
+        output = self.predict_heads(grid)
+        if single:
+            output = ModelOutput(ag.reshape(output.pmd_pred, output.pmd_pred.shape[1:]),
+                                 ag.reshape(output.rmd_pred, output.rmd_pred.shape[1:]))
+            batch = MsaBatch(ag.reshape(batch.embeddings, batch.embeddings.shape[1:]),
+                             batch.mask[0])
+        return output, batch
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +343,20 @@ class RerankModel:
 
 
 def joint_loss(output: ModelOutput, pmd_targets: np.ndarray, rmd_targets: np.ndarray,
-               rmd_mask: np.ndarray, loss_lambda: float) -> Tensor:
-    """lambda * RMSE(peptide scores) + (1 - lambda) * masked RMSE(residue scores)."""
-    pmd_term = ag.rmse(output.pmd_pred, Tensor(pmd_targets))
-    rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), rmd_mask)
-    return ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda))
+               rmd_mask: np.ndarray, loss_lambda: float,
+               pmd_mask: np.ndarray | None = None) -> Tensor:
+    """lambda * RMSE(peptide scores) + (1 - lambda) * masked RMSE(residue scores).
+
+    For a batch (``pmd_pred`` [B, C]) both RMSEs are taken per instance,
+    over its real candidates (``pmd_mask`` [B, C]) and real residues, and
+    the loss is the mean over instances of their joint losses; no RMSE is
+    pooled across instances.
+    """
+    batched = output.pmd_pred.ndim == 2
+    pmd_term = ag.rmse(output.pmd_pred, Tensor(pmd_targets), pmd_mask, per_row=batched)
+    rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), rmd_mask, per_row=batched)
+    loss = ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda))
+    return ag.mean(loss) if batched else loss
 
 
 def rerank_select(pmd_pred) -> int:

@@ -13,7 +13,6 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -134,6 +133,9 @@ def load_predictions(source: TextIO | Iterable[str]) -> list[dict]:
     records: list[dict] = []
     for lineno, record in _read_json_lines(source):
         _require_strings(lineno, record, ("spectrum_id", "pred", "truth"))
+        for key in ("pred", "truth"):
+            if not record[key]:
+                raise ValueError(f"line {lineno}: {key!r} must be a non-empty peptide")
         records.append(record)
     return records
 
@@ -456,22 +458,22 @@ class StepRecord:
     grad_norm: float
 
 
-def _instance_loss(model: RerankModel, instance: TrainingInstance,
-                   training: bool, rng) -> Tensor:
+def minibatch_loss(model: RerankModel, instances: Sequence[TrainingInstance],
+                   training: bool = False, rng=None) -> Tensor:
+    """Mean over the instances of each one's joint loss, from one batched
+    forward; targets are padded to the batch's grid, which masks them."""
     output, batch = model.forward(
-        instance.spectrum, instance.candidates, training=training, rng=rng
+        [i.spectrum for i in instances], [i.candidates for i in instances],
+        training=training, rng=rng,
     )
-    width = batch.width - 1
-    rmd_matrix = np.zeros((instance.n_candidates, width))
-    for row, values in enumerate(instance.rmd_targets):
-        rmd_matrix[row, : len(values)] = values
-    return joint_loss(
-        output,
-        instance.pmd_targets,
-        rmd_matrix,
-        batch.mask[:, 1:],
-        model.config.loss_lambda,
-    )
+    pmd_targets = np.zeros(output.pmd_pred.shape)
+    rmd_targets = np.zeros(output.rmd_pred.shape)
+    for b, instance in enumerate(instances):
+        pmd_targets[b, : instance.n_candidates] = instance.pmd_targets
+        for row, values in enumerate(instance.rmd_targets):
+            rmd_targets[b, row, : len(values)] = values
+    return joint_loss(output, pmd_targets, rmd_targets, batch.mask[..., 1:],
+                      model.config.loss_lambda, batch.mask[..., 0])
 
 
 def train(
@@ -484,8 +486,9 @@ def train(
     """Run the optimizer over the training instances.
 
     Deterministic given (config, instances, seed): parameter init, epoch
-    shuffling, and dropout all derive from the seed, and batch gradients
-    are accumulated in instance order. A non-finite loss aborts.
+    shuffling, and dropout all derive from the seed. Each minibatch is one
+    forward and one backward (:func:`minibatch_loss`); the backward
+    consumes the step's graph. A non-finite loss aborts.
     """
     if not instances:
         raise ValueError("training set is empty")
@@ -506,21 +509,17 @@ def train(
     for _epoch in range(config.epochs):
         order = data_rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch_ids = order[start : start + config.batch_size]
+            batch = [instances[i] for i in order[start : start + config.batch_size]]
             lr = learning_rate(step, config.lr, warmup_steps, total_steps)
             model.store.zero_grad()
-            losses = [
-                _instance_loss(model, instances[i], training=True, rng=dropout_rng)
-                for i in batch_ids
-            ]
-            total = ag.mul(reduce(ag.add, losses), 1.0 / len(losses))
-            loss_value = float(total.data)
+            loss = minibatch_loss(model, batch, training=True, rng=dropout_rng)
+            loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise RuntimeError(
                     f"training diverged: non-finite loss {loss_value} at step {step} "
                     f"(lr={lr:.3g}); inspect targets and learning rate"
                 )
-            ag.backward(total)
+            ag.backward(loss)
             grad_norm = model.store.clip_grad_norm(config.clip_norm)
             optimizer.step(lr)
             record = StepRecord(step=step, lr=lr, loss=loss_value, grad_norm=grad_norm)
@@ -561,24 +560,25 @@ def rerank_run(
     """Forward every candidate set admitted, unlabeled, under the model's
     limits (see :func:`admit_records`) and pick per spectrum.
 
-    Rows keep candidate-file order; exact score ties resolve to the lowest
-    index.
+    Each spectrum is one B=1 forward that records no graph. Rows keep
+    candidate-file order; exact score ties resolve to the lowest index.
     """
     admitted, _ = admit_records(spectra, candidate_sets, model.table,
                                 model.config.embedding, labeled=False, strict=strict)
     selections: list[Selection] = []
-    for cs, spectrum, candidates, _ in admitted:
-        output, _ = model.forward(spectrum, candidates, training=False)
-        index = rerank_select(output.pmd_pred)
-        selections.append(
-            Selection(
-                spectrum_id=cs.spectrum_id,
-                index=index,
-                model_name=cs.candidates[index][0],
-                peptide=cs.candidates[index][1],
-                scores=[float(v) for v in output.pmd_pred.data],
+    with ag.no_grad():
+        for cs, spectrum, candidates, _ in admitted:
+            output, _ = model.forward(spectrum, candidates, training=False)
+            index = rerank_select(output.pmd_pred)
+            selections.append(
+                Selection(
+                    spectrum_id=cs.spectrum_id,
+                    index=index,
+                    model_name=cs.candidates[index][0],
+                    peptide=cs.candidates[index][1],
+                    scores=[float(v) for v in output.pmd_pred.data],
+                )
             )
-        )
     return selections
 
 

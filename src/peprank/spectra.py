@@ -9,7 +9,6 @@ so re-running the pipeline on a processed spectrum is a no-op.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -22,8 +21,6 @@ from .masses import (
     peptide_mz,
     peptide_neutral_mass,
 )
-
-logger = logging.getLogger(__name__)
 
 MZ_MIN = 50.5  # Da
 MZ_MAX = 4500.0  # Da
@@ -201,8 +198,8 @@ def preprocess_spectrum(spectrum: RawSpectrum) -> ProcessedSpectrum | None:
     Peaks outside [MZ_MIN, MZ_MAX] are dropped; if more than ``MAX_PEAKS``
     remain, only the most intense survive (ties keep the lower m/z);
     intensities of the retained peaks are square-root transformed and
-    normalized to sum to one. Returns None, with a logged warning, when
-    no peaks survive.
+    normalized to sum to one. Returns None when no peaks survive or their
+    total intensity is zero; the caller reports the exclusion.
     """
     keep = (spectrum.mz >= MZ_MIN) & (spectrum.mz <= MZ_MAX)
     mz = spectrum.mz[keep]
@@ -216,19 +213,10 @@ def preprocess_spectrum(spectrum: RawSpectrum) -> ProcessedSpectrum | None:
         mz = mz[resort]
         intensity = intensity[resort]
     if mz.size == 0:
-        logger.warning(
-            "spectrum %r has no peaks in [%g, %g] Da; excluded",
-            spectrum.spectrum_id,
-            MZ_MIN,
-            MZ_MAX,
-        )
         return None
     roots = np.sqrt(intensity)
     total = roots.sum()
     if total <= 0:
-        logger.warning(
-            "spectrum %r has zero total intensity; excluded", spectrum.spectrum_id
-        )
         return None
     return ProcessedSpectrum(
         spectrum_id=spectrum.spectrum_id,

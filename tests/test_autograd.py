@@ -70,6 +70,22 @@ class TestForwardValues:
         np.testing.assert_array_equal(parts[0].data, a.data)
         np.testing.assert_array_equal(parts[1].data, b.data)
 
+    def test_softmax_empty_row_of_a_broadcast_mask_rejected(self):
+        logits = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="masked"):
+            ag.softmax_masked(logits, np.zeros((1, 3), dtype=bool))
+        probs = ag.softmax_masked(logits, np.array([[True], [True]])).data
+        np.testing.assert_allclose(probs, 1 / 3)
+
+    def test_rmse_per_row(self):
+        pred = Tensor([[1.0, 2.0, 100.0], [0.0, 0.0, 3.0]])
+        target = Tensor([[1.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        mask = np.array([[True, True, False], [True, True, True]])
+        out = ag.rmse(pred, target, mask, per_row=True)
+        np.testing.assert_allclose(out.data, [np.sqrt(4.0 / 2), np.sqrt(9.0 / 3)])
+        with pytest.raises(ValueError, match="zero unmasked"):
+            ag.rmse(pred, target, np.array([[True] * 3, [False] * 3]), per_row=True)
+
     def test_non_scalar_backward_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
             ag.backward(Tensor(np.zeros(3), requires_grad=True))
@@ -103,6 +119,68 @@ class TestBackwardClosedForms:
         np.testing.assert_array_equal(used.grad, np.ones(3))
 
 
+class TestGraphLifetime:
+    def test_backward_releases_interior_nodes_and_keeps_leaf_gradients(self):
+        rng = np.random.default_rng(12)
+        x, w = leaf(rng, 2, 3, 4), leaf(rng, 4, 5)
+        hidden = ag.matmul(x, w)
+        loss = ag.tensor_sum(ag.mul(hidden, hidden))
+        ag.backward(loss)
+        for node in (hidden, loss):
+            assert node.grad is None and node._backward is None and node._parents == ()
+        np.testing.assert_allclose(w.grad, np.einsum("bij,bik->jk", x.data, 2 * hidden.data))
+        np.testing.assert_allclose(x.grad, 2 * hidden.data @ w.data.T)
+
+    def test_no_grad_records_no_graph(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ag.no_grad():
+            out = ag.linear(w, w, w)
+            with ag.no_grad():
+                pass
+            inner = ag.mul(w, 2.0)
+        for node in (out, inner):
+            assert not node.requires_grad and node._parents == () and node._backward is None
+        assert ag.mul(w, 2.0).requires_grad
+
+    def test_no_grad_restores_the_mode_when_its_body_raises(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError, match="boom"):
+            with ag.no_grad():
+                raise RuntimeError("boom")
+        assert ag.mul(w, 2.0).requires_grad
+
+
+class TestGradientBuffers:
+    """A first gradient contribution is stored without a copy only when its
+    op allocated it for that tensor, so no two gradients share a buffer."""
+
+    @pytest.mark.parametrize("case", ["add_self", "add_leaves", "shared_weight"])
+    def test_leaf_gradients_are_exact_and_clipped_once(self, case):
+        rng = np.random.default_rng(13)
+        store = ParameterStore(seed=3)
+        weights = Tensor(rng.normal(size=(3, 4)))
+        if case == "add_self":
+            a = store.create("a", (3, 4), scale=1.0)
+            f = lambda: ag.tensor_sum(ag.mul(ag.add(a, a), weights))
+        elif case == "add_leaves":
+            x, y = store.create("x", (3, 4), scale=1.0), store.create("y", (3, 4), scale=1.0)
+            f = lambda: ag.tensor_sum(ag.mul(ag.add(x, y), ag.add(x, weights)))
+        else:
+            w = store.create("w", (4, 4), scale=1.0)
+            b1, b2 = store.create("b1", (4,), scale=1.0), store.create("b2", (4,), scale=1.0)
+            f = lambda: ag.tensor_sum(ag.mul(ag.linear(weights, w, b1),
+                                             ag.linear(ag.mul(weights, 2.0), w, b2)))
+        params = store.tensors()
+        assert ag.grad_check(f, params) < 1e-8  # leaves hold their backward gradients
+        grads = [p.grad.copy() for p in params]
+        for i, p in enumerate(params):
+            assert not any(np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
+        norm = store.grad_norm()
+        store.clip_grad_norm(norm / 4)
+        for p, grad in zip(params, grads):
+            np.testing.assert_allclose(p.grad, grad * ((norm / 4) / norm), rtol=1e-12)
+
+
 class TestGradCheck:
     def test_linear_map_is_exact(self):
         rng = np.random.default_rng(4)
@@ -115,9 +193,9 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "name",
         [
-            "add", "mul", "matmul", "transpose", "reshape", "concat", "split",
+            "add", "mul", "matmul", "matmul_2d_right", "transpose", "reshape", "concat", "split",
             "sum", "mean", "relu", "gelu", "layer_norm", "softmax_masked",
-            "rmse", "take", "exp", "log", "sqrt", "sigmoid", "softplus",
+            "rmse", "rmse_per_row", "take", "exp", "log", "sqrt", "sigmoid", "softplus",
             "dropout", "linear",
         ],
     )
@@ -133,6 +211,11 @@ class TestGradCheck:
             inputs = [a, b]
         elif name == "matmul":
             a, b = leaf(rng, 2, 3, 4), leaf(rng, 2, 4, 5)
+            f = lambda: ag.tensor_sum(ag.mul(ag.matmul(a, b), ag.matmul(a, b)))
+            inputs = [a, b]
+        elif name == "matmul_2d_right":
+            a, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5)
+            np.testing.assert_allclose(ag.matmul(a, b).data, np.matmul(a.data, b.data))
             f = lambda: ag.tensor_sum(ag.mul(ag.matmul(a, b), ag.matmul(a, b)))
             inputs = [a, b]
         elif name == "transpose":
@@ -182,6 +265,13 @@ class TestGradCheck:
             a, t = leaf(rng, 3, 4), leaf(rng, 3, 4)
             mask = rng.random((3, 4)) > 0.3
             f = lambda: ag.rmse(a, t, mask)
+            inputs = [a, t]
+        elif name == "rmse_per_row":
+            a, t = leaf(rng, 3, 2, 4), leaf(rng, 3, 2, 4)
+            mask = rng.random((3, 2, 4)) > 0.3
+            mask[:, 0, 0] = True
+            weights = Tensor(rng.normal(size=3))
+            f = lambda: ag.tensor_sum(ag.mul(ag.rmse(a, t, mask, per_row=True), weights))
             inputs = [a, t]
         elif name == "take":
             a = leaf(rng, 5, 3)

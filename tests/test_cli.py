@@ -136,6 +136,17 @@ class TestPreprocessCommand:
                            "--out", str(tmp_path / "out.mgf"), "--strict")
         assert code == 2
 
+    def test_bad_label_names_its_spectrum(self, tmp_path, capsys):
+        mgf = tmp_path / "in.mgf"
+        mgf.write_text(
+            "BEGIN IONS\nTITLE=ok\nPEPMASS=500.0\nCHARGE=2+\n100.0 1.0\nEND IONS\n"
+            "BEGIN IONS\nTITLE=bad\nPEPMASS=500.0\nCHARGE=2+\nSEQ=GZV\n100.0 1.0\nEND IONS\n"
+        )
+        code, _, err = run(capsys, "preprocess", "--mgf", str(mgf),
+                           "--out", str(tmp_path / "out.mgf"))
+        assert code == 2
+        assert "spectrum 'bad': unknown residue token 'Z'" in err
+
     def test_malformed_mgf_is_data_error(self, tmp_path, capsys):
         mgf = tmp_path / "in.mgf"
         mgf.write_text("BEGIN IONS\nTITLE=x\nCHARGE=2+\n100.0 1.0\nEND IONS\n")
@@ -366,11 +377,19 @@ class TestRecordAdmission:
         assert code == 2
         assert f"line 1: '{field}' must be a string" in err
 
-    @pytest.mark.parametrize("field", ["spectrum_id", "pred", "truth"])
-    def test_non_string_prediction_fields_are_data_errors(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param("spectrum_id", 5, "must be a string", id="spectrum_id"),
+        pytest.param("pred", 5, "must be a string", id="pred"),
+        pytest.param("truth", 5, "must be a string", id="truth"),
+        pytest.param("pred", "", "must be a non-empty peptide", id="empty-pred"),
+        pytest.param("truth", "", "must be a non-empty peptide", id="empty-truth"),
+    ])
+    def test_non_string_prediction_fields_are_data_errors(self, tmp_path, capsys,
+                                                         field, value, message):
         preds = tmp_path / "preds.jsonl"
-        preds.write_text(json.dumps(
-            {"spectrum_id": "a", "pred": "GAV", "truth": "GAV", field: 5}) + "\n")
+        preds.write_text("\n" + json.dumps(
+            {"spectrum_id": "a", "pred": "GAV", "truth": "GAV"}) + "\n" + json.dumps(
+            {"spectrum_id": "b", "pred": "GAV", "truth": "GAV", field: value}) + "\n")
         code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
         assert code == 2
-        assert f"line 1: '{field}' must be a string" in err
+        assert f"line 3: '{field}' {message}" in err

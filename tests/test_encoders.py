@@ -203,41 +203,41 @@ class TestAssembleMsa:
     def test_single_candidate_shape_and_mask(self, table, config, store):
         peptide = parse_peptide("GAV", table)
         precursor = Precursor.from_mz(peptide_mz(peptide, table, 2), 2)
-        batch = assemble_msa([peptide], precursor, table, store, config)
-        assert batch.embeddings.shape == (1, 4, config.d)
+        batch = assemble_msa([[peptide]], [precursor], table, store, config)
+        assert batch.embeddings.shape == (1, 1, 4, config.d)
         assert batch.mask.all()
 
     def test_padding_arithmetic(self, table, config, store):
         short = parse_peptide("GAV", table)
         long = parse_peptide("GAVKP", table)
         precursor = Precursor.from_mz(peptide_mz(long, table, 2), 2)
-        batch = assemble_msa([short, long], precursor, table, store, config)
-        assert batch.embeddings.shape == (2, 6, config.d)
-        np.testing.assert_array_equal(batch.mask[0], [True] * 4 + [False] * 2)
-        assert batch.mask[1].all()
+        batch = assemble_msa([[short, long]], [precursor], table, store, config)
+        assert batch.embeddings.shape == (1, 2, 6, config.d)
+        np.testing.assert_array_equal(batch.mask[0, 0], [True] * 4 + [False] * 2)
+        assert batch.mask[0, 1].all()
 
     def test_row_swap_is_bit_exact(self, table, config, store):
         a = parse_peptide("GAV", table)
         b = parse_peptide("KPGG", table)
         precursor = Precursor.from_mz(peptide_mz(b, table, 2), 2)
-        forward = assemble_msa([a, b], precursor, table, store, config)
-        swapped = assemble_msa([b, a], precursor, table, store, config)
+        forward = assemble_msa([[a, b]], [precursor], table, store, config)
+        swapped = assemble_msa([[b, a]], [precursor], table, store, config)
         np.testing.assert_array_equal(
-            forward.embeddings.data[0], swapped.embeddings.data[1]
+            forward.embeddings.data[0, 0], swapped.embeddings.data[0, 1]
         )
         np.testing.assert_array_equal(
-            forward.embeddings.data[1], swapped.embeddings.data[0]
+            forward.embeddings.data[0, 1], swapped.embeddings.data[0, 0]
         )
 
     def test_over_length_candidate_rejected(self, table, config, store):
         too_long = parse_peptide("G" * (config.max_len + 1), table)
         precursor = Precursor.from_mz(500.0, 2)
         with pytest.raises(ValueError, match="max_len"):
-            assemble_msa([too_long], precursor, table, store, config)
+            assemble_msa([[too_long]], [precursor], table, store, config)
 
     def test_deterministic(self, table, config, store):
         peptides = [parse_peptide("GAV", table), parse_peptide("KP", table)]
         precursor = Precursor.from_mz(500.0, 2)
-        one = assemble_msa(peptides, precursor, table, store, config)
-        two = assemble_msa(peptides, precursor, table, store, config)
+        one = assemble_msa([peptides], [precursor], table, store, config)
+        two = assemble_msa([peptides], [precursor], table, store, config)
         np.testing.assert_array_equal(one.embeddings.data, two.embeddings.data)

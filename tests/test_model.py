@@ -126,6 +126,51 @@ class TestAxialBlock:
         )
 
 
+class TestBatchedForward:
+    # peak counts, candidate counts and lengths all differ, so the batch has
+    # padded peaks, padded candidate rows and columns past each spectrum's width
+    SPECTRA = ((3, ("GAV",)), (8, ("GAVKPG", "GAVK", "AAV")), (12, ("KPG", "WGTSA", "GA", "AAVH")))
+
+    @pytest.fixture()
+    def deep_model(self, table):
+        config = ModelConfig(d=16, n_layers=2, n_heads=2, ff_dim=32,
+                             embedding=EmbeddingConfig(d=16, max_len=8, max_charge=3),
+                             vocab=table.tokens)
+        return RerankModel(config, table, seed=1)
+
+    def batch(self, table):
+        spectra = [make_processed(table, k=k, seed=k) for k, _ in self.SPECTRA]
+        return spectra, [make_candidates(table, texts) for _, texts in self.SPECTRA]
+
+    def test_matches_single_spectrum_calls(self, table, deep_model):
+        spectra, candidates = self.batch(table)
+        out, batch = deep_model.forward(spectra, candidates)
+        assert out.pmd_pred.shape == (3, 4)
+        assert batch.mask.shape == out.rmd_pred.shape[:2] + (7,)
+        for b, (spectrum, cands) in enumerate(zip(spectra, candidates)):
+            single, single_batch = deep_model.forward(spectrum, cands)
+            c, width = single_batch.mask.shape
+            assert batch.mask[b, c:].sum() == 0 and batch.mask[b, :, width:].sum() == 0
+            np.testing.assert_array_equal(batch.mask[b, :c, :width], single_batch.mask)
+            np.testing.assert_allclose(out.pmd_pred.data[b, :c], single.pmd_pred.data,
+                                       rtol=0, atol=1e-10)
+            valid = single_batch.mask[:, 1:]
+            np.testing.assert_allclose(out.rmd_pred.data[b, :c, : width - 1][valid],
+                                       single.rmd_pred.data[valid], rtol=0, atol=1e-10)
+
+    def test_attention_counts_cover_each_spectrums_own_grid(self, table, deep_model):
+        spectra, candidates = self.batch(table)
+        deep_model.reset_attention_counts()
+        deep_model.forward(spectra, candidates)
+        expected = {"spectrum": 0, "row": 0, "col": 0, "cross": 0}
+        for spectrum, cands in zip(spectra, candidates):
+            c, w, k = len(cands), max(len(p) for p in cands) + 1, spectrum.n_peaks
+            for key, count in (("spectrum", k * k), ("row", c * w * w),
+                               ("col", w * c * c), ("cross", c * w * k)):
+                expected[key] += 2 * count
+        assert deep_model.attn_counts == expected
+
+
 class TestPredictHeads:
     def test_zero_heads_give_bias(self, table, model):
         model.store["head/pmd_w"].data[:] = 0.0

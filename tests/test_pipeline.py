@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peprank import autograd as ag
 from peprank import pipeline
 from peprank.cli import main as cli_main
 from peprank.encoders import EmbeddingConfig
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
 from peprank.metrics import pmd, rmd
-from peprank.model import ModelConfig, RerankModel
+from peprank.model import ModelConfig, RerankModel, joint_loss
 from peprank.pipeline import (
     CandidateSet,
     Checkpoint,
@@ -349,7 +352,7 @@ class TestTrain:
             assert len(history) == 1
             model = checkpoint.build_model(table)
             after = float(
-                pipeline._instance_loss(model, instances[0], False, None).data
+                pipeline.minibatch_loss(model, instances[:1]).data
             )
             assert after < history[0].loss
 
@@ -376,7 +379,7 @@ class TestTrain:
         instances, _ = build_training_set(spectra, cands, table)
         model = RerankModel(small_config(table).model, table, seed=0)
         model.store.zero_grad()
-        loss = pipeline._instance_loss(model, instances[0], training=False, rng=None)
+        loss = pipeline.minibatch_loss(model, instances[:1])
         loss.backward()
         raw = model.store.clip_grad_norm(1.5)
         if raw > 1.5:
@@ -402,6 +405,62 @@ class TestTrain:
         lines = sink.getvalue().strip().splitlines()
         assert lines[0] == "step\tlr\tloss\tgrad_norm"
         assert len(lines) >= 2
+
+
+    def test_dropout_training_is_deterministic(self, table):
+        spectra, cands = synthesize_dataset(table, seed=10, n_spectra=6)
+        instances, _ = build_training_set(spectra, cands, table)
+        config = small_config(table, model=replace(small_config(table).model, dropout_rate=0.2))
+        (c1, h1), (c2, h2) = (train(config, instances, table, seed=5) for _ in range(2))
+        assert [r.loss for r in h1] == [r.loss for r in h2]
+        for name, array in c1.params.items():
+            np.testing.assert_array_equal(array, c2.params[name])
+
+
+def single_instance_loss(model, instance):
+    """The per-spectrum training loss: one B=1 forward and its joint loss."""
+    output, batch = model.forward(instance.spectrum, instance.candidates)
+    rmd_matrix = np.zeros(output.rmd_pred.shape)
+    for row, values in enumerate(instance.rmd_targets):
+        rmd_matrix[row, : len(values)] = values
+    return joint_loss(output, instance.pmd_targets, rmd_matrix, batch.mask[:, 1:],
+                      model.config.loss_lambda)
+
+
+class TestMinibatchLoss:
+    def instances(self, table):
+        spectra, cands = synthesize_dataset(table, seed=17, n_spectra=5)
+        instances, _ = build_training_set(spectra, cands, table)
+        # unequal candidate counts, so the batch pads candidate rows
+        for instance, keep in zip(instances, (4, 2, 3, 1, 4)):
+            instance.candidates = instance.candidates[:keep]
+            instance.pmd_targets = instance.pmd_targets[:keep]
+            instance.rmd_targets = instance.rmd_targets[:keep]
+        return instances
+
+    def gradients(self, model, loss):
+        model.store.zero_grad()
+        ag.backward(loss)
+        return {name: t.grad.copy() for name, t in model.store.items()}
+
+    def test_loss_and_gradients_are_the_means_over_instances(self, table):
+        instances = self.instances(table)
+        model = RerankModel(small_config(table).model, table, seed=0)
+        batched = pipeline.minibatch_loss(model, instances)
+        singles = [single_instance_loss(model, i) for i in instances]
+        mean = sum(float(loss.data) for loss in singles) / len(singles)
+        assert abs(float(batched.data) - mean) <= 1e-12
+        expected = self.gradients(
+            model, ag.mul(functools.reduce(ag.add, singles), 1.0 / len(singles)))
+        for name, grad in self.gradients(model, batched).items():
+            np.testing.assert_allclose(grad, expected[name], rtol=1e-9, atol=1e-12,
+                                       err_msg=name)
+
+    def test_one_instance_is_its_single_loss(self, table):
+        instance = self.instances(table)[1]
+        model = RerankModel(small_config(table).model, table, seed=0)
+        assert abs(float(pipeline.minibatch_loss(model, [instance]).data)
+                   - float(single_instance_loss(model, instance).data)) <= 1e-12
 
 
 class TestRerankRun:

@@ -159,11 +159,17 @@ class TestPreprocess:
         np.testing.assert_array_equal(base.mz, shuffled.mz)
         np.testing.assert_array_equal(base.intensity, shuffled.intensity)
 
-    def test_emptied_spectrum_excluded_with_warning(self, caplog):
+    def test_emptied_spectrum_excluded_with_warning(self, table, caplog):
         spectrum = make_spectrum([10.0, 20.0], [1.0, 1.0])
+        excluded = []
         with caplog.at_level("WARNING"):
-            assert preprocess_spectrum(spectrum) is None
-        assert "excluded" in caplog.text
+            processed, reason = gate_spectrum(spectrum, None, table)
+            assert processed is None
+            skip_record(excluded, spectrum.spectrum_id, reason, strict=False)
+        assert excluded == [("s", "empty_after_preprocessing")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "spectrum 's' excluded: empty_after_preprocessing"
+        ]
 
     def test_strict_mode_raises(self, table):
         spectrum = make_spectrum([10.0], [1.0])
