@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough machinery for the reranking model: dense ops, attention
-plumbing (batched matmul, masked softmax, gather), layer normalization,
-dropout, and a masked RMSE loss. Values are float64 by default so that
+Just enough machinery for the reranking model: dense ops, multi-head
+attention as one op, batched matmul, masked softmax, gather, layer
+normalization, dropout, and a masked RMSE loss. Values are float64 by default so that
 finite-difference gradient checks have clean tolerances; float32 data is
 accepted and preserved for throughput.
 """
@@ -382,8 +382,15 @@ def softplus(a) -> Tensor:
 
 
 def linear(x, weight, bias) -> Tensor:
-    """x @ weight + bias, with weight of shape [in, out]."""
-    return add(matmul(x, weight), bias)
+    """x @ weight + bias, with weight of shape [in, out].
+
+    No backward reads the product x @ weight, so once the sum exists the
+    product's buffer is released; the graph keeps only its shape and dtype.
+    """
+    product = matmul(x, weight)
+    out = add(product, bias)
+    product.data = np.broadcast_to(np.zeros((), dtype=product.data.dtype), product.shape)
+    return out
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -410,29 +417,89 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), backward_fn)
 
 
-def softmax_masked(logits, mask) -> Tensor:
-    """Softmax over the last axis with masked-out entries at zero probability.
+def _softmax_forward(scores: np.ndarray, mask) -> np.ndarray:
+    """Masked softmax over the last axis, computed in place in ``scores``.
 
-    ``mask`` is boolean (True = valid) and broadcastable to the logits.
-    Masked logits are forced to -inf before the max-shift, so their values
+    ``mask`` is boolean (True = valid) and broadcastable to the scores.
+    Masked scores are forced to -inf before the max-shift, so their values
     can never influence the valid entries. A row with no valid entry is an
     error.
     """
-    logits = as_tensor(logits)
     valid = np.atleast_1d(np.asarray(mask, dtype=bool))
     if not valid.any(axis=-1).all():
         raise ValueError("softmax row with all entries masked")
-    p = np.where(valid, logits.data, -np.inf)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    np.copyto(scores, -np.inf, where=~valid)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient of the scores from the gradient ``g`` of the probabilities
+    ``p``, computed in place in ``g``."""
+    g -= (g * p).sum(axis=-1, keepdims=True)
+    g *= p
+    return g
+
+
+def softmax_masked(logits, mask) -> Tensor:
+    """Softmax over the last axis with masked-out entries at zero probability.
+
+    ``mask`` is boolean (True = valid) and broadcastable to the logits; a
+    row with no valid entry is an error.
+    """
+    logits = as_tensor(logits)
+    p = _softmax_forward(logits.data.copy(), mask)
 
     def backward_fn(g):
-        dz = g - (g * p).sum(axis=-1, keepdims=True)
-        dz *= p
-        _accumulate(logits, dz, fresh=True)
+        _accumulate(logits, _softmax_backward(g.copy(), p), fresh=True)
 
     return _make(p, (logits,), backward_fn)
+
+
+def attention(q, k, v, key_mask, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    ``q`` is [batch, n_q, d], ``k`` and ``v`` are [batch, n_k, d] and
+    ``key_mask`` [batch, n_k] marks the valid keys. The last axis is split
+    into ``n_heads`` heads of d / n_heads; each head's scores are scaled by
+    1 / sqrt(d / n_heads), masked-softmaxed over the keys and used to weight
+    the values, and the heads are merged back into [batch, n_q, d]. Beside
+    its inputs the node keeps only the probabilities for the backward.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    batch, n_q, d = q.shape
+    n_k = k.shape[1]
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x, length):
+        return x.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q.data, n_q), heads(k.data, n_k), heads(v.data, n_k)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    p *= scale
+    _softmax_forward(p, np.asarray(key_mask, dtype=bool).reshape(batch, 1, 1, n_k))
+    data = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(batch, n_q, d)
+
+    def backward_fn(g):
+        gh = heads(g, n_q)
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(p, -1, -2), gh)
+            _accumulate(v, gv.transpose(0, 2, 1, 3).reshape(v.shape), fresh=True)
+        gs = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p)
+        gs *= scale
+        if q.requires_grad:
+            gq = np.matmul(gs, kh)
+            _accumulate(q, gq.transpose(0, 2, 1, 3).reshape(q.shape), fresh=True)
+        if k.requires_grad:
+            # (q.T @ gs).T is the GEMM that matmul's backward runs for k.T,
+            # so the key gradient is bit-identical to the composed ops'
+            gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
+            _accumulate(k, gk.transpose(0, 2, 1, 3).reshape(k.shape), fresh=True)
+
+    return _make(data, (q, k, v), backward_fn)
 
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

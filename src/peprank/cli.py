@@ -90,6 +90,7 @@ def _cmd_metrics(args) -> int:
     gap = gap_penalty(table)
     with _output(args.out) as sink, open(args.pairs, "r", encoding="utf-8") as handle:
         sink.write("query\ttarget\tpmd\trmd\n")
+        header_allowed = True  # only the first non-blank, non-comment line
         for lineno, line in enumerate(handle, start=1):
             text = line.rstrip("\n")
             if not text or text.startswith("#"):
@@ -99,8 +100,10 @@ def _cmd_metrics(args) -> int:
                 raise ValueError(
                     f"{args.pairs}:{lineno}: expected 'query<TAB>target'"
                 )
-            if lineno == 1 and parts == ["query", "target"]:
+            if header_allowed and parts == ["query", "target"]:
+                header_allowed = False
                 continue
+            header_allowed = False
             query = parse_peptide(parts[0], table)
             target = parse_peptide(parts[1], table)
             score = pmd(query, target, table, gap=gap)
@@ -218,10 +221,8 @@ def _evaluation_pairs(args, table: MassTable):
     """(pred, truth) peptide pairs from either input layout."""
     if args.predictions:
         records = _read(args.predictions, pipeline.load_predictions)
-        return [
-            (parse_peptide(r["pred"], table), parse_peptide(r["truth"], table))
-            for r in records
-        ]
+        return [pipeline.parse_pair(r["spectrum_id"], r["pred"], r["truth"], table)
+                for r in records]
     if not (args.selections and args.candidates):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
@@ -238,7 +239,7 @@ def _evaluation_pairs(args, table: MassTable):
         if sel.spectrum_id not in labels:
             raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
         pairs.append(
-            (parse_peptide(sel.peptide, table), parse_peptide(labels[sel.spectrum_id], table))
+            pipeline.parse_pair(sel.spectrum_id, sel.peptide, labels[sel.spectrum_id], table)
         )
     return pairs
 
@@ -263,11 +264,14 @@ def _parse_bins(text: str) -> list[tuple[int, int]]:
     bins = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            bins.append((int(lo), int(hi)))
-        else:
-            bins.append((int(chunk), int(chunk)))
+        lo, hi = chunk.split("-", 1) if "-" in chunk else (chunk, chunk)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"--bins: chunk {chunk!r} is not N or LO-HI") from None
+        if lo > hi:
+            raise ValueError(f"--bins: chunk {chunk!r} has lo > hi")
+        bins.append((lo, hi))
     return bins
 
 

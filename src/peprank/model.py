@@ -187,22 +187,10 @@ class RerankModel:
         """Multi-head attention of query [batch, n_q, d] over key_value
         [batch, n_k, d]; ``key_mask`` [batch, n_k] marks the valid keys."""
         store = self.store
-        n_heads = self.config.n_heads
-        batch, n_q, d = query.shape
-        n_k = key_value.shape[1]
-        dh = d // n_heads
-
-        def heads(x, length):
-            return ag.transpose(ag.reshape(x, (batch, length, n_heads, dh)), (0, 2, 1, 3))
-
-        q = heads(ag.linear(query, store[f"{prefix}/wq"], store[f"{prefix}/bq"]), n_q)
-        k = heads(ag.linear(key_value, store[f"{prefix}/wk"], store[f"{prefix}/bk"]), n_k)
-        v = heads(ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"]), n_k)
-
-        scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        probs = ag.softmax_masked(scores, key_mask.reshape(batch, 1, 1, n_k))
-        context = ag.matmul(probs, v)
-        context = ag.reshape(ag.transpose(context, (0, 2, 1, 3)), (batch, n_q, d))
+        q = ag.linear(query, store[f"{prefix}/wq"], store[f"{prefix}/bq"])
+        k = ag.linear(key_value, store[f"{prefix}/wk"], store[f"{prefix}/bk"])
+        v = ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"])
+        context = ag.attention(q, k, v, key_mask, self.config.n_heads)
         return ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
 
     def _self_attention_sublayer(self, x: Tensor, prefix: str, key_mask: np.ndarray,

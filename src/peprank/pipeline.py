@@ -604,16 +604,32 @@ def read_selections(source: TextIO | Iterable[str]) -> list[Selection]:
         parts = text.split("\t")
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 tab-separated fields")
+        try:
+            index = int(parts[1])
+            scores = [float(v) for v in parts[4].split(",")]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in scores):
+            raise ValueError(f"line {lineno}: non-finite score in {parts[4]!r}")
         selections.append(
             Selection(
                 spectrum_id=parts[0],
-                index=int(parts[1]),
+                index=index,
                 model_name=parts[2],
                 peptide=parts[3],
-                scores=[float(v) for v in parts[4].split(",")],
+                scores=scores,
             )
         )
     return selections
+
+
+def parse_pair(spectrum_id: str, pred: str, truth: str,
+               table: MassTable) -> tuple[Peptide, Peptide]:
+    """One spectrum's (prediction, truth) peptides; a parse error names the spectrum."""
+    try:
+        return parse_peptide(pred, table), parse_peptide(truth, table)
+    except ValueError as exc:
+        raise ValueError(f"spectrum {spectrum_id!r}: {exc}") from None
 
 
 @dataclass
@@ -651,7 +667,7 @@ def zero_shot_eval(
         selections = rerank_run(model, spectra, filtered)
         labels = {cs.spectrum_id: cs.label for cs in filtered}
         pairs = [
-            (parse_peptide(sel.peptide, table), parse_peptide(labels[sel.spectrum_id], table))
+            parse_pair(sel.spectrum_id, sel.peptide, labels[sel.spectrum_id], table)
             for sel in selections
         ]
         stats = corpus_stats(pairs, table)

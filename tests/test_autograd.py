@@ -313,20 +313,86 @@ class TestGradCheck:
         assert ag.grad_check(f, inputs) < 1e-4
 
     def test_composed_attention_style_block(self):
+        """The composed multi-head block over padded keys passes a gradient
+        check, and ``ag.attention`` reproduces its outputs and gradients
+        bit for bit."""
         rng = np.random.default_rng(6)
-        q = leaf(rng, 2, 3, 4)
-        k = leaf(rng, 2, 5, 4)
-        v = leaf(rng, 2, 5, 4)
-        mask = np.ones((2, 3, 5), dtype=bool)
-        mask[1, :, 4] = False
-        target = Tensor(rng.normal(size=(2, 3, 4)))
+        q, k, v = leaf(rng, 3, 4, 8), leaf(rng, 3, 5, 8), leaf(rng, 3, 5, 8)
+        key_mask = np.ones((3, 5), dtype=bool)
+        key_mask[1, 3:] = False
+        key_mask[2, 1:] = False
+        target = Tensor(rng.normal(size=(3, 4, 8)))
 
         def f():
-            scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 2, 1))), 0.5)
-            probs = ag.softmax_masked(scores, mask)
-            return ag.rmse(ag.matmul(probs, v), target)
+            return ag.rmse(composed_attention(q, k, v, key_mask, n_heads=2), target)
 
         assert ag.grad_check(f, [q, k, v]) < 1e-4
+
+        results = []
+        for attend in (composed_attention, ag.attention):
+            for t in (q, k, v):
+                t.grad = None
+            out = attend(q, k, v, key_mask, n_heads=2)
+            ag.backward(ag.rmse(out, target))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for composed, fused in zip(*results):
+            np.testing.assert_array_equal(fused, composed)
+
+
+def composed_attention(q, k, v, key_mask, n_heads):
+    """Multi-head attention from the elementary ops: split heads, scale the
+    scores, masked softmax, weighted sum, merge heads."""
+    batch, n_q, d = q.shape
+    n_k, dh = k.shape[1], d // n_heads
+
+    def heads(x, length):
+        return ag.transpose(ag.reshape(x, (batch, length, n_heads, dh)), (0, 2, 1, 3))
+
+    scores = ag.mul(ag.matmul(heads(q, n_q), ag.transpose(heads(k, n_k), (0, 1, 3, 2))),
+                    1.0 / np.sqrt(dh))
+    probs = ag.softmax_masked(scores, key_mask.reshape(batch, 1, 1, n_k))
+    context = ag.transpose(ag.matmul(probs, heads(v, n_k)), (0, 2, 1, 3))
+    return ag.reshape(context, (batch, n_q, d))
+
+
+class TestAttention:
+    def test_grad_check_on_queries_keys_and_values(self):
+        rng = np.random.default_rng(21)
+        q, k, v = leaf(rng, 2, 3, 6), leaf(rng, 2, 4, 6), leaf(rng, 2, 4, 6)
+        key_mask = np.array([[True, True, False, True], [False, True, False, False]])
+        weights = Tensor(rng.normal(size=(2, 3, 6)))
+        f = lambda: ag.tensor_sum(ag.mul(ag.attention(q, k, v, key_mask, n_heads=3), weights))
+        assert ag.grad_check(f, [q, k, v]) < 1e-7
+
+    def test_all_masked_row_rejected(self):
+        rng = np.random.default_rng(22)
+        q, k = leaf(rng, 2, 3, 4), leaf(rng, 2, 2, 4)
+        key_mask = np.array([[True, False], [False, False]])
+        with pytest.raises(ValueError, match="all entries masked"):
+            ag.attention(q, k, k, key_mask, n_heads=2)
+
+    def test_no_grad_records_no_parents(self):
+        rng = np.random.default_rng(23)
+        q = leaf(rng, 1, 3, 4)
+        with ag.no_grad():
+            out = ag.attention(q, q, q, np.ones((1, 3), dtype=bool), n_heads=2)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert out.shape == (1, 3, 4)
+
+    def test_linear_output_shares_no_buffer_with_a_retained_product(self):
+        rng = np.random.default_rng(24)
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        out = ag.linear(x, w, b)
+        product = out._parents[0]
+        np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
+        assert product.shape == (2, 3, 5) and not np.shares_memory(out.data, product.data)
+        root = product.data
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes <= product.data.itemsize  # the product's buffer is gone
+        ag.backward(ag.tensor_sum(out))
+        np.testing.assert_allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None]
+                                   * np.ones((1, 5)))
 
 
 class TestDeterminism:

@@ -88,6 +88,21 @@ class TestMetricsCommand:
         assert "unknown residue" in err
 
 
+    def test_header_after_a_leading_comment(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# c\n\nquery\ttarget\nGAV\tGAV\n")
+        code, out, err = run(capsys, "metrics", "--pairs", str(pairs))
+        assert code == 0, err
+        assert out.splitlines()[1:] == ["GAV\tGAV\t0.0\t0.0,0.0,0.0"]
+
+    def test_header_only_on_the_first_data_line(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("GAV\tGAV\nquery\ttarget\n")
+        code, _, err = run(capsys, "metrics", "--pairs", str(pairs))
+        assert code == 2
+        assert "unknown residue token 'q' in 'query'" in err
+
+
 class TestSynthCommand:
     def test_deterministic_outputs(self, tmp_path, capsys):
         def generate(subdir):
@@ -318,6 +333,43 @@ class TestAnalyzeCommands:
         code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
         assert code == 2
         assert "line 1: record must be a JSON object" in err
+
+    def test_bad_selected_peptide_names_its_spectrum(self, tmp_path, capsys):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+            "s1\t0\tm1\tPEPZIDE\t0.1,0.2\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        cands.write_text(json.dumps({"spectrum_id": "s1", "label": "PEPTIDE",
+                                     "candidates": [{"model": "m1", "peptide": "PEPZIDE"},
+                                                    {"model": "m2", "peptide": "PEPTIDE"}]})
+                         + "\n")
+        code, _, err = run(capsys, "evaluate", "--selections", str(selections),
+                           "--candidates", str(cands))
+        assert code == 2
+        assert "spectrum 's1': unknown residue token 'Z' in 'PEPZIDE'" in err
+
+    def test_bad_prediction_peptide_names_its_spectrum(self, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"spectrum_id": "a", "pred": "GAV", "truth": "GZV"}) + "\n")
+        code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
+        assert code == 2
+        assert "spectrum 'a': unknown residue token 'Z' in 'GZV'" in err
+
+    @pytest.mark.parametrize("bins, message", [
+        ("7-8,7-x", "--bins: chunk '7-x' is not N or LO-HI"),
+        ("abc", "--bins: chunk 'abc' is not N or LO-HI"),
+        ("7-8,", "--bins: chunk '' is not N or LO-HI"),
+        ("9-3", "--bins: chunk '9-3' has lo > hi"),
+    ])
+    def test_bad_bins_name_their_chunk(self, tmp_path, capsys, bins, message):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"spectrum_id": "a", "pred": "GAV", "truth": "GAV"}) + "\n")
+        code, _, err = run(capsys, "analyze", "--analysis", "length",
+                           "--predictions", str(preds), "--bins", bins)
+        assert code == 2
+        assert message in err
 
     def test_missing_inputs_are_usage_like_data_errors(self, capsys):
         code, _, err = run(capsys, "analyze", "--analysis", "length")

@@ -463,6 +463,38 @@ class TestMinibatchLoss:
                    - float(single_instance_loss(model, instance).data)) <= 1e-12
 
 
+def graph_bytes(loss) -> int:
+    """Bytes a graph holds: every node's data and every array its backward
+    closure captures, each buffer counted once (by the array that owns it)."""
+    owners, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        cells = (node._backward.__closure__ if node._backward else None) or ()
+        arrays = [node.data] + [c.cell_contents for c in cells
+                                if isinstance(c.cell_contents, np.ndarray)]
+        for array in arrays:
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            owners[id(array)] = array.nbytes
+    return sum(owners.values())
+
+
+class TestGraphMemory:
+    def test_desk_minibatch_graph_keeps_only_what_backward_reads(self, table):
+        """A 16-instance desk minibatch (synth seed 1) holds ~86 MiB; keeping
+        each attention's raw and scaled scores and each linear's pre-bias
+        product, which no backward reads, makes it ~148 MiB."""
+        spectra, cands = synthesize_dataset(table, seed=1, n_spectra=24)
+        instances, _ = build_training_set(spectra, cands, table)
+        model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
+        loss = pipeline.minibatch_loss(model, instances[:16], training=True)
+        assert graph_bytes(loss) <= 90 * 2**20
+
+
 class TestRerankRun:
     def test_single_candidate_selected(self, table):
         spectra, cands = synthesize_dataset(table, seed=14, n_spectra=2)
@@ -519,6 +551,19 @@ class TestRerankRun:
         again = read_selections(io.StringIO(sink.getvalue()))
         assert again == selections
 
+    @pytest.mark.parametrize("index, scores, message", [
+        ("x", "0.1,0.2", "line 3: invalid literal for int"),
+        ("0", "", "line 3: could not convert string to float: ''"),
+        ("0", "nan,inf", "line 3: non-finite score in 'nan,inf'"),
+        ("1", "0.5,-inf", "line 3: non-finite score"),
+    ])
+    def test_bad_selection_fields_name_their_line(self, index, scores, message):
+        text = ("spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+                "a\t0\tm1\tGAV\t0.1,0.2\n"
+                f"b\t{index}\tm1\tGAV\t{scores}\n")
+        with pytest.raises(ValueError, match=message):
+            read_selections(io.StringIO(text))
+
 
 class TestZeroShotEval:
     def test_all_models_equals_plain_run(self, table):
@@ -555,6 +600,14 @@ class TestZeroShotEval:
             ]
         )
         assert reports[0].peptide_recall == pytest.approx(expected)
+
+    def test_bad_label_names_its_spectrum(self, table):
+        spectra, cands = synthesize_dataset(table, seed=22, n_spectra=2)
+        model = RerankModel(small_config(table).model, table, seed=0)
+        cands[1] = replace(cands[1], label="PEPZIDE")
+        with pytest.raises(ValueError, match=f"spectrum '{cands[1].spectrum_id}': unknown "
+                                             "residue token 'Z' in 'PEPZIDE'"):
+            zero_shot_eval(model, spectra, cands, [cands[0].model_names], table)
 
     def test_empty_subset_errors(self, table):
         spectra, cands = synthesize_dataset(table, seed=22, n_spectra=2)
