@@ -9,7 +9,7 @@ accepted and preserved for throughput.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -260,9 +260,13 @@ def take(a, indices, axis: int = 0) -> Tensor:
     def backward_fn(g):
         if not a.requires_grad:
             return
-        ga = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
-        _accumulate(a, ga, fresh=True)
+        # np.add.at's sums in its order, by one bincount over flat positions
+        moved = np.moveaxis(g, axis, 0).reshape(idx.size, -1)
+        width = moved.shape[1]
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        ga = np.bincount(flat, weights=moved.ravel(), minlength=a.shape[axis] * width)
+        shape = (a.shape[axis],) + np.moveaxis(a.data, axis, 0).shape[1:]
+        _accumulate(a, np.moveaxis(ga.reshape(shape), 0, axis), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -384,12 +388,14 @@ def softplus(a) -> Tensor:
 def linear(x, weight, bias) -> Tensor:
     """x @ weight + bias, with weight of shape [in, out].
 
-    No backward reads the product x @ weight, so once the sum exists the
-    product's buffer is released; the graph keeps only its shape and dtype.
+    No backward reads the product x @ weight, so once the sum exists a
+    graph keeps only its shape and dtype; without a graph it is simply
+    dropped.
     """
     product = matmul(x, weight)
     out = add(product, bias)
-    product.data = np.broadcast_to(np.zeros((), dtype=product.data.dtype), product.shape)
+    if out.requires_grad:
+        product.data = np.broadcast_to(np.zeros((), dtype=product.data.dtype), product.shape)
     return out
 
 
@@ -420,15 +426,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 def _softmax_forward(scores: np.ndarray, mask) -> np.ndarray:
     """Masked softmax over the last axis, computed in place in ``scores``.
 
-    ``mask`` is boolean (True = valid) and broadcastable to the scores.
-    Masked scores are forced to -inf before the max-shift, so their values
-    can never influence the valid entries. A row with no valid entry is an
-    error.
+    ``mask`` is boolean (True = valid) and broadcastable to the scores, or
+    None when every entry is valid. Masked scores are forced to -inf before
+    the max-shift, so their values can never influence the valid entries.
+    A row with no valid entry is an error.
     """
-    valid = np.atleast_1d(np.asarray(mask, dtype=bool))
-    if not valid.any(axis=-1).all():
-        raise ValueError("softmax row with all entries masked")
-    np.copyto(scores, -np.inf, where=~valid)
+    if mask is not None:
+        valid = np.atleast_1d(np.asarray(mask, dtype=bool))
+        if not valid.any(axis=-1).all():
+            raise ValueError("softmax row with all entries masked")
+        np.copyto(scores, -np.inf, where=~valid)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
@@ -458,46 +465,76 @@ def softmax_masked(logits, mask) -> Tensor:
     return _make(p, (logits,), backward_fn)
 
 
-def attention(q, k, v, key_mask, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one graph node.
+class AttentionGroup(NamedTuple):
+    """``count`` sequences of ``n_q`` query rows from row ``q_start``, each
+    over its own ``n_k`` key and value rows from row ``k_start``;
+    ``key_mask`` [count, n_k] marks the valid keys (None: all)."""
 
-    ``q`` is [batch, n_q, d], ``k`` and ``v`` are [batch, n_k, d] and
-    ``key_mask`` [batch, n_k] marks the valid keys. The last axis is split
-    into ``n_heads`` heads of d / n_heads; each head's scores are scaled by
-    1 / sqrt(d / n_heads), masked-softmaxed over the keys and used to weight
-    the values, and the heads are merged back into [batch, n_q, d]. Beside
-    its inputs the node keeps only the probabilities for the backward.
+    q_start: int
+    k_start: int
+    count: int
+    n_q: int
+    n_k: int
+    key_mask: np.ndarray | None = None
+
+
+def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over packed sequences, as one
+    graph node.
+
+    ``q`` [n, d] and ``k``, ``v`` [m, d] hold many sequences' rows end to
+    end; ``groups`` must cover every row of each exactly once, and each
+    group is one batched product, so no query sees another sequence's
+    keys. The last axis is split into ``n_heads`` heads of d / n_heads;
+    each head's scores are scaled by 1 / sqrt(d / n_heads), masked-softmaxed
+    over the keys and used to weight the values, and the heads are merged
+    back into [n, d]. Beside its inputs the node keeps only the
+    probabilities for the backward.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    batch, n_q, d = q.shape
-    n_k = k.shape[1]
+    d = q.shape[-1]
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
+    if (sum(grp.count * grp.n_q for grp in groups), sum(grp.count * grp.n_k for grp in groups)
+            ) != (q.shape[0], k.shape[0]):
+        raise ValueError("attention groups must cover every query and key row once")
 
-    def heads(x, length):
-        return x.reshape(batch, length, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(x, start, count, length):
+        rows = x[start : start + count * length]
+        return rows.reshape(count, length, n_heads, dh).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = heads(q.data, n_q), heads(k.data, n_k), heads(v.data, n_k)
-    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    p *= scale
-    _softmax_forward(p, np.asarray(key_mask, dtype=bool).reshape(batch, 1, 1, n_k))
-    data = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(batch, n_q, d)
+    def merge(x, out, start):
+        count, _, length, _ = x.shape
+        out[start : start + count * length] = x.transpose(0, 2, 1, 3).reshape(count * length, d)
+
+    data = np.empty_like(q.data)
+    saved = []
+    for grp in groups:
+        qh = heads(q.data, grp.q_start, grp.count, grp.n_q)
+        kh, vh = (heads(t.data, grp.k_start, grp.count, grp.n_k) for t in (k, v))
+        p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+        p *= scale
+        _softmax_forward(p, None if grp.key_mask is None else grp.key_mask[:, None, None, :])
+        merge(np.matmul(p, vh), data, grp.q_start)
+        saved.append((grp, qh, kh, vh, p))
 
     def backward_fn(g):
-        gh = heads(g, n_q)
-        if v.requires_grad:
-            gv = np.matmul(np.swapaxes(p, -1, -2), gh)
-            _accumulate(v, gv.transpose(0, 2, 1, 3).reshape(v.shape), fresh=True)
-        gs = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p)
-        gs *= scale
-        if q.requires_grad:
-            gq = np.matmul(gs, kh)
-            _accumulate(q, gq.transpose(0, 2, 1, 3).reshape(q.shape), fresh=True)
-        if k.requires_grad:
-            # (q.T @ gs).T is the GEMM that matmul's backward runs for k.T,
-            # so the key gradient is bit-identical to the composed ops'
-            gk = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)
-            _accumulate(k, gk.transpose(0, 2, 1, 3).reshape(k.shape), fresh=True)
+        gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
+        for grp, qh, kh, vh, p in saved:
+            gh = heads(g, grp.q_start, grp.count, grp.n_q)
+            if gv is not None:
+                merge(np.matmul(np.swapaxes(p, -1, -2), gh), gv, grp.k_start)
+            gs = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p)
+            gs *= scale
+            if gq is not None:
+                merge(np.matmul(gs, kh), gq, grp.q_start)
+            if gk is not None:
+                # (q.T @ gs).T is the GEMM that matmul's backward runs for k.T,
+                # so the key gradient is bit-identical to the composed ops'
+                merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), gk, grp.k_start)
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if grad is not None:
+                _accumulate(t, grad, fresh=True)
 
     return _make(data, (q, k, v), backward_fn)
 
@@ -520,11 +557,12 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     return _make(data, (x,), backward_fn)
 
 
-def rmse(pred, target, mask=None, per_row: bool = False) -> Tensor:
+def rmse(pred, target, mask=None, segments=None) -> Tensor:
     """Root mean squared error over the unmasked elements.
 
-    With ``per_row``, one RMSE per index of the leading axis, each over
-    that row's unmasked elements. A zero RMSE passes no gradient.
+    With ``segments`` (non-negative integers broadcastable to the shape of
+    ``pred``), one RMSE per segment id 0..S-1, each over that segment's
+    unmasked elements. A zero RMSE passes no gradient.
     """
     pred, target = as_tensor(pred), as_tensor(target)
     diff = pred.data - target.data
@@ -532,17 +570,23 @@ def rmse(pred, target, mask=None, per_row: bool = False) -> Tensor:
         valid = np.ones_like(diff, dtype=bool)
     else:
         valid = np.broadcast_to(np.asarray(mask, dtype=bool), diff.shape)
-    axes = tuple(range(1, diff.ndim)) if per_row else None
-    count = valid.sum(axis=axes)
+    squares = diff * diff * valid
+    if segments is None:
+        count, total = valid.sum(), squares.sum()
+    else:
+        ids = np.broadcast_to(np.asarray(segments, dtype=np.intp), diff.shape).ravel()
+        count = np.bincount(ids, weights=valid.ravel())
+        total = np.bincount(ids, weights=squares.ravel())
     if np.any(count == 0):
         raise ValueError("rmse with zero unmasked elements")
-    value = np.sqrt((diff * diff * valid).sum(axis=axes) / count)
+    value = np.sqrt(total / count)
 
     def backward_fn(g):
         denom = count * value
-        shape = np.shape(denom) + (1,) * (diff.ndim - np.ndim(denom))
-        denom = np.where(denom == 0, np.inf, denom).reshape(shape)
-        gp = g.reshape(shape) * valid * diff / denom
+        scale = g / np.where(denom == 0, np.inf, denom)
+        if segments is not None:
+            scale = scale[ids].reshape(diff.shape)
+        gp = scale * valid * diff
         _accumulate(pred, gp, fresh=True)
         _accumulate(target, -gp, fresh=True)
 

@@ -271,8 +271,11 @@ def _parse_bins(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"--bins: chunk {chunk!r} is not N or LO-HI") from None
         if lo > hi:
             raise ValueError(f"--bins: chunk {chunk!r} has lo > hi")
-        bins.append((lo, hi))
-    return bins
+        for other, (other_lo, other_hi) in bins:
+            if lo <= other_hi and other_lo <= hi:
+                raise ValueError(f"--bins: chunks {other!r} and {chunk!r} overlap")
+        bins.append((chunk, (lo, hi)))
+    return [bounds for _, bounds in bins]
 
 
 def _cmd_analyze(args) -> int:

@@ -4,10 +4,11 @@ Peak positions are encoded with a sinusoid whose wavelengths are scaled
 to the allowed m/z window; all masses (prefix, suffix, precursor) use a
 fixed sinusoidal embedding. Candidate rows concatenate a learned residue
 embedding with prefix- and suffix-mass sinusoids; a CLS row carries the
-precursor. The candidates of B spectra are padded to a common length
-with a learned pad vector, and to a common count, into one grid; a
-learned positional embedding is added per column (shared across rows, so
-row order carries no information).
+precursor. Each spectrum's candidates form its own grid, padded only to
+its longest candidate with a learned pad vector; the grids of B spectra
+and their peak lists are packed end to end, with no padding across
+spectra. A learned positional embedding is added per column (shared
+across rows, so row order carries no information).
 """
 
 from __future__ import annotations
@@ -64,49 +65,53 @@ class EmbeddingConfig:
 
 @dataclass
 class MsaBatch:
-    """Padded candidate grid [B, C, W, d] with its token mask [B, C, W].
+    """Candidate grids of B spectra, packed with no padding across spectra.
 
-    The mask marks real cells: each real candidate's CLS cell and its
-    residues. Pad cells, the rows of a spectrum with fewer than C
-    candidates and the columns past a spectrum's own width are False.
+    Spectrum b keeps its own grid of c_b candidate rows by w_b cells (a CLS
+    cell, then residues and pad cells up to its longest candidate), stored
+    row-major as rows ``starts[b] : starts[b] + c_b * w_b`` of
+    ``embeddings`` [N, d]. Grids are stored in order of width, so grids of
+    equal width sit side by side. ``mask`` [N] marks real cells: each CLS
+    cell and each residue. ``shapes`` [B, 2] holds (c_b, w_b).
+
+    The B=1 forward returns its one grid unpacked: [c, w, d] and [c, w].
     """
 
     embeddings: Tensor
     mask: np.ndarray
+    shapes: np.ndarray
+    starts: np.ndarray
 
     @property
     def width(self) -> int:
-        return self.mask.shape[-1]
+        """The widest grid's w."""
+        return int(self.shapes[:, 1].max())
+
+    def cells(self, b: int) -> np.ndarray:
+        """Indices of spectrum b's cells in the packed rows, as its [c_b, w_b] grid."""
+        n_rows, width = self.shapes[b]
+        return self.starts[b] + np.arange(n_rows * width).reshape(n_rows, width)
 
 
 @dataclass
 class PeakBatch:
-    """Peaks of B spectra padded to the largest peak count K.
-
-    ``mz`` and ``intensity`` are [B, K]; padded peaks sit at ``mu_min``
-    with zero intensity and are False in ``mask``.
-    """
+    """Peaks of B spectra packed end to end: ``mz`` and ``intensity`` are
+    [sum of K_b], and ``counts`` [B] holds each spectrum's K_b."""
 
     mz: np.ndarray
     intensity: np.ndarray
-    mask: np.ndarray
+    counts: np.ndarray
 
     @property
     def n_peaks(self) -> int:
-        """Real peaks, padding excluded."""
-        return int(self.mask.sum())
+        return int(self.counts.sum())
 
 
-def collate_peaks(spectra: Sequence[ProcessedSpectrum], config: EmbeddingConfig) -> PeakBatch:
-    """Pad the spectra's peak lists into one :class:`PeakBatch`."""
-    shape = (len(spectra), max(s.n_peaks for s in spectra))
-    batch = PeakBatch(np.full(shape, config.mu_min), np.zeros(shape), np.zeros(shape, dtype=bool))
-    for row, spectrum in enumerate(spectra):
-        k = spectrum.n_peaks
-        batch.mz[row, :k] = spectrum.mz
-        batch.intensity[row, :k] = spectrum.intensity
-        batch.mask[row, :k] = True
-    return batch
+def collate_peaks(spectra: Sequence[ProcessedSpectrum]) -> PeakBatch:
+    """Pack the spectra's peak lists into one :class:`PeakBatch`."""
+    return PeakBatch(np.concatenate([s.mz for s in spectra]),
+                     np.concatenate([s.intensity for s in spectra]),
+                     np.array([s.n_peaks for s in spectra]))
 
 
 def mz_sinusoid(mu, config: EmbeddingConfig) -> np.ndarray:
@@ -163,23 +168,34 @@ def embed_spectrum(peaks, store: ParameterStore, config: EmbeddingConfig) -> Ten
     """Per-peak embeddings: m/z sinusoid plus a linear map of intensity.
 
     ``peaks`` holds ``mz`` and ``intensity`` arrays of one shape: [k] for
-    a :class:`ProcessedSpectrum`, [B, K] for a :class:`PeakBatch`; the
-    result is that shape plus d. No positional embedding is added; peaks
-    are an unordered set.
+    a :class:`ProcessedSpectrum`, the packed [sum of K_b] for a
+    :class:`PeakBatch`; the result is [k, d] or [sum of K_b, d]. No
+    positional embedding is added; peaks are an unordered set.
     """
     intensity = Tensor(peaks.intensity[..., None])
     projected = ag.linear(intensity, store["spectrum/intensity_w"], store["spectrum/intensity_b"])
     return ag.add(Tensor(mz_sinusoid(peaks.mz, config)), projected)
 
 
-def _candidate_cells(
+def assemble_msa(
     candidates: Sequence[Sequence[Peptide]],
     precursors: Sequence[Precursor],
     table: MassTable,
     store: ParameterStore,
     config: EmbeddingConfig,
-) -> tuple[Tensor, np.ndarray]:
-    """The padded grid [B, C, W, d] before positions, and its token mask."""
+) -> MsaBatch:
+    """Embed B spectra's candidate lists into one packed :class:`MsaBatch`.
+
+    Row r of spectrum b's grid holds its r-th candidate: a CLS cell, which
+    concatenates the learned CLS vector (d/2) with the precursor-mass
+    sinusoid plus the learned charge embedding (d/2), then one cell per
+    residue, which concatenates the learned residue embedding (d/2) with
+    prefix- and suffix-mass sinusoids (d/4 each). Cells past a candidate's
+    end, up to its spectrum's width, hold the learned pad vector. The
+    per-column positional embedding is added to every cell. There is no
+    per-row embedding, so permuting candidates permutes the grid rows
+    exactly.
+    """
     if not candidates or not all(candidates):
         raise ValueError("assemble_msa requires at least one candidate per spectrum")
     for peptide in (p for peptides in candidates for p in peptides):
@@ -197,34 +213,39 @@ def _candidate_cells(
         )
     index = {token: i for i, token in enumerate(table.tokens)}
     n_spectra = len(candidates)
-    n_rows = max(len(peptides) for peptides in candidates)
-    longest = max(len(p) for peptides in candidates for p in peptides)
-    token_ids = np.zeros((n_spectra, n_rows, longest), dtype=np.intp)
-    prefixes = np.zeros((n_spectra, n_rows, longest))
-    suffixes = np.zeros((n_spectra, n_rows, longest))
-    mask = np.zeros((n_spectra, n_rows, longest + 1), dtype=bool)
+    shapes = np.array([(len(peptides), max(len(p) for p in peptides) + 1)
+                       for peptides in candidates])
+    sizes = shapes[:, 0] * shapes[:, 1]
+    order = np.argsort(shapes[:, 1], kind="stable")
+    starts = np.empty(n_spectra, dtype=np.intp)
+    starts[order] = np.cumsum(sizes[order]) - sizes[order]
+
+    # each cell's source row: its spectrum's CLS row (0..B-1), its residue's
+    # row (B..), or for a pad cell the pad row after them
+    n_cells = int(sizes.sum())
+    source = np.empty(n_cells, dtype=np.intp)
+    mask = np.zeros(n_cells, dtype=bool)
+    token_ids, prefixes, suffixes = [], [], []
     for b, peptides in enumerate(candidates):
+        width = shapes[b, 1]
         for row, peptide in enumerate(peptides):
-            n = len(peptide)
+            first, n = starts[b] + row * width, len(peptide)
+            source[first] = b
+            source[first + 1 : first + n + 1] = n_spectra + len(token_ids) + np.arange(n)
+            mask[first : first + n + 1] = True
             try:
-                token_ids[b, row, :n] = [index[token] for token in peptide]
+                token_ids.extend(index[token] for token in peptide)
             except KeyError as exc:
                 raise ValueError(f"unknown residue token {exc.args[0]!r}") from None
-            prefixes[b, row, :n] = cumulative_masses(peptide, table, "prefix")
-            suffixes[b, row, :n] = cumulative_masses(peptide, table, "suffix")
-            mask[b, row, : n + 1] = True
+            prefixes.append(cumulative_masses(peptide, table, "prefix"))
+            suffixes.append(cumulative_masses(peptide, table, "suffix"))
+    source[~mask] = n_spectra + len(token_ids)
 
-    # residue cells: learned residue embedding, then prefix and suffix sinusoids;
-    # every other cell after the CLS column is the learned pad vector
     residues = ag.concat([
         ag.take(store["embed/residue"], token_ids, axis=0),
-        Tensor(mass_sinusoid(prefixes, config.d_prefix)),
-        Tensor(mass_sinusoid(suffixes, config.d_suffix)),
-    ], axis=-1)
-    real = mask[..., 1:, None]
-    residues = ag.add(ag.mul(residues, real), ag.mul(store["embed/pad"], ~real))
-
-    # CLS cells: learned CLS vector, then precursor-mass sinusoid plus charge embedding
+        Tensor(mass_sinusoid(np.concatenate(prefixes), config.d_prefix)),
+        Tensor(mass_sinusoid(np.concatenate(suffixes), config.d_suffix)),
+    ], axis=1)
     precursor_part = ag.add(
         Tensor(mass_sinusoid(np.array([p.neutral_mass for p in precursors]), config.d_prec)),
         ag.take(store["embed/charge"], charges - 1, axis=0),
@@ -232,47 +253,8 @@ def _candidate_cells(
     cls = ag.concat(
         [ag.add(np.zeros((n_spectra, config.d_res)), store["embed/cls"]), precursor_part], axis=1
     )
-    cls = ag.add(np.zeros((n_spectra, n_rows, 1, config.d)),
-                 ag.reshape(cls, (n_spectra, 1, 1, config.d)))
-    return ag.concat([cls, residues], axis=2), mask
-
-
-def embed_candidate(
-    peptide: Peptide,
-    precursor: Precursor,
-    table: MassTable,
-    store: ParameterStore,
-    config: EmbeddingConfig,
-) -> Tensor:
-    """Embed one candidate as [len+1, d]: a CLS row then one row per residue.
-
-    Residue rows concatenate the learned residue embedding (d/2) with
-    prefix- and suffix-mass sinusoids (d/4 each). The CLS row concatenates
-    the learned CLS vector (d/2) with the precursor-mass sinusoid plus the
-    learned charge embedding (d/2). These are the cells of
-    :func:`assemble_msa`, before positions.
-    """
-    cells, _ = _candidate_cells([[peptide]], [precursor], table, store, config)
-    return ag.reshape(cells, cells.shape[2:])
-
-
-def assemble_msa(
-    candidates: Sequence[Sequence[Peptide]],
-    precursors: Sequence[Precursor],
-    table: MassTable,
-    store: ParameterStore,
-    config: EmbeddingConfig,
-) -> MsaBatch:
-    """Embed B spectra's candidate lists into one padded grid with its mask.
-
-    Row c of spectrum b holds its c-th candidate (see
-    :func:`embed_candidate`). Cells past a candidate's end hold the
-    learned pad vector; C is the largest candidate count and W the
-    longest candidate plus one, so a spectrum with fewer candidates gets
-    rows of a CLS cell and pad cells. The per-column positional embedding
-    is added to every row. There is no per-row embedding, so permuting
-    candidates permutes the grid rows exactly.
-    """
-    cells, mask = _candidate_cells(candidates, precursors, table, store, config)
-    positions = ag.take(store["embed/position"], np.arange(mask.shape[-1]), axis=0)
-    return MsaBatch(embeddings=ag.add(cells, positions), mask=mask)
+    sources = ag.concat([cls, residues, ag.reshape(store["embed/pad"], (1, config.d))], axis=0)
+    columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes[np.argsort(starts)]])
+    positions = ag.take(store["embed/position"], columns, axis=0)
+    embeddings = ag.add(ag.take(sources, source, axis=0), positions)
+    return MsaBatch(embeddings=embeddings, mask=mask, shapes=shapes, starts=starts)

@@ -10,10 +10,13 @@ final grid: a peptide-level mass-deviation score per candidate from its
 CLS vector, and a residue-level deviation per token. Reranking selects
 the candidate with the smallest predicted peptide-level deviation.
 
-The forward pass takes B spectra at once: peaks are padded to [B, K, d]
-and the candidate grids to [B, C, W, d], and masks keep every padded
-cell away from every real one. A training minibatch is one such batch
-(one autograd graph); a single spectrum is the B=1 call.
+The forward pass takes B spectra at once, packed with no padding across
+spectra: the peaks as [sum of K_b, d] and each spectrum's own c_b x w_b
+candidate grid as rows of one [N, d] array. Token-wise ops run once over
+the packed rows; each attention runs per spectrum, grouping sequences of
+equal shape into one batched product. A training minibatch is one such
+batch (one autograd graph); a single spectrum is the B=1 call and runs
+the same float ops as an unbatched model would.
 """
 
 from __future__ import annotations
@@ -116,10 +119,15 @@ SCALAR_TYPES = {f.name: {"int": (int,), "float": (int, float)}[f.type]
 
 @dataclass
 class ModelOutput:
-    """Per-candidate peptide-level scores and per-residue deviations."""
+    """Per-candidate peptide-level scores and per-residue deviations.
 
-    pmd_pred: Tensor  # [c], or [B, C] for a batch
-    rmd_pred: Tensor  # [c, L], or [B, C, W-1] for a batch; CLS column excluded
+    For a batch both are packed in spectrum order: ``pmd_pred`` holds c_b
+    scores per spectrum, ``rmd_pred`` c_b x (w_b - 1) deviations per
+    spectrum, row-major over its grid without the CLS column.
+    """
+
+    pmd_pred: Tensor  # [c], or [sum of c_b] for a batch
+    rmd_pred: Tensor  # [c, L], or [sum of c_b * (w_b - 1)] for a batch
 
 
 class RerankModel:
@@ -183,21 +191,22 @@ class RerankModel:
     # -- building blocks ----------------------------------------------------
 
     def _attention(self, prefix: str, query: Tensor, key_value: Tensor,
-                   key_mask: np.ndarray) -> Tensor:
-        """Multi-head attention of query [batch, n_q, d] over key_value
-        [batch, n_k, d]; ``key_mask`` [batch, n_k] marks the valid keys."""
+                   groups: Sequence[ag.AttentionGroup]) -> Tensor:
+        """Multi-head attention of packed query rows [n, d] over packed
+        key_value rows [m, d], one sequence per group entry."""
         store = self.store
         q = ag.linear(query, store[f"{prefix}/wq"], store[f"{prefix}/bq"])
         k = ag.linear(key_value, store[f"{prefix}/wk"], store[f"{prefix}/bk"])
         v = ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"])
-        context = ag.attention(q, k, v, key_mask, self.config.n_heads)
+        context = ag.attention(q, k, v, groups, self.config.n_heads)
         return ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
 
-    def _self_attention_sublayer(self, x: Tensor, prefix: str, key_mask: np.ndarray,
+    def _self_attention_sublayer(self, x: Tensor, prefix: str,
+                                 groups: Sequence[ag.AttentionGroup],
                                  training: bool, rng) -> Tensor:
         store = self.store
         normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
-        out = self._attention(prefix, normed, normed, key_mask)
+        out = self._attention(prefix, normed, normed, groups)
         return ag.add(x, ag.dropout(out, self.config.dropout_rate, training, rng))
 
     def _ff_sublayer(self, x: Tensor, prefix: str, training: bool, rng) -> Tensor:
@@ -209,97 +218,79 @@ class RerankModel:
 
     # -- model stages -------------------------------------------------------
 
-    def spectrum_encoder(self, peaks: Tensor, peak_mask: np.ndarray | None = None,
+    def spectrum_encoder(self, peaks: Tensor, counts: np.ndarray | None = None,
                          training: bool = False, rng=None) -> Tensor:
-        """Self-attention stack over embedded peaks [B, K, d] -> [B, K, d].
+        """Self-attention stack over packed peak embeddings [n, d] -> [n, d].
 
-        ``peak_mask`` [B, K] marks real peaks (default: all); padded peaks
-        are masked as keys. One spectrum's [k, d] is encoded as [1, k, d].
+        ``counts`` [B] gives each spectrum's number of peaks, in packing
+        order (default: one spectrum); a peak attends to its own spectrum's
+        peaks only.
         """
-        x = ag.reshape(peaks, (-1, *peaks.shape[-2:]))
-        if peak_mask is None:
-            peak_mask = np.ones(x.shape[:2], dtype=bool)
-        n_peaks = peak_mask.sum(axis=1)
+        if counts is None:
+            counts = np.array([peaks.shape[0]])
+        groups = _self_groups(np.cumsum(counts) - counts, np.ones_like(counts), counts)
         for i in range(self.config.n_layers):
-            self.attn_counts["spectrum"] += int((n_peaks * n_peaks).sum())
-            x = self._self_attention_sublayer(x, f"enc{i}/attn", peak_mask, training, rng)
-            x = self._ff_sublayer(x, f"enc{i}/ff", training, rng)
+            self.attn_counts["spectrum"] += int((counts * counts).sum())
+            peaks = self._self_attention_sublayer(peaks, f"enc{i}/attn", groups, training, rng)
+            peaks = self._ff_sublayer(peaks, f"enc{i}/ff", training, rng)
         store = self.store
-        return ag.layer_norm(x, store["enc_final_norm/gain"], store["enc_final_norm/bias"])
+        return ag.layer_norm(peaks, store["enc_final_norm/gain"], store["enc_final_norm/bias"])
 
-    def axial_block(self, grid: Tensor, mask: np.ndarray, spectrum: Tensor,
-                    peak_mask: np.ndarray, index: int, training: bool = False,
-                    rng=None) -> Tensor:
-        """One mixer block over the grid [B, C, W, d]: row, column and cross
+    def axial_block(self, grid: Tensor, layout: "AxialLayout", spectrum: Tensor, index: int,
+                    training: bool = False, rng=None) -> Tensor:
+        """One mixer block over the packed grid [N, d]: row, column and cross
         attention, then feed-forward.
 
-        ``mask`` [B, C, W] marks real tokens and ``peak_mask`` [B, K] real
-        peaks. Row attention runs over the B*C rows and masks padded keys;
-        a padded candidate row keeps only its CLS key, so no softmax row is
-        empty. Column attention runs over the B*W columns and masks pad
-        cells and padded rows; a column past its spectrum's own width has
-        no real cell and attends freely, since its output reaches no real
-        cell. Cross attention lets every token query its spectrum's real
-        peaks. Attention counts cover each spectrum's own c x w grid.
+        Row attention runs over each candidate row of its spectrum's own
+        grid, grouped by grid width. Column attention runs over each
+        column of a grid, grouped by candidate count; its sublayer takes
+        the cells in column-major order (a permutation in and out), so a
+        lone spectrum runs exactly the transposed grid's arithmetic. Cross
+        attention lets each spectrum's cells query its own encoded peaks.
+        No attention crosses spectra, so only pad cells need masking, as
+        keys. Attention counts cover each spectrum's own c x w grid.
         """
-        n_spectra, n_rows, width, d = grid.shape
-        real_rows, widths = mask[:, :, 0].sum(axis=1), mask.any(axis=1).sum(axis=1)
-        counts = self.attn_counts
-        counts["row"] += int((real_rows * widths * widths).sum())
-        counts["col"] += int((widths * real_rows * real_rows).sum())
-        counts["cross"] += int((real_rows * widths * peak_mask.sum(axis=1)).sum())
-
-        row_keys = mask.copy()
-        row_keys[:, :, 0] = True
-        rows = ag.reshape(grid, (n_spectra * n_rows, width, d))
-        rows = self._self_attention_sublayer(
-            rows, f"mix{index}/row", row_keys.reshape(-1, width), training, rng
-        )
-        columns = ag.transpose(ag.reshape(rows, grid.shape), (0, 2, 1, 3))
-        col_keys = mask.transpose(0, 2, 1)
-        col_keys = col_keys | ~col_keys.any(axis=2, keepdims=True)
+        for key, count in layout.scores.items():
+            self.attn_counts[key] += count
+        grid = self._self_attention_sublayer(grid, f"mix{index}/row", layout.rows, training, rng)
         columns = self._self_attention_sublayer(
-            ag.reshape(columns, (n_spectra * width, n_rows, d)), f"mix{index}/col",
-            col_keys.reshape(-1, n_rows), training, rng
+            ag.take(grid, layout.to_columns, axis=0), f"mix{index}/col", layout.columns,
+            training, rng
         )
-        grid = ag.transpose(ag.reshape(columns, (n_spectra, width, n_rows, d)), (0, 2, 1, 3))
+        grid = ag.take(columns, layout.from_columns, axis=0)
 
         store = self.store
-        flat = ag.reshape(grid, (n_spectra, n_rows * width, d))
         normed = ag.layer_norm(
-            flat, store[f"mix{index}/cross_norm/gain"], store[f"mix{index}/cross_norm/bias"]
+            grid, store[f"mix{index}/cross_norm/gain"], store[f"mix{index}/cross_norm/bias"]
         )
-        crossed = self._attention(f"mix{index}/cross", normed, spectrum, peak_mask)
-        crossed = ag.dropout(crossed, self.config.dropout_rate, training, rng)
-        grid = ag.add(grid, ag.reshape(crossed, grid.shape))
+        crossed = self._attention(f"mix{index}/cross", normed, spectrum, layout.cross)
+        grid = ag.add(grid, ag.dropout(crossed, self.config.dropout_rate, training, rng))
 
         return self._ff_sublayer(grid, f"mix{index}/ff", training, rng)
 
-    def predict_heads(self, grid: Tensor) -> ModelOutput:
-        """Linear readouts: CLS column -> peptide score, tokens -> residue scores."""
-        n_spectra, n_rows, width, d = grid.shape
+    def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
+        """Linear readouts: CLS cells -> peptide scores, other cells -> residue
+        scores, both packed in spectrum order (see :class:`ModelOutput`)."""
         store = self.store
-        cls = ag.reshape(ag.take(grid, [0], axis=2), (n_spectra, n_rows, d))
-        pmd_pred = ag.reshape(
-            ag.linear(cls, store["head/pmd_w"], store["head/pmd_b"]), (n_spectra, n_rows)
-        )
-        tokens = ag.take(grid, np.arange(1, width), axis=2)
-        rmd_pred = ag.reshape(
-            ag.linear(tokens, store["head/rmd_w"], store["head/rmd_b"]),
-            (n_spectra, n_rows, width - 1),
-        )
-        return ModelOutput(pmd_pred=pmd_pred, rmd_pred=rmd_pred)
+        cells = [batch.cells(b) for b in range(len(batch.shapes))]
+        cls = ag.take(grid, np.concatenate([rows[:, 0] for rows in cells]), axis=0)
+        tokens = ag.take(grid, np.concatenate([rows[:, 1:].ravel() for rows in cells]), axis=0)
+        pmd_pred = ag.linear(cls, store["head/pmd_w"], store["head/pmd_b"])
+        rmd_pred = ag.linear(tokens, store["head/rmd_w"], store["head/rmd_b"])
+        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)),
+                           rmd_pred=ag.reshape(rmd_pred, (-1,)))
 
     def forward(self, spectra: ProcessedSpectrum | Sequence[ProcessedSpectrum],
                 candidates: Sequence[Peptide] | Sequence[Sequence[Peptide]],
                 training: bool = False, rng=None) -> tuple[ModelOutput, MsaBatch]:
-        """Score the candidates of B spectra in one padded batch.
+        """Score the candidates of B spectra in one packed batch.
 
         ``spectra`` is a sequence of B processed spectra and ``candidates``
-        their candidate lists; the outputs are pmd [B, C] and rmd
-        [B, C, W-1] over the padded grid that the returned batch masks.
-        One spectrum with its candidate list is the B=1 call, returned
-        without the batch axis: pmd [c], rmd [c, L] and a [c, L+1] mask.
+        their candidate lists. Each spectrum keeps its own peaks and its
+        own c_b x w_b grid (see :class:`MsaBatch`); the outputs are packed
+        in spectrum order (see :class:`ModelOutput`). One spectrum with its
+        candidate list is the B=1 call, returned as one grid: pmd [c], rmd
+        [c, L] and a [c, L+1] mask.
         """
         if training and self.config.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
@@ -307,23 +298,86 @@ class RerankModel:
         if single:
             spectra, candidates = [spectra], [candidates]
         config = self.config.embedding
-        peaks = collate_peaks(spectra, config)
+        peaks = collate_peaks(spectra)
         encoded = self.spectrum_encoder(
-            embed_spectrum(peaks, self.store, config), peaks.mask, training, rng
+            embed_spectrum(peaks, self.store, config), peaks.counts, training, rng
         )
         batch = assemble_msa(
             candidates, [s.precursor for s in spectra], self.table, self.store, config
         )
+        layout = AxialLayout.of(batch, peaks.counts)
         grid = batch.embeddings
         for i in range(self.config.n_layers):
-            grid = self.axial_block(grid, batch.mask, encoded, peaks.mask, i, training, rng)
-        output = self.predict_heads(grid)
+            grid = self.axial_block(grid, layout, encoded, i, training, rng)
+        output = self.predict_heads(grid, batch)
         if single:
-            output = ModelOutput(ag.reshape(output.pmd_pred, output.pmd_pred.shape[1:]),
-                                 ag.reshape(output.rmd_pred, output.rmd_pred.shape[1:]))
-            batch = MsaBatch(ag.reshape(batch.embeddings, batch.embeddings.shape[1:]),
-                             batch.mask[0])
+            (n_rows, width), = batch.shapes
+            output = ModelOutput(output.pmd_pred,
+                                 ag.reshape(output.rmd_pred, (n_rows, width - 1)))
+            batch = MsaBatch(ag.reshape(batch.embeddings, (n_rows, width, self.config.d)),
+                             batch.mask.reshape(n_rows, width), batch.shapes, batch.starts)
         return output, batch
+
+
+def _self_groups(starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray,
+                 mask: np.ndarray | None = None) -> list[ag.AttentionGroup]:
+    """Self-attention groups over blocks of ``counts[i]`` sequences of
+    ``lengths[i]`` rows from row ``starts[i]``; the blocks must tile the rows
+    in the order given. Adjacent blocks of equal length form one group.
+    ``mask`` marks the valid rows as keys (default: all)."""
+    groups: list[ag.AttentionGroup] = []
+    for start, count, length in zip(starts.tolist(), counts.tolist(), lengths.tolist()):
+        if groups and groups[-1].n_q == length:
+            groups[-1] = groups[-1]._replace(count=groups[-1].count + count)
+        else:
+            groups.append(ag.AttentionGroup(start, start, count, length, length))
+    if mask is not None:
+        groups = [g._replace(key_mask=mask[g.q_start : g.q_start + g.count * g.n_q]
+                             .reshape(g.count, g.n_q)) for g in groups]
+    return groups
+
+
+@dataclass
+class AxialLayout:
+    """How the attention of a packed grid splits into groups, built once per
+    forward and shared by every mixer block.
+
+    ``rows`` and ``cross`` index the packed rows; ``columns`` index the
+    column-major order that ``to_columns`` gathers (and ``from_columns``
+    undoes). ``scores`` counts the attention scores of one block.
+    """
+
+    rows: list[ag.AttentionGroup]
+    columns: list[ag.AttentionGroup]
+    cross: list[ag.AttentionGroup]
+    to_columns: np.ndarray
+    from_columns: np.ndarray
+    scores: dict[str, int]
+
+    @classmethod
+    def of(cls, batch: MsaBatch, peak_counts: np.ndarray) -> "AxialLayout":
+        shapes, mask = batch.shapes, batch.mask
+        n_rows, widths = shapes[:, 0], shapes[:, 1]
+        stored = np.argsort(batch.starts)  # grids in storage (width) order
+        rows = _self_groups(batch.starts[stored], n_rows[stored], widths[stored], mask)
+
+        # column-major order: grids by candidate count, each transposed
+        by_count = stored[np.argsort(n_rows[stored], kind="stable")]
+        to_columns = np.concatenate([batch.cells(b).T.ravel() for b in by_count])
+        sizes = n_rows[by_count] * widths[by_count]
+        columns = _self_groups(np.cumsum(sizes) - sizes, widths[by_count], n_rows[by_count],
+                               mask[to_columns])
+        from_columns = np.empty_like(to_columns)
+        from_columns[to_columns] = np.arange(to_columns.size)
+
+        peak_starts = np.cumsum(peak_counts) - peak_counts
+        cross = [ag.AttentionGroup(int(batch.starts[b]), int(peak_starts[b]), 1,
+                                   int(n_rows[b] * widths[b]), int(peak_counts[b]))
+                 for b in range(len(shapes))]
+        scores = {"row": int((n_rows * widths * widths).sum()),
+                  "col": int((widths * n_rows * n_rows).sum()),
+                  "cross": int((n_rows * widths * peak_counts).sum())}
+        return cls(rows, columns, cross, to_columns, from_columns, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +386,19 @@ class RerankModel:
 
 def joint_loss(output: ModelOutput, pmd_targets: np.ndarray, rmd_targets: np.ndarray,
                rmd_mask: np.ndarray, loss_lambda: float,
-               pmd_mask: np.ndarray | None = None) -> Tensor:
+               instances: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """lambda * RMSE(peptide scores) + (1 - lambda) * masked RMSE(residue scores).
 
-    For a batch (``pmd_pred`` [B, C]) both RMSEs are taken per instance,
-    over its real candidates (``pmd_mask`` [B, C]) and real residues, and
-    the loss is the mean over instances of their joint losses; no RMSE is
-    pooled across instances.
+    For a packed batch, ``instances`` gives the instance index of each
+    peptide score and of each residue score; both RMSEs are then taken per
+    instance and the loss is the mean over instances of their joint
+    losses. No RMSE is pooled across instances.
     """
-    batched = output.pmd_pred.ndim == 2
-    pmd_term = ag.rmse(output.pmd_pred, Tensor(pmd_targets), pmd_mask, per_row=batched)
-    rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), rmd_mask, per_row=batched)
+    pmd_ids, rmd_ids = (None, None) if instances is None else instances
+    pmd_term = ag.rmse(output.pmd_pred, Tensor(pmd_targets), segments=pmd_ids)
+    rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), rmd_mask, segments=rmd_ids)
     loss = ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda))
-    return ag.mean(loss) if batched else loss
+    return loss if instances is None else ag.mean(loss)
 
 
 def rerank_select(pmd_pred) -> int:

@@ -460,20 +460,25 @@ class StepRecord:
 
 def minibatch_loss(model: RerankModel, instances: Sequence[TrainingInstance],
                    training: bool = False, rng=None) -> Tensor:
-    """Mean over the instances of each one's joint loss, from one batched
-    forward; targets are padded to the batch's grid, which masks them."""
+    """Mean over the instances of each one's joint loss, from one packed
+    forward; residue targets are padded to each instance's own grid."""
     output, batch = model.forward(
         [i.spectrum for i in instances], [i.candidates for i in instances],
         training=training, rng=rng,
     )
-    pmd_targets = np.zeros(output.pmd_pred.shape)
-    rmd_targets = np.zeros(output.rmd_pred.shape)
+    rmd_targets, rmd_mask = [], []
     for b, instance in enumerate(instances):
-        pmd_targets[b, : instance.n_candidates] = instance.pmd_targets
+        targets = np.zeros(batch.shapes[b] - (0, 1))
         for row, values in enumerate(instance.rmd_targets):
-            rmd_targets[b, row, : len(values)] = values
-    return joint_loss(output, pmd_targets, rmd_targets, batch.mask[..., 1:],
-                      model.config.loss_lambda, batch.mask[..., 0])
+            targets[row, : len(values)] = values
+        rmd_targets.append(targets.ravel())
+        rmd_mask.append(batch.mask[batch.cells(b)[:, 1:]].ravel())
+    ids = np.arange(len(instances))
+    n_rows, widths = batch.shapes.T
+    return joint_loss(output, np.concatenate([i.pmd_targets for i in instances]),
+                      np.concatenate(rmd_targets), np.concatenate(rmd_mask),
+                      model.config.loss_lambda,
+                      (np.repeat(ids, n_rows), np.repeat(ids, n_rows * (widths - 1))))
 
 
 def train(
@@ -611,6 +616,10 @@ def read_selections(source: TextIO | Iterable[str]) -> list[Selection]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not all(math.isfinite(v) for v in scores):
             raise ValueError(f"line {lineno}: non-finite score in {parts[4]!r}")
+        if not 0 <= index < len(scores):
+            raise ValueError(
+                f"line {lineno}: selected_index {index} outside its {len(scores)} scores"
+            )
         selections.append(
             Selection(
                 spectrum_id=parts[0],

@@ -81,10 +81,32 @@ class TestForwardValues:
         pred = Tensor([[1.0, 2.0, 100.0], [0.0, 0.0, 3.0]])
         target = Tensor([[1.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
         mask = np.array([[True, True, False], [True, True, True]])
-        out = ag.rmse(pred, target, mask, per_row=True)
+        rows = np.array([[0], [1]])
+        out = ag.rmse(pred, target, mask, segments=rows)
         np.testing.assert_allclose(out.data, [np.sqrt(4.0 / 2), np.sqrt(9.0 / 3)])
         with pytest.raises(ValueError, match="zero unmasked"):
-            ag.rmse(pred, target, np.array([[True] * 3, [False] * 3]), per_row=True)
+            ag.rmse(pred, target, np.array([[True] * 3, [False] * 3]), segments=rows)
+
+    def test_rmse_segments_need_not_be_rows(self):
+        pred = Tensor([1.0, 2.0, 100.0, 0.0, 3.0])
+        target = Tensor([1.0, 4.0, 0.0, 0.0, 0.0])
+        out = ag.rmse(pred, target, [True, True, False, True, True], segments=[0, 0, 1, 1, 1])
+        np.testing.assert_allclose(out.data, [np.sqrt(4.0 / 2), np.sqrt(9.0 / 2)])
+
+    @pytest.mark.parametrize("indices, axis", [
+        ([4, 0, 3, 1, 2], 0),  # a permutation
+        ([[0, 2], [2, 2], [4, 0]], 0),  # repeats, in a 2-D index
+        ([1, 0, 1], 1),
+    ])
+    def test_take_gradient_is_np_add_at(self, indices, axis):
+        rng = np.random.default_rng(27)
+        a = leaf(rng, 5, 3)
+        out = ag.take(a, indices, axis=axis)
+        g = rng.normal(size=out.shape)
+        ag.backward(ag.tensor_sum(ag.mul(out, Tensor(g))))
+        expected = np.zeros_like(a.data)
+        np.add.at(np.moveaxis(expected, axis, 0), np.asarray(indices), np.moveaxis(g, axis, 0))
+        np.testing.assert_array_equal(a.grad, expected)
 
     def test_non_scalar_backward_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -271,7 +293,8 @@ class TestGradCheck:
             mask = rng.random((3, 2, 4)) > 0.3
             mask[:, 0, 0] = True
             weights = Tensor(rng.normal(size=3))
-            f = lambda: ag.tensor_sum(ag.mul(ag.rmse(a, t, mask, per_row=True), weights))
+            rows = np.arange(3)[:, None, None]
+            f = lambda: ag.tensor_sum(ag.mul(ag.rmse(a, t, mask, segments=rows), weights))
             inputs = [a, t]
         elif name == "take":
             a = leaf(rng, 5, 3)
@@ -329,14 +352,23 @@ class TestGradCheck:
         assert ag.grad_check(f, [q, k, v]) < 1e-4
 
         results = []
-        for attend in (composed_attention, ag.attention):
+        for attention in (composed_attention, padded_attention):
             for t in (q, k, v):
                 t.grad = None
-            out = attend(q, k, v, key_mask, n_heads=2)
+            out = attention(q, k, v, key_mask, n_heads=2)
             ag.backward(ag.rmse(out, target))
             results.append([out.data, q.grad, k.grad, v.grad])
         for composed, fused in zip(*results):
             np.testing.assert_array_equal(fused, composed)
+
+
+def padded_attention(q, k, v, key_mask, n_heads):
+    """``ag.attention`` over a padded batch [batch, n, d]: the sequences
+    packed end to end as one group."""
+    batch, n_q, d = q.shape
+    group = ag.AttentionGroup(0, 0, batch, n_q, k.shape[1], key_mask)
+    packed = [ag.reshape(t, (-1, d)) for t in (q, k, v)]
+    return ag.reshape(ag.attention(*packed, [group], n_heads), q.shape)
 
 
 def composed_attention(q, k, v, key_mask, n_heads):
@@ -361,7 +393,7 @@ class TestAttention:
         q, k, v = leaf(rng, 2, 3, 6), leaf(rng, 2, 4, 6), leaf(rng, 2, 4, 6)
         key_mask = np.array([[True, True, False, True], [False, True, False, False]])
         weights = Tensor(rng.normal(size=(2, 3, 6)))
-        f = lambda: ag.tensor_sum(ag.mul(ag.attention(q, k, v, key_mask, n_heads=3), weights))
+        f = lambda: ag.tensor_sum(ag.mul(padded_attention(q, k, v, key_mask, n_heads=3), weights))
         assert ag.grad_check(f, [q, k, v]) < 1e-7
 
     def test_all_masked_row_rejected(self):
@@ -369,15 +401,56 @@ class TestAttention:
         q, k = leaf(rng, 2, 3, 4), leaf(rng, 2, 2, 4)
         key_mask = np.array([[True, False], [False, False]])
         with pytest.raises(ValueError, match="all entries masked"):
-            ag.attention(q, k, k, key_mask, n_heads=2)
+            padded_attention(q, k, k, key_mask, n_heads=2)
 
     def test_no_grad_records_no_parents(self):
         rng = np.random.default_rng(23)
         q = leaf(rng, 1, 3, 4)
         with ag.no_grad():
-            out = ag.attention(q, q, q, np.ones((1, 3), dtype=bool), n_heads=2)
+            out = padded_attention(q, q, q, np.ones((1, 3), dtype=bool), n_heads=2)
         assert not out.requires_grad and out._parents == () and out._backward is None
         assert out.shape == (1, 3, 4)
+
+    def test_packed_groups_match_each_sequence_alone(self):
+        """Ragged sequences packed end to end, queries and keys in different
+        orders and groups listed out of order: each sequence's output and
+        gradients equal attention over that sequence alone."""
+        rng = np.random.default_rng(25)
+        # (queries, keys) per sequence; the first two share a shape
+        shapes = [(3, 4), (3, 4), (5, 2), (1, 6)]
+        q_starts = np.cumsum([0] + [n_q for n_q, _ in shapes])
+        k_order = [2, 0, 3, 1]  # keys stored in another order than queries
+        k_starts = dict(zip(k_order, np.cumsum([0] + [shapes[i][1] for i in k_order])))
+        q = leaf(rng, int(q_starts[-1]), 8)
+        k, v = leaf(rng, 16, 8), leaf(rng, 16, 8)
+        weights = Tensor(rng.normal(size=q.shape))
+        groups = [ag.AttentionGroup(int(q_starts[3]), int(k_starts[3]), 1, 1, 6),
+                  ag.AttentionGroup(0, int(k_starts[0]), 1, 3, 4),
+                  ag.AttentionGroup(int(q_starts[1]), int(k_starts[1]), 1, 3, 4),
+                  ag.AttentionGroup(int(q_starts[2]), int(k_starts[2]), 1, 5, 2)]
+        packed = ag.attention(q, k, v, groups, n_heads=2)
+        ag.backward(ag.tensor_sum(ag.mul(packed, weights)))
+        for i, (n_q, n_k) in enumerate(shapes):
+            rows = slice(q_starts[i], q_starts[i] + n_q)
+            keys = slice(k_starts[i], k_starts[i] + n_k)
+            qi, ki, vi = (Tensor(t.data[s][None], requires_grad=True)
+                          for t, s in ((q, rows), (k, keys), (v, keys)))
+            alone = padded_attention(qi, ki, vi, np.ones((1, n_k), dtype=bool), n_heads=2)
+            np.testing.assert_allclose(packed.data[rows], alone.data[0], rtol=0, atol=1e-14)
+            ag.backward(ag.tensor_sum(ag.mul(alone, Tensor(weights.data[rows][None]))))
+            for t, s, ti in ((q, rows, qi), (k, keys, ki), (v, keys, vi)):
+                np.testing.assert_allclose(t.grad[s], ti.grad[0], rtol=0, atol=1e-13)
+        merged = [ag.AttentionGroup(0, 0, 2, 3, 4)]
+        q2, k2 = leaf(rng, 6, 8), leaf(rng, 8, 8)
+        f = lambda: ag.tensor_sum(ag.mul(ag.attention(q2, k2, k2, merged, n_heads=4),
+                                         Tensor(weights.data[:6])))
+        assert ag.grad_check(f, [q2, k2]) < 1e-7
+
+    def test_groups_must_cover_every_row(self):
+        rng = np.random.default_rng(26)
+        q, k = leaf(rng, 4, 4), leaf(rng, 4, 4)
+        with pytest.raises(ValueError, match="cover"):
+            ag.attention(q, k, k, [ag.AttentionGroup(0, 0, 1, 3, 4)], n_heads=2)
 
     def test_linear_output_shares_no_buffer_with_a_retained_product(self):
         rng = np.random.default_rng(24)

@@ -362,6 +362,8 @@ class TestAnalyzeCommands:
         ("abc", "--bins: chunk 'abc' is not N or LO-HI"),
         ("7-8,", "--bins: chunk '' is not N or LO-HI"),
         ("9-3", "--bins: chunk '9-3' has lo > hi"),
+        ("7-10,9-12", "--bins: chunks '7-10' and '9-12' overlap"),
+        ("3,1-4", "--bins: chunks '3' and '1-4' overlap"),
     ])
     def test_bad_bins_name_their_chunk(self, tmp_path, capsys, bins, message):
         preds = tmp_path / "preds.jsonl"
@@ -370,6 +372,22 @@ class TestAnalyzeCommands:
                            "--predictions", str(preds), "--bins", bins)
         assert code == 2
         assert message in err
+
+    def test_selected_index_outside_its_scores_is_a_data_error(self, tmp_path, capsys):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+            "s1\t7\tm1\tPEPTIDE\t0.1,0.2\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        cands.write_text(json.dumps({"spectrum_id": "s1", "label": "PEPTIDE",
+                                     "candidates": [{"model": "m1", "peptide": "PEPTIDE"},
+                                                    {"model": "m2", "peptide": "PEPTIDE"}]})
+                         + "\n")
+        code, _, err = run(capsys, "analyze", "--analysis", "contribution",
+                           "--selections", str(selections), "--candidates", str(cands))
+        assert code == 2
+        assert "line 2: selected_index 7 outside its 2 scores" in err
 
     def test_missing_inputs_are_usage_like_data_errors(self, capsys):
         code, _, err = run(capsys, "analyze", "--analysis", "length")

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from peprank.autograd import ParameterStore
+from peprank.autograd import ParameterStore, Tensor
 from peprank.encoders import (
     EmbeddingConfig,
     assemble_msa,
     create_embedding_params,
-    embed_candidate,
     embed_spectrum,
     mass_sinusoid,
     mz_sinusoid,
@@ -139,7 +138,18 @@ class TestEmbedSpectrum:
         np.testing.assert_array_equal(out, out2)
 
 
+def embed_candidate(peptide, precursor, table, store, config):
+    """One candidate's cells before positions, [len+1, d]: its row of
+    :func:`assemble_msa` for one spectrum, with the positional embedding
+    zeroed."""
+    store["embed/position"].data[:] = 0.0
+    batch = assemble_msa([[peptide]], [precursor], table, store, config)
+    return Tensor(batch.embeddings.data[batch.cells(0)[0]])
+
+
 class TestEmbedCandidate:
+    """The cell layout of one candidate, embedded by :func:`assemble_msa`."""
+
     def test_row_layout(self, table, config, store):
         peptide = parse_peptide("GAV", table)
         precursor = Precursor.from_mz(peptide_mz(peptide, table, 2), 2)
@@ -204,7 +214,8 @@ class TestAssembleMsa:
         peptide = parse_peptide("GAV", table)
         precursor = Precursor.from_mz(peptide_mz(peptide, table, 2), 2)
         batch = assemble_msa([[peptide]], [precursor], table, store, config)
-        assert batch.embeddings.shape == (1, 1, 4, config.d)
+        assert batch.embeddings.shape == (4, config.d)
+        assert batch.cells(0).shape == (1, 4)
         assert batch.mask.all()
 
     def test_padding_arithmetic(self, table, config, store):
@@ -212,9 +223,10 @@ class TestAssembleMsa:
         long = parse_peptide("GAVKP", table)
         precursor = Precursor.from_mz(peptide_mz(long, table, 2), 2)
         batch = assemble_msa([[short, long]], [precursor], table, store, config)
-        assert batch.embeddings.shape == (1, 2, 6, config.d)
-        np.testing.assert_array_equal(batch.mask[0, 0], [True] * 4 + [False] * 2)
-        assert batch.mask[0, 1].all()
+        assert batch.embeddings.shape == (12, config.d)
+        mask = batch.mask[batch.cells(0)]
+        np.testing.assert_array_equal(mask[0], [True] * 4 + [False] * 2)
+        assert mask[1].all()
 
     def test_row_swap_is_bit_exact(self, table, config, store):
         a = parse_peptide("GAV", table)
@@ -222,11 +234,12 @@ class TestAssembleMsa:
         precursor = Precursor.from_mz(peptide_mz(b, table, 2), 2)
         forward = assemble_msa([[a, b]], [precursor], table, store, config)
         swapped = assemble_msa([[b, a]], [precursor], table, store, config)
+        rows = forward.cells(0)
         np.testing.assert_array_equal(
-            forward.embeddings.data[0, 0], swapped.embeddings.data[0, 1]
+            forward.embeddings.data[rows[0]], swapped.embeddings.data[rows[1]]
         )
         np.testing.assert_array_equal(
-            forward.embeddings.data[0, 1], swapped.embeddings.data[0, 0]
+            forward.embeddings.data[rows[1]], swapped.embeddings.data[rows[0]]
         )
 
     def test_over_length_candidate_rejected(self, table, config, store):
@@ -241,3 +254,19 @@ class TestAssembleMsa:
         one = assemble_msa([peptides], [precursor], table, store, config)
         two = assemble_msa([peptides], [precursor], table, store, config)
         np.testing.assert_array_equal(one.embeddings.data, two.embeddings.data)
+
+    def test_spectra_keep_their_own_grids(self, table, config, store):
+        """Packing adds no cell across spectra: each spectrum's cells and mask
+        are those of its own one-spectrum batch, and grids are stored by width."""
+        lists = [[parse_peptide(t, table) for t in texts]
+                 for texts in (("GAVKP", "GA"), ("KP",), ("GAV", "KPGG", "A"))]
+        precursors = [Precursor.from_mz(500.0 + 100 * b, b + 1) for b in range(3)]
+        batch = assemble_msa(lists, precursors, table, store, config)
+        assert batch.embeddings.shape == (12 + 3 + 15, config.d)
+        np.testing.assert_array_equal(batch.shapes, [[2, 6], [1, 3], [3, 5]])
+        np.testing.assert_array_equal(batch.starts, [18, 0, 3])
+        for b, (peptides, precursor) in enumerate(zip(lists, precursors)):
+            alone = assemble_msa([peptides], [precursor], table, store, config)
+            np.testing.assert_array_equal(batch.embeddings.data[batch.cells(b)],
+                                          alone.embeddings.data[alone.cells(0)])
+            np.testing.assert_array_equal(batch.mask[batch.cells(b)], alone.mask[alone.cells(0)])

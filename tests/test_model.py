@@ -8,6 +8,7 @@ from peprank.autograd import Tensor
 from peprank.encoders import EmbeddingConfig
 from peprank.masses import MassTable, Precursor, parse_peptide
 from peprank.model import (
+    AxialLayout,
     ModelConfig,
     RerankModel,
     joint_loss,
@@ -63,12 +64,12 @@ class TestSpectrumEncoder:
         spectrum = make_processed(table, k=6)
         encoded = model.spectrum_encoder(
             embed_spectrum(spectrum, model.store, model.config.embedding)
-        ).data[0]
+        ).data
         # permute the embedded rows directly and re-encode
         perm = np.random.default_rng(1).permutation(6)
         emb = embed_spectrum(spectrum, model.store, model.config.embedding)
         permuted = Tensor(emb.data[perm])
-        encoded_perm = model.spectrum_encoder(permuted).data[0]
+        encoded_perm = model.spectrum_encoder(permuted).data
         np.testing.assert_allclose(encoded_perm, encoded[perm], atol=1e-9)
 
 
@@ -127,8 +128,8 @@ class TestAxialBlock:
 
 
 class TestBatchedForward:
-    # peak counts, candidate counts and lengths all differ, so the batch has
-    # padded peaks, padded candidate rows and columns past each spectrum's width
+    # peak counts, candidate counts and lengths all differ, so each attention
+    # splits into several groups, and the grids are stored out of spectrum order
     SPECTRA = ((3, ("GAV",)), (8, ("GAVKPG", "GAVK", "AAV")), (12, ("KPG", "WGTSA", "GA", "AAVH")))
 
     @pytest.fixture()
@@ -138,25 +139,50 @@ class TestBatchedForward:
                              vocab=table.tokens)
         return RerankModel(config, table, seed=1)
 
-    def batch(self, table):
-        spectra = [make_processed(table, k=k, seed=k) for k, _ in self.SPECTRA]
-        return spectra, [make_candidates(table, texts) for _, texts in self.SPECTRA]
+    def batch(self, table, spectra=SPECTRA):
+        return ([make_processed(table, k=k, seed=k) for k, _ in spectra],
+                [make_candidates(table, texts) for _, texts in spectra])
+
+    def assert_matches_single_calls(self, model, spectra, candidates):
+        out, batch = model.forward(spectra, candidates)
+        sizes = [(len(c), max(len(p) for p in c) + 1) for c in candidates]
+        assert out.pmd_pred.shape == (sum(c for c, _ in sizes),)
+        assert out.rmd_pred.shape == (sum(c * (w - 1) for c, w in sizes),)
+        assert batch.mask.shape == (sum(c * w for c, w in sizes),)
+        assert batch.embeddings.shape == batch.mask.shape + (model.config.d,)
+        pmd_at = rmd_at = 0
+        for b, (spectrum, cands) in enumerate(zip(spectra, candidates)):
+            single, single_batch = model.forward(spectrum, cands)
+            c, width = single_batch.mask.shape
+            np.testing.assert_array_equal(batch.mask[batch.cells(b)], single_batch.mask)
+            np.testing.assert_allclose(out.pmd_pred.data[pmd_at : pmd_at + c],
+                                       single.pmd_pred.data, rtol=0, atol=1e-10)
+            rmd = out.rmd_pred.data[rmd_at : rmd_at + c * (width - 1)].reshape(c, width - 1)
+            valid = single_batch.mask[:, 1:]
+            np.testing.assert_allclose(rmd[valid], single.rmd_pred.data[valid],
+                                       rtol=0, atol=1e-10)
+            pmd_at, rmd_at = pmd_at + c, rmd_at + c * (width - 1)
 
     def test_matches_single_spectrum_calls(self, table, deep_model):
         spectra, candidates = self.batch(table)
-        out, batch = deep_model.forward(spectra, candidates)
-        assert out.pmd_pred.shape == (3, 4)
-        assert batch.mask.shape == out.rmd_pred.shape[:2] + (7,)
-        for b, (spectrum, cands) in enumerate(zip(spectra, candidates)):
-            single, single_batch = deep_model.forward(spectrum, cands)
-            c, width = single_batch.mask.shape
-            assert batch.mask[b, c:].sum() == 0 and batch.mask[b, :, width:].sum() == 0
-            np.testing.assert_array_equal(batch.mask[b, :c, :width], single_batch.mask)
-            np.testing.assert_allclose(out.pmd_pred.data[b, :c], single.pmd_pred.data,
-                                       rtol=0, atol=1e-10)
-            valid = single_batch.mask[:, 1:]
-            np.testing.assert_allclose(out.rmd_pred.data[b, :c, : width - 1][valid],
-                                       single.rmd_pred.data[valid], rtol=0, atol=1e-10)
+        self.assert_matches_single_calls(deep_model, spectra, candidates)
+        _, batch = deep_model.forward(spectra, candidates)
+        layout = AxialLayout.of(batch, np.array([s.n_peaks for s in spectra]))
+        assert len(layout.rows) == len(layout.columns) == len(layout.cross) == 3
+
+    def test_equal_shapes_share_one_attention_group(self, table, deep_model):
+        # spectra 0 and 2 have equal widths and candidate counts, spectrum 1
+        # only an equal candidate count: rows form two groups, columns one
+        spectra, candidates = self.batch(table, ((5, ("GAVK", "AAV")), (9, ("GAVKPG", "GA")),
+                                                 (7, ("KPG", "WGTS"))))
+        self.assert_matches_single_calls(deep_model, spectra, candidates)
+        _, batch = deep_model.forward(spectra, candidates)
+        layout = AxialLayout.of(batch, np.array([s.n_peaks for s in spectra]))
+        assert [(g.count, g.n_q) for g in layout.rows] == [(4, 5), (2, 7)]
+        assert [(g.count, g.n_q) for g in layout.columns] == [(17, 2)]
+        cells = np.arange(batch.mask.size)
+        np.testing.assert_array_equal(np.sort(layout.to_columns), cells)
+        np.testing.assert_array_equal(layout.to_columns[layout.from_columns], cells)
 
     def test_attention_counts_cover_each_spectrums_own_grid(self, table, deep_model):
         spectra, candidates = self.batch(table)

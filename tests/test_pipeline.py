@@ -485,14 +485,16 @@ def graph_bytes(loss) -> int:
 
 class TestGraphMemory:
     def test_desk_minibatch_graph_keeps_only_what_backward_reads(self, table):
-        """A 16-instance desk minibatch (synth seed 1) holds ~86 MiB; keeping
+        """A 16-instance desk minibatch (synth seed 1) holds ~47.2 MiB packed
+        with no padding across spectra; padding every spectrum to the
+        batch's largest grid and peak count made it ~86 MiB, and keeping
         each attention's raw and scaled scores and each linear's pre-bias
-        product, which no backward reads, makes it ~148 MiB."""
+        product, which no backward reads, ~148 MiB."""
         spectra, cands = synthesize_dataset(table, seed=1, n_spectra=24)
         instances, _ = build_training_set(spectra, cands, table)
         model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
         loss = pipeline.minibatch_loss(model, instances[:16], training=True)
-        assert graph_bytes(loss) <= 90 * 2**20
+        assert graph_bytes(loss) <= 48 * 2**20
 
 
 class TestRerankRun:
@@ -556,6 +558,8 @@ class TestRerankRun:
         ("0", "", "line 3: could not convert string to float: ''"),
         ("0", "nan,inf", "line 3: non-finite score in 'nan,inf'"),
         ("1", "0.5,-inf", "line 3: non-finite score"),
+        ("7", "0.1,0.2", "line 3: selected_index 7 outside its 2 scores"),
+        ("-1", "0.1,0.2", "line 3: selected_index -1 outside its 2 scores"),
     ])
     def test_bad_selection_fields_name_their_line(self, index, scores, message):
         text = ("spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
