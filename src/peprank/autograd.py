@@ -12,10 +12,23 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# Cephes' erf/erfc coefficients (S. L. Moshier, "Methods and Programs for
+# Mathematical Functions", 1989), highest power first. A leading 1.0 marks
+# Cephes' p1evl, whose leading coefficient is implied.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
 class Tensor:
@@ -310,10 +323,64 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward_fn)
 
 
+def _polevl(x: np.ndarray, coef: Sequence[float], out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes' polevl (p1evl when ``coef[0]`` is 1.0): Horner's rule with
+    one rounding after every multiply and every add, in Cephes' order."""
+    if coef[0] == 1.0:
+        ans = np.add(x, coef[1], out=out)
+    else:
+        ans = np.multiply(x, coef[0], out=out)
+        ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function, bit for bit as Cephes computes it (and so as
+    ``scipy.special.erf`` does): x*T(x^2)/U(x^2) for |x| <= 1, otherwise
+    sign(x) * (1 - exp(-x^2) * P(|x|)/Q(|x|)). float32 input is computed in
+    float64 and rounded back, as scipy's float32 loop does.
+
+    A float64 ``x`` is overwritten: it is the scratch space, so that a
+    call allocates only two arrays of its size; at rerank sizes a fresh
+    array costs about as much as the arithmetic done on it.
+
+    |x| is capped at 8, where Cephes switches to its R/S pair and, past
+    x^2 > MAXLOG, to erfc = 0: there erfc(|x|) < 2^-54, so 1 - erfc is
+    1.0 under every one of them. The cap also keeps +-inf and huge inputs
+    from overflowing the polynomials. ``exp`` is taken of a complex
+    argument because that calls the C library's exp, which Cephes uses;
+    numpy's float64 exp may be a vectorized one that differs in the last
+    bit.
+    """
+    if x.dtype == np.float32:
+        return _erf(x.astype(np.float64)).astype(np.float32)
+    capped = x.reshape(-1)
+    np.maximum(capped, -8.0, out=capped)
+    np.minimum(capped, 8.0, out=capped)
+    z = capped * capped
+    big = (z > 1.0).nonzero()[0]
+    signed = capped[big]
+    y = _polevl(z, _ERF_T)
+    y *= capped
+    y /= _polevl(z, _ERF_U, out=capped)
+    if big.size:
+        a = np.abs(signed)
+        erfc = np.exp((-z[big]).astype(np.complex128)).real * _polevl(a, _ERFC_P)
+        erfc /= _polevl(a, _ERFC_Q)
+        np.subtract(1.0, erfc, out=erfc)
+        y[big] = np.copysign(erfc, signed, out=erfc)
+    return y.reshape(x.shape)
+
+
 def gelu(a) -> Tensor:
     """Exact Gaussian error linear unit: x * Phi(x)."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
+    cdf = _erf(a.data / _SQRT2)  # _erf may overwrite its fresh argument
+    cdf += 1.0
+    cdf *= 0.5
     data = a.data * cdf
 
     def backward_fn(g):
@@ -389,10 +456,14 @@ def linear(x, weight, bias) -> Tensor:
     """x @ weight + bias, with weight of shape [in, out].
 
     No backward reads the product x @ weight, so once the sum exists a
-    graph keeps only its shape and dtype; without a graph it is simply
-    dropped.
+    graph keeps only its shape and dtype. Under ``no_grad`` the bias is
+    added into the product's own buffer, which saves an array of the
+    output's size per call.
     """
     product = matmul(x, weight)
+    if not _grad_enabled:
+        product.data += as_tensor(bias).data
+        return product
     out = add(product, bias)
     if out.requires_grad:
         product.data = np.broadcast_to(np.zeros((), dtype=product.data.dtype), product.shape)
@@ -402,19 +473,23 @@ def linear(x, weight, bias) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # Each mean is a sum over the last axis divided by its length, which
+    # is what ndarray.mean computes, bit for bit, with less overhead.
+    d = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = gain.data * xhat + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
 
     def backward_fn(g):
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         _accumulate(x, dx, fresh=True)
         _accumulate(gain, _unbroadcast(g * xhat, gain.shape), fresh=True)

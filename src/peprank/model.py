@@ -54,6 +54,8 @@ class ModelConfig:
     vocab: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be positive, got {self.n_heads}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if not 0.0 <= self.loss_lambda <= 1.0:

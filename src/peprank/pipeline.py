@@ -8,9 +8,11 @@ Checkpoints use a small binary container (magic ``RNKV``).
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -734,6 +736,15 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 
 def _read_exact(source, count: int, what: str) -> bytes:
+    """Read ``count`` bytes. A count above one read buffer is checked
+    against the bytes left in the file first, so a corrupt length
+    allocates nothing."""
+    if count > io.DEFAULT_BUFFER_SIZE:
+        left = os.fstat(source.fileno()).st_size - source.tell()
+        if count > left:
+            raise ValueError(
+                f"truncated checkpoint while reading {what}: needs {count} bytes, {left} left"
+            )
     data = source.read(count)
     if len(data) != count:
         raise ValueError(f"truncated checkpoint while reading {what}")
@@ -767,8 +778,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 struct.unpack("<Q", _read_exact(source, 8, "dimension"))[0]
                 for _ in range(ndim)
             )
-            count = int(np.prod(shape)) if shape else 1
-            payload = _read_exact(source, count * 8, f"payload of {name!r}")
+            payload = _read_exact(source, math.prod(shape) * 8, f"payload of {name!r}")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
             if not np.isfinite(params[name]).all():
                 raise ValueError(f"parameter {name!r} holds non-finite values")

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import peprank
 from peprank import autograd as ag
 from peprank.autograd import ParameterStore, Tensor
 
@@ -162,6 +167,8 @@ class TestGraphLifetime:
             inner = ag.mul(w, 2.0)
         for node in (out, inner):
             assert not node.requires_grad and node._parents == () and node._backward is None
+        np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))  # bias added in place
+        np.testing.assert_array_equal(w.data, np.ones((2, 2)))
         assert ag.mul(w, 2.0).requires_grad
 
     def test_no_grad_restores_the_mode_when_its_body_raises(self):
@@ -517,3 +524,57 @@ class TestParameterStore:
         store.create("w", (2, 2))
         with pytest.raises(ValueError, match="mismatch"):
             store.load_arrays({"other": np.zeros((2, 2))})
+
+
+class TestErf:
+    """gelu's error function, a numpy port of Cephes, against scipy's, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(x):
+        erf = pytest.importorskip("scipy.special").erf
+        expected = erf(x)
+        got = ag._erf(x.copy())  # _erf overwrites its argument
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_dense_grid(self):
+        self.assert_same_bits(np.linspace(-9.0, 9.0, 1_000_001))
+
+    def test_uniform_samples(self):
+        self.assert_same_bits(np.random.default_rng(0).uniform(-40.0, 40.0, 1_000_000))
+
+    def test_float32_computed_in_float64(self):
+        x = np.random.default_rng(1).uniform(-9.0, 9.0, (300, 400)).astype(np.float32)
+        self.assert_same_bits(x)
+
+    def test_edges(self):
+        edges = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 8.0,
+                 np.nextafter(8.0, 0.0), 26.64, 26.65, 1e300, np.inf, 5e-324]
+        self.assert_same_bits(np.array(edges + [-e for e in edges] + [np.nan]))
+
+    def test_gelu_inputs_of_a_desk_minibatch(self, table, monkeypatch):
+        from peprank import pipeline
+        from peprank.model import ModelConfig, RerankModel
+
+        inputs, port = [], ag._erf
+        monkeypatch.setattr(ag, "_erf", lambda x: (inputs.append(x.copy()), port(x))[1])
+        spectra, cands = pipeline.synthesize_dataset(table, seed=1, n_spectra=24)
+        instances, _ = pipeline.build_training_set(spectra, cands, table)
+        model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
+        pipeline.minibatch_loss(model, instances[:16], training=True)
+        monkeypatch.undo()
+        assert len(inputs) == 2 * model.config.n_layers  # encoder and mixer feed-forwards
+        for x in inputs:
+            self.assert_same_bits(x)
+
+
+def test_importing_peprank_loads_no_scipy():
+    code = ("import sys\n"
+            "import peprank, peprank.cli, peprank.pipeline, peprank.model\n"
+            "import peprank.spectra, peprank.evaluation\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(peprank.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, cwd=src)
+    assert result.stdout.strip() == "[]"

@@ -729,6 +729,7 @@ class TestCheckpointIo:
         (lambda h: h["model"].update(max_len=30.0), "max_len has the wrong type"),
         (lambda h: h["model"].update(loss_lambda=None), "loss_lambda has the wrong type"),
         (lambda h: h["model"].update(vocab=["G", 1]), "vocab must be a list of strings"),
+        (lambda h: h["model"].update(n_heads=0), "n_heads must be positive"),
     ])
     def test_header_value_types_checked(self, tmp_path, capsys, mutate, message):
         path = tmp_path / "bad.ckpt"
@@ -739,6 +740,63 @@ class TestCheckpointIo:
                          "--mgf", "unused.mgf", "--candidates", "unused.jsonl"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @staticmethod
+    def record_layout(data: bytes) -> tuple[dict[str, int], list[int]]:
+        """Offsets of each parameter's first dimension, and of every byte
+        that is not a parameter value (magic, header, names, shapes)."""
+        (header_len,) = struct.unpack("<I", data[8:12])
+        pos = 12 + header_len + 4
+        dims, structure = {}, list(range(pos))
+        while pos < len(data):
+            (name_len,) = struct.unpack("<I", data[pos : pos + 4])
+            name = data[pos + 4 : pos + 4 + name_len].decode("utf-8")
+            (ndim,) = struct.unpack("<I", data[pos + 4 + name_len : pos + 8 + name_len])
+            dims[name] = pos + 8 + name_len
+            end = dims[name] + 8 * ndim
+            structure.extend(range(pos, end))
+            pos = end + 8 * int(np.prod(struct.unpack(f"<{ndim}Q", data[dims[name] : end])))
+        return dims, structure
+
+    @pytest.mark.parametrize("dim", [2**40, 2**61, 2**64 - 1])
+    def test_oversized_record_rejected_before_reading(self, tmp_path, capsys, dim):
+        """2^40 rows would need terabytes, 2^64-1 overflows a C index, and
+        2^61 rows wrap a fixed-width product of the shape to 0."""
+        data = (DATA / "v1_tiny.ckpt").read_bytes()
+        offset = self.record_layout(data)[0]["embed/residue"]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data[:offset] + struct.pack("<Q", dim) + data[offset + 8 :])
+        message = "truncated checkpoint while reading payload of 'embed/residue'"
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+        code = cli_main(["rerank", "--checkpoint", str(path),
+                         "--mgf", "unused.mgf", "--candidates", "unused.jsonl"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_bytes_load_or_raise_value_error(self, tmp_path_factory, data):
+        """Each byte flip, truncation or insertion of the v1 fixture either
+        loads as a Checkpoint or raises ValueError, and nothing else."""
+        original = (DATA / "v1_tiny.ckpt").read_bytes()
+        kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        # most bytes are parameter values; aim half the mutations at the rest
+        structure = self.record_layout(original)[1]
+        at = data.draw(st.one_of(st.integers(0, len(original) - 1), st.sampled_from(structure)))
+        if kind == "flip":
+            bit = data.draw(st.integers(0, 7))
+            mutant = original[:at] + bytes([original[at] ^ (1 << bit)]) + original[at + 1 :]
+        elif kind == "truncate":
+            mutant = original[:at]
+        else:
+            mutant = original[:at] + data.draw(st.binary(min_size=1, max_size=8)) + original[at:]
+        path = tmp_path_factory.getbasetemp() / "mutant.ckpt"
+        path.write_bytes(mutant)
+        try:
+            assert isinstance(load_checkpoint(str(path)), Checkpoint)
+        except ValueError:
+            pass
 
     def test_version_1_fixture_loads_unchanged(self, table, tmp_path):
         expected = json.loads((DATA / "v1_tiny_scores.json").read_text())
