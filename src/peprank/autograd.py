@@ -2,9 +2,8 @@
 
 Just enough machinery for the reranking model: dense ops, multi-head
 attention as one op, batched matmul, masked softmax, gather, layer
-normalization, dropout, and a masked RMSE loss. Values are float64 by default so that
-finite-difference gradient checks have clean tolerances; float32 data is
-accepted and preserved for throughput.
+normalization, dropout, and a masked RMSE loss. Values are float64, so that
+finite-difference gradient checks have clean tolerances.
 """
 
 from __future__ import annotations
@@ -37,10 +36,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -108,10 +104,10 @@ def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
         return
     if t.grad is not None:
         t.grad += grad
-    elif fresh and grad.shape == t.shape and grad.dtype == t.data.dtype:
+    elif fresh and grad.shape == t.shape:
         t.grad = grad
     else:
-        t.grad = np.array(np.broadcast_to(grad, t.shape), dtype=t.data.dtype)
+        t.grad = np.array(np.broadcast_to(grad, t.shape))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -340,12 +336,11 @@ def _polevl(x: np.ndarray, coef: Sequence[float], out: np.ndarray | None = None)
 def _erf(x: np.ndarray) -> np.ndarray:
     """The error function, bit for bit as Cephes computes it (and so as
     ``scipy.special.erf`` does): x*T(x^2)/U(x^2) for |x| <= 1, otherwise
-    sign(x) * (1 - exp(-x^2) * P(|x|)/Q(|x|)). float32 input is computed in
-    float64 and rounded back, as scipy's float32 loop does.
+    sign(x) * (1 - exp(-x^2) * P(|x|)/Q(|x|)).
 
-    A float64 ``x`` is overwritten: it is the scratch space, so that a
-    call allocates only two arrays of its size; at rerank sizes a fresh
-    array costs about as much as the arithmetic done on it.
+    ``x`` is overwritten: it is the scratch space, so that a call
+    allocates only two arrays of its size; at rerank sizes a fresh array
+    costs about as much as the arithmetic done on it.
 
     |x| is capped at 8, where Cephes switches to its R/S pair and, past
     x^2 > MAXLOG, to erfc = 0: there erfc(|x|) < 2^-54, so 1 - erfc is
@@ -355,8 +350,6 @@ def _erf(x: np.ndarray) -> np.ndarray:
     numpy's float64 exp may be a vectorized one that differs in the last
     bit.
     """
-    if x.dtype == np.float32:
-        return _erf(x.astype(np.float64)).astype(np.float32)
     capped = x.reshape(-1)
     np.maximum(capped, -8.0, out=capped)
     np.minimum(capped, 8.0, out=capped)
@@ -424,10 +417,15 @@ def sqrt(a) -> Tensor:
     return _make(data, (a,), backward_fn)
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), taking exp of -|x| only, so that it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = _stable_sigmoid(a.data)
 
     def backward_fn(g):
         _accumulate(a, g * data * (1.0 - data), fresh=True)
@@ -442,8 +440,7 @@ def softplus(a) -> Tensor:
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward_fn(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        _accumulate(a, g * s, fresh=True)
+        _accumulate(a, g * _stable_sigmoid(x), fresh=True)
 
     return _make(data, (a,), backward_fn)
 
@@ -466,11 +463,11 @@ def linear(x, weight, bias) -> Tensor:
         return product
     out = add(product, bias)
     if out.requires_grad:
-        product.data = np.broadcast_to(np.zeros((), dtype=product.data.dtype), product.shape)
+        product.data = np.broadcast_to(np.zeros(()), product.shape)
     return out
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     # Each mean is a sum over the last axis divided by its length, which
@@ -479,7 +476,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xhat = x.data - mu
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
@@ -838,4 +835,4 @@ class ParameterStore:
                     f"parameter {name!r}: stored shape {tuple(array.shape)} does not "
                     f"match expected {tensor.shape}"
                 )
-            tensor.data = np.asarray(array, dtype=tensor.data.dtype).copy()
+            tensor.data = np.array(array, dtype=np.float64)

@@ -217,6 +217,21 @@ def _cmd_rerank(args) -> int:
     return 0
 
 
+def _selected_records(args) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
+    """Each --selections row with its --candidates record, which must carry a label."""
+    selections = _read(args.selections, pipeline.read_selections)
+    by_id = {cs.spectrum_id: cs for cs in _read(args.candidates, pipeline.load_candidates)}
+    joined = []
+    for sel in selections:
+        cs = by_id.get(sel.spectrum_id)
+        if cs is None:
+            raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
+        if cs.label is None:
+            raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
+        joined.append((sel, cs))
+    return joined
+
+
 def _evaluation_pairs(args, table: MassTable):
     """(pred, truth) peptide pairs from either input layout."""
     if args.predictions:
@@ -227,21 +242,8 @@ def _evaluation_pairs(args, table: MassTable):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
         )
-    selections = _read(args.selections, pipeline.read_selections)
-    candidate_sets = _read(args.candidates, pipeline.load_candidates)
-    labels = {}
-    for cs in candidate_sets:
-        if cs.label is None:
-            raise ValueError(f"spectrum {cs.spectrum_id!r} has no label")
-        labels[cs.spectrum_id] = cs.label
-    pairs = []
-    for sel in selections:
-        if sel.spectrum_id not in labels:
-            raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
-        pairs.append(
-            pipeline.parse_pair(sel.spectrum_id, sel.peptide, labels[sel.spectrum_id], table)
-        )
-    return pairs
+    return [pipeline.parse_pair(sel.spectrum_id, sel.peptide, cs.label, table)
+            for sel, cs in _selected_records(args)]
 
 
 def _cmd_evaluate(args) -> int:
@@ -301,17 +303,8 @@ def _cmd_analyze(args) -> int:
         elif args.analysis == "contribution":
             if not (args.selections and args.candidates):
                 raise ValueError("contribution analysis needs --selections and --candidates")
-            selections = _read(args.selections, pipeline.read_selections)
-            candidate_sets = _read(args.candidates, pipeline.load_candidates)
-            by_id = {cs.spectrum_id: cs for cs in candidate_sets}
-            records = []
-            for sel in selections:
-                cs = by_id.get(sel.spectrum_id)
-                if cs is None:
-                    raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
-                if cs.label is None:
-                    raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
-                records.append((cs.candidates, sel.peptide, cs.label))
+            records = [(cs.candidates, sel.peptide, cs.label)
+                       for sel, cs in _selected_records(args)]
             shares = contribution_analysis(records, table)
             sink.write("model\tshare\n")
             for model in sorted(shares):

@@ -13,7 +13,7 @@ across rows, so row order carries no information).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,17 @@ from . import autograd as ag
 from .autograd import ParameterStore, Tensor
 from .masses import MassTable, Peptide, Precursor, cumulative_masses
 from .spectra import MZ_MAX, MZ_MIN, ProcessedSpectrum
+
+# Types accepted per declared scalar field type: an int is a valid float, a bool neither.
+_SCALAR_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def check_field_types(config) -> None:
+    """Reject a dataclass instance whose int or float field holds another type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _SCALAR_TYPES and type(value) not in _SCALAR_TYPES[f.type]:
+            raise ValueError(f"{type(config).__name__}: {f.name} has the wrong type: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,14 +46,15 @@ class EmbeddingConfig:
     max_charge: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if self.d % 4 != 0:
             raise ValueError(f"model dimension must be divisible by 4, got {self.d}")
         for name, dim in (("d_res", self.d_res), ("d_prefix", self.d_prefix),
                           ("d_suffix", self.d_suffix), ("d_prec", self.d_prec)):
             if dim % 2 != 0:
                 raise ValueError(f"sub-dimension {name}={dim} must be even (d={self.d})")
-        if self.mu_min <= 0 or self.mu_max <= self.mu_min:
-            raise ValueError("require 0 < mu_min < mu_max")
+        if not 0 < self.mu_min < self.mu_max < np.inf:  # NaN fails every comparison
+            raise ValueError(f"require 0 < mu_min < mu_max < inf, got {self.mu_min}, {self.mu_max}")
         if self.max_len < 1 or self.max_charge < 1:
             raise ValueError("max_len and max_charge must be positive")
 

@@ -3,9 +3,9 @@
 The residue matching rule follows the community convention for de novo
 sequencing evaluation: predicted and true residues are walked in
 parallel over cumulative prefix masses, a pair is considered only while
-the cumulative masses agree within ``cum_tol``, and a considered pair
-matches when the residue masses differ by less than ``aa_tol`` and the
-cumulative masses *before* the pair also agree within ``cum_tol``.
+the cumulative masses agree within ``CUM_TOLERANCE``, and a considered pair
+matches when the residue masses differ by less than ``AA_TOLERANCE`` and
+the cumulative masses *before* the pair also agree within ``CUM_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -52,16 +52,12 @@ class CorpusStats:
         return self.n_match_pep / self.n_all_pep
 
 
-def _aligned_pairs(
-    pred_masses: np.ndarray,
-    truth_masses: np.ndarray,
-    aa_tol: float,
-    cum_tol: float,
-) -> list[tuple[int, int, bool]]:
+def _aligned_pairs(pred_masses: np.ndarray,
+                   truth_masses: np.ndarray) -> list[tuple[int, int, bool]]:
     """Two-pointer walk over cumulative masses.
 
     Yields (pred_index, truth_index, residue_matched) for every pointer
-    position where the cumulative-through masses agreed within cum_tol.
+    position where the cumulative-through masses agreed within CUM_TOLERANCE.
     """
     pairs: list[tuple[int, int, bool]] = []
     i = j = 0
@@ -69,8 +65,9 @@ def _aligned_pairs(
     while i < len(pred_masses) and j < len(truth_masses):
         cpi = cp + pred_masses[i]
         ctj = ct + truth_masses[j]
-        if abs(cpi - ctj) < cum_tol:
-            matched = abs(pred_masses[i] - truth_masses[j]) < aa_tol and abs(cp - ct) < cum_tol
+        if abs(cpi - ctj) < CUM_TOLERANCE:
+            matched = (abs(pred_masses[i] - truth_masses[j]) < AA_TOLERANCE
+                       and abs(cp - ct) < CUM_TOLERANCE)
             pairs.append((i, j, matched))
             i += 1
             j += 1
@@ -84,13 +81,7 @@ def _aligned_pairs(
     return pairs
 
 
-def aa_match(
-    pred: Peptide,
-    truth: Peptide,
-    table: MassTable,
-    aa_tol: float = AA_TOLERANCE,
-    cum_tol: float = CUM_TOLERANCE,
-) -> MatchResult:
+def aa_match(pred: Peptide, truth: Peptide, table: MassTable) -> MatchResult:
     """Match a predicted peptide against the truth under mass tolerances.
 
     The peptide counts as matched only when every predicted residue
@@ -101,18 +92,13 @@ def aa_match(
     pm = residue_masses(pred, table)
     tm = residue_masses(truth, table)
     per_residue = np.zeros(len(pred), dtype=bool)
-    for i, _, matched in _aligned_pairs(pm, tm, aa_tol, cum_tol):
+    for i, _, matched in _aligned_pairs(pm, tm):
         per_residue[i] = matched
     peptide_matched = bool(per_residue.all()) and len(pred) == len(truth)
     return MatchResult(per_residue, peptide_matched)
 
 
-def corpus_stats(
-    pairs: Sequence[tuple[Peptide, Peptide]],
-    table: MassTable,
-    aa_tol: float = AA_TOLERANCE,
-    cum_tol: float = CUM_TOLERANCE,
-) -> CorpusStats:
+def corpus_stats(pairs: Sequence[tuple[Peptide, Peptide]], table: MassTable) -> CorpusStats:
     """Aggregate match counts over (pred, truth) pairs.
 
     Amino-acid precision uses the number of predicted residues as its
@@ -122,7 +108,7 @@ def corpus_stats(
         raise ValueError("corpus is empty")
     stats = CorpusStats()
     for pred, truth in pairs:
-        result = aa_match(pred, truth, table, aa_tol, cum_tol)
+        result = aa_match(pred, truth, table)
         stats.n_all_pep += 1
         stats.n_match_pep += int(result.peptide_matched)
         stats.n_all_aa += len(pred)
@@ -157,12 +143,8 @@ def length_binned_recall(
     return {key: matches[key] / totals[key] for key in totals}
 
 
-def residue_confusion(
-    pairs: Sequence[tuple[Peptide, Peptide]],
-    table: MassTable,
-    aa_tol: float = AA_TOLERANCE,
-    cum_tol: float = CUM_TOLERANCE,
-) -> dict[str, float]:
+def residue_confusion(pairs: Sequence[tuple[Peptide, Peptide]],
+                      table: MassTable) -> dict[str, float]:
     """Per-token recall over the aligned residue pairs of the corpus.
 
     For each truth token t: the number of aligned pairs where both sides
@@ -179,7 +161,7 @@ def residue_confusion(
         truth_totals.update(truth.residues)
         pm = residue_masses(pred, table)
         tm = residue_masses(truth, table)
-        for i, j, _ in _aligned_pairs(pm, tm, aa_tol, cum_tol):
+        for i, j, _ in _aligned_pairs(pm, tm):
             if pred.residues[i] == truth.residues[j]:
                 hits[truth.residues[j]] += 1
     return {token: hits[token] / total for token, total in truth_totals.items()}

@@ -32,6 +32,7 @@ from .encoders import (
     EmbeddingConfig,
     MsaBatch,
     assemble_msa,
+    check_field_types,
     collate_peaks,
     create_embedding_params,
     embed_spectrum,
@@ -54,12 +55,15 @@ class ModelConfig:
     vocab: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be positive, got {self.n_heads}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if not 0.0 <= self.loss_lambda <= 1.0:
             raise ValueError(f"loss_lambda must be in [0, 1], got {self.loss_lambda}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.embedding.d != self.d:
             raise ValueError("embedding dimension must equal the model dimension")
         if not self.vocab:
@@ -99,9 +103,6 @@ class ModelConfig:
             raise ValueError(
                 f"model config: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
             )
-        for key, accepted in SCALAR_TYPES.items():
-            if type(data[key]) not in accepted:
-                raise ValueError(f"model config: {key} has the wrong type: {data[key]!r}")
         if not (isinstance(data["vocab"], list) and all(isinstance(t, str) for t in data["vocab"])):
             raise ValueError("model config: vocab must be a list of strings")
         embedding = EmbeddingConfig(d=data["d"], **{k: data[k] for k in EMBEDDING_KEYS})
@@ -113,10 +114,6 @@ class ModelConfig:
 # d is not stored because it always equals the model's d.
 MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("embedding", "vocab"))
 EMBEDDING_KEYS = tuple(f.name for f in fields(EmbeddingConfig) if f.name != "d")
-# JSON types accepted per serialized scalar: an int is a valid float, a bool neither.
-SCALAR_TYPES = {f.name: {"int": (int,), "float": (int, float)}[f.type]
-                for f in (*fields(ModelConfig), *fields(EmbeddingConfig))
-                if f.name in MODEL_KEYS + EMBEDDING_KEYS}
 
 
 @dataclass
@@ -192,23 +189,19 @@ class RerankModel:
 
     # -- building blocks ----------------------------------------------------
 
-    def _attention(self, prefix: str, query: Tensor, key_value: Tensor,
-                   groups: Sequence[ag.AttentionGroup]) -> Tensor:
-        """Multi-head attention of packed query rows [n, d] over packed
-        key_value rows [m, d], one sequence per group entry."""
+    def _attention_sublayer(self, x: Tensor, prefix: str, groups: Sequence[ag.AttentionGroup],
+                            training: bool, rng, memory: Tensor | None = None) -> Tensor:
+        """Pre-norm residual multi-head attention of packed rows x [n, d] over
+        the packed rows [m, d] of ``memory`` (cross attention), or over their
+        own normed values when it is None; one sequence per group entry."""
         store = self.store
-        q = ag.linear(query, store[f"{prefix}/wq"], store[f"{prefix}/bq"])
+        normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
+        key_value = normed if memory is None else memory
+        q = ag.linear(normed, store[f"{prefix}/wq"], store[f"{prefix}/bq"])
         k = ag.linear(key_value, store[f"{prefix}/wk"], store[f"{prefix}/bk"])
         v = ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"])
         context = ag.attention(q, k, v, groups, self.config.n_heads)
-        return ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
-
-    def _self_attention_sublayer(self, x: Tensor, prefix: str,
-                                 groups: Sequence[ag.AttentionGroup],
-                                 training: bool, rng) -> Tensor:
-        store = self.store
-        normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
-        out = self._attention(prefix, normed, normed, groups)
+        out = ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
         return ag.add(x, ag.dropout(out, self.config.dropout_rate, training, rng))
 
     def _ff_sublayer(self, x: Tensor, prefix: str, training: bool, rng) -> Tensor:
@@ -220,20 +213,17 @@ class RerankModel:
 
     # -- model stages -------------------------------------------------------
 
-    def spectrum_encoder(self, peaks: Tensor, counts: np.ndarray | None = None,
+    def spectrum_encoder(self, peaks: Tensor, counts: np.ndarray,
                          training: bool = False, rng=None) -> Tensor:
         """Self-attention stack over packed peak embeddings [n, d] -> [n, d].
 
         ``counts`` [B] gives each spectrum's number of peaks, in packing
-        order (default: one spectrum); a peak attends to its own spectrum's
-        peaks only.
+        order; a peak attends to its own spectrum's peaks only.
         """
-        if counts is None:
-            counts = np.array([peaks.shape[0]])
         groups = _self_groups(np.cumsum(counts) - counts, np.ones_like(counts), counts)
         for i in range(self.config.n_layers):
             self.attn_counts["spectrum"] += int((counts * counts).sum())
-            peaks = self._self_attention_sublayer(peaks, f"enc{i}/attn", groups, training, rng)
+            peaks = self._attention_sublayer(peaks, f"enc{i}/attn", groups, training, rng)
             peaks = self._ff_sublayer(peaks, f"enc{i}/ff", training, rng)
         store = self.store
         return ag.layer_norm(peaks, store["enc_final_norm/gain"], store["enc_final_norm/bias"])
@@ -254,20 +244,14 @@ class RerankModel:
         """
         for key, count in layout.scores.items():
             self.attn_counts[key] += count
-        grid = self._self_attention_sublayer(grid, f"mix{index}/row", layout.rows, training, rng)
-        columns = self._self_attention_sublayer(
+        grid = self._attention_sublayer(grid, f"mix{index}/row", layout.rows, training, rng)
+        columns = self._attention_sublayer(
             ag.take(grid, layout.to_columns, axis=0), f"mix{index}/col", layout.columns,
             training, rng
         )
         grid = ag.take(columns, layout.from_columns, axis=0)
-
-        store = self.store
-        normed = ag.layer_norm(
-            grid, store[f"mix{index}/cross_norm/gain"], store[f"mix{index}/cross_norm/bias"]
-        )
-        crossed = self._attention(f"mix{index}/cross", normed, spectrum, layout.cross)
-        grid = ag.add(grid, ag.dropout(crossed, self.config.dropout_rate, training, rng))
-
+        grid = self._attention_sublayer(grid, f"mix{index}/cross", layout.cross, training, rng,
+                                        memory=spectrum)
         return self._ff_sublayer(grid, f"mix{index}/ff", training, rng)
 
     def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterStore, Tensor
-from .encoders import EmbeddingConfig
+from .encoders import EmbeddingConfig, check_field_types
 from .evaluation import aa_match, corpus_stats
 from .masses import (
     PROTON_MASS,
@@ -227,10 +227,6 @@ class TrainingInstance:
     pmd_targets: np.ndarray  # [c]
     rmd_targets: list[np.ndarray]  # per candidate, one value per residue
 
-    @property
-    def n_candidates(self) -> int:
-        return len(self.candidates)
-
 
 def build_training_set(
     spectra: Sequence[RawSpectrum],
@@ -266,6 +262,9 @@ def build_training_set(
 # ---------------------------------------------------------------------------
 # synthetic data
 
+SYNTH_MIN_CHARGE, SYNTH_MAX_CHARGE = 2, 3  # precursor charges, drawn uniformly
+MASS_SIMILARITY_SCALE = 10.0  # Da, softness of mutation preference
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -276,13 +275,9 @@ class SynthConfig:
     max_length: int = 20
     noise_peaks: int = 8
     peak_dropout: float = 0.1
-    min_charge: int = 2
-    max_charge: int = 3
-    mass_similarity_scale: float = 10.0  # Da, softness of mutation preference
 
 
-def _mutate(peptide: Peptide, table: MassTable, rng: np.random.Generator,
-            config: SynthConfig) -> Peptide:
+def _mutate(peptide: Peptide, table: MassTable, rng: np.random.Generator) -> Peptide:
     """One substitution, insertion, or deletion; substitutions prefer
     replacements of similar mass but never a mass-identical one."""
     residues = list(peptide.residues)
@@ -294,7 +289,7 @@ def _mutate(peptide: Peptide, table: MassTable, rng: np.random.Generator,
         current_mass = table.mass(residues[pos])
         options = [t for t in tokens if abs(table.mass(t) - current_mass) > 0.01]
         weights = np.array(
-            [math.exp(-abs(table.mass(t) - current_mass) / config.mass_similarity_scale)
+            [math.exp(-abs(table.mass(t) - current_mass) / MASS_SIMILARITY_SCALE)
              for t in options]
         )
         choice = options[rng.choice(len(options), p=weights / weights.sum())]
@@ -329,7 +324,7 @@ def synthesize_dataset(
         length = int(rng.integers(config.min_length, config.max_length + 1))
         label = Peptide(tuple(tokens[i] for i in rng.integers(len(tokens), size=length)))
         neutral = peptide_neutral_mass(label, table)
-        charge = int(rng.integers(config.min_charge, config.max_charge + 1))
+        charge = int(rng.integers(SYNTH_MIN_CHARGE, SYNTH_MAX_CHARGE + 1))
         precursor = Precursor.from_mz((neutral + charge * PROTON_MASS) / charge, charge)
 
         prefixes = cumulative_masses(label, table, "prefix")
@@ -357,7 +352,7 @@ def synthesize_dataset(
         )
 
         variants = [label] + [
-            _mutate(label, table, rng, config) for _ in range(config.n_candidates - 1)
+            _mutate(label, table, rng) for _ in range(config.n_candidates - 1)
         ]
         slots: list[str | None] = [None] * config.n_candidates
         for variant, slot in zip(variants, rng.permutation(config.n_candidates)):
@@ -379,32 +374,30 @@ def synthesize_dataset(
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay."""
 
-    def __init__(self, store: ParameterStore, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, store: ParameterStore, weight_decay: float = 0.0):
         self.store = store
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self._v = {name: np.zeros_like(t.data) for name, t in store.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - self.BETA1 ** self.t
+        bias2 = 1.0 - self.BETA2 ** self.t
         for name, param in self.store.items():
             grad = param.grad
             if grad is None:
                 continue
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
             param.data -= lr * (update + self.weight_decay * param.data)
 
 
@@ -433,23 +426,32 @@ class TrainConfig:
     warmup_epochs: float = 1.0
     clip_norm: float = 1.5
 
-    @classmethod
-    def desk(cls, vocab: Sequence[str], **overrides) -> "TrainConfig":
-        base = cls(model=ModelConfig.desk(vocab), epochs=60)
-        return replace(base, **overrides) if overrides else base
+    def __post_init__(self):
+        check_field_types(self)
+        for name, valid, rule in (
+            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("warmup_epochs", 0 <= self.warmup_epochs < math.inf, "finite and >= 0"),
+            ("clip_norm", 0 < self.clip_norm < math.inf, "finite and > 0"),
+        ):
+            if not valid:
+                raise ValueError(f"TrainConfig: {name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
-    def paper_scale(cls, vocab: Sequence[str], **overrides) -> "TrainConfig":
-        base = cls(
+    def desk(cls, vocab: Sequence[str], **overrides) -> "TrainConfig":
+        return replace(cls(model=ModelConfig.desk(vocab), epochs=60), **overrides)
+
+    @classmethod
+    def paper_scale(cls, vocab: Sequence[str]) -> "TrainConfig":
+        return cls(
             model=ModelConfig.paper_scale(vocab),
             lr=1e-4,
             weight_decay=8e-5,
             batch_size=256,
             epochs=5,
-            warmup_epochs=1.0,
-            clip_norm=1.5,
         )
-        return replace(base, **overrides) if overrides else base
 
 
 @dataclass

@@ -253,6 +253,27 @@ class TestTrainRerankEvaluateChain:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("override, message", [
+        ({"epochs": "2"}, "epochs has the wrong type: '2'"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"lr": "x"}, "lr has the wrong type: 'x'"),
+        ({"warmup_epochs": None}, "warmup_epochs has the wrong type: None"),
+        ({"batch_size": 2.5}, "batch_size has the wrong type: 2.5"),
+        ({"clip_norm": -1}, "clip_norm must be finite and > 0, got -1"),
+        ({"lr": float("nan")}, "lr must be finite and > 0, got nan"),
+        ({"weight_decay": float("inf")}, "weight_decay must be finite and >= 0, got inf"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"warmup_epochs": -0.5}, "warmup_epochs must be finite and >= 0, got -0.5"),
+        ({"dropout_rate": 1.0}, "dropout_rate must be in [0, 1), got 1.0"),
+    ])
+    def test_bad_config_values_are_data_errors(self, tmp_path, capsys, override, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(override))
+        code, _, err = run(capsys, "train", "--mgf", "unused.mgf", "--candidates", "unused.jsonl",
+                           "--config", str(config), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_readme_config_table_matches_accepted_keys(self):
         text = README.read_text(encoding="utf-8")
@@ -388,6 +409,29 @@ class TestAnalyzeCommands:
                            "--selections", str(selections), "--candidates", str(cands))
         assert code == 2
         assert "line 2: selected_index 7 outside its 2 scores" in err
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    @pytest.mark.parametrize("records, code, message", [
+        ([{"spectrum_id": "s2", "label": "PEPTIDE"}], 2, "selection 's1' has no candidate record"),
+        ([{"spectrum_id": "s1"}], 2, "spectrum 's1' has no label"),
+        # only the selected records need a label
+        ([{"spectrum_id": "s1", "label": "PEPTIDE"}, {"spectrum_id": "s2"}], 0, "\t1.0\n"),
+    ])
+    def test_each_selection_needs_a_labeled_candidate_record(self, tmp_path, capsys, command,
+                                                             records, code, message):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+            "s1\t0\tm1\tPEPTIDE\t0.1,0.2\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        candidates = [{"model": "m1", "peptide": "PEPTIDE"}, {"model": "m2", "peptide": "PEPTLDE"}]
+        cands.write_text("".join(json.dumps({**record, "candidates": candidates}) + "\n"
+                                 for record in records))
+        got, out, err = run(capsys, *command, "--selections", str(selections),
+                            "--candidates", str(cands))
+        assert got == code
+        assert message in (out if code == 0 else err)
 
     def test_missing_inputs_are_usage_like_data_errors(self, capsys):
         code, _, err = run(capsys, "analyze", "--analysis", "length")

@@ -63,13 +63,13 @@ class TestSpectrumEncoder:
 
         spectrum = make_processed(table, k=6)
         encoded = model.spectrum_encoder(
-            embed_spectrum(spectrum, model.store, model.config.embedding)
+            embed_spectrum(spectrum, model.store, model.config.embedding), np.array([6])
         ).data
         # permute the embedded rows directly and re-encode
         perm = np.random.default_rng(1).permutation(6)
         emb = embed_spectrum(spectrum, model.store, model.config.embedding)
         permuted = Tensor(emb.data[perm])
-        encoded_perm = model.spectrum_encoder(permuted).data
+        encoded_perm = model.spectrum_encoder(permuted, np.array([6])).data
         np.testing.assert_allclose(encoded_perm, encoded[perm], atol=1e-9)
 
 

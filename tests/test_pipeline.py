@@ -730,6 +730,11 @@ class TestCheckpointIo:
         (lambda h: h["model"].update(loss_lambda=None), "loss_lambda has the wrong type"),
         (lambda h: h["model"].update(vocab=["G", 1]), "vocab must be a list of strings"),
         (lambda h: h["model"].update(n_heads=0), "n_heads must be positive"),
+        (lambda h: h["model"].update(mu_max=float("nan")), "require 0 < mu_min < mu_max < inf"),
+        (lambda h: h["model"].update(mu_min=float("nan")), "require 0 < mu_min < mu_max < inf"),
+        (lambda h: h["model"].update(mu_max=float("inf")), "require 0 < mu_min < mu_max < inf"),
+        (lambda h: h["model"].update(dropout_rate=float("nan")), "dropout_rate must be in"),
+        (lambda h: h["model"].update(dropout_rate=1.0), "dropout_rate must be in"),
     ])
     def test_header_value_types_checked(self, tmp_path, capsys, mutate, message):
         path = tmp_path / "bad.ckpt"
