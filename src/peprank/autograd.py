@@ -176,22 +176,8 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; a 2-D right operand is applied to all leading axes of
-    the left one as a single GEMM, forward and backward."""
+    """Matrix product with numpy's broadcasting over leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if b.ndim == 2 and a.ndim >= 2:
-        rows = a.data.reshape(-1, a.shape[-1])
-        data = (rows @ b.data).reshape(*a.shape[:-1], b.shape[1])
-
-        def backward_fn(g):
-            g_rows = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _accumulate(a, (g_rows @ b.data.T).reshape(a.shape), fresh=True)
-            if b.requires_grad:
-                _accumulate(b, rows.T @ g_rows, fresh=True)
-
-        return _make(data, (a, b), backward_fn)
-
     data = np.matmul(a.data, b.data)
 
     def backward_fn(g):
@@ -611,15 +597,14 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
     return _make(data, (q, k, v), backward_fn)
 
 
-def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; the identity when not training or rate is zero."""
+def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with its mask drawn from ``rng``; the identity when
+    ``rng`` is None or the rate is zero, so the generator alone switches it on."""
     x = as_tensor(x)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ValueError("training-mode dropout requires an rng")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     data = x.data * keep
 

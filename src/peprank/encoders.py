@@ -266,7 +266,7 @@ def assemble_msa(
         [ag.add(np.zeros((n_spectra, config.d_res)), store["embed/cls"]), precursor_part], axis=1
     )
     sources = ag.concat([cls, residues, ag.reshape(store["embed/pad"], (1, config.d))], axis=0)
-    columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes[np.argsort(starts)]])
+    columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes[order]])
     positions = ag.take(store["embed/position"], columns, axis=0)
     embeddings = ag.add(ag.take(sources, source, axis=0), positions)
     return MsaBatch(embeddings=embeddings, mask=mask, shapes=shapes, starts=starts)

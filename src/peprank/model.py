@@ -56,8 +56,9 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_heads < 1:
-            raise ValueError(f"n_heads must be positive, got {self.n_heads}")
+        for name in ("n_layers", "n_heads", "ff_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if not 0.0 <= self.loss_lambda <= 1.0:
@@ -190,7 +191,7 @@ class RerankModel:
     # -- building blocks ----------------------------------------------------
 
     def _attention_sublayer(self, x: Tensor, prefix: str, groups: Sequence[ag.AttentionGroup],
-                            training: bool, rng, memory: Tensor | None = None) -> Tensor:
+                            dropout_rng, memory: Tensor | None = None) -> Tensor:
         """Pre-norm residual multi-head attention of packed rows x [n, d] over
         the packed rows [m, d] of ``memory`` (cross attention), or over their
         own normed values when it is None; one sequence per group entry."""
@@ -202,19 +203,18 @@ class RerankModel:
         v = ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"])
         context = ag.attention(q, k, v, groups, self.config.n_heads)
         out = ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
-        return ag.add(x, ag.dropout(out, self.config.dropout_rate, training, rng))
+        return ag.add(x, ag.dropout(out, self.config.dropout_rate, dropout_rng))
 
-    def _ff_sublayer(self, x: Tensor, prefix: str, training: bool, rng) -> Tensor:
+    def _ff_sublayer(self, x: Tensor, prefix: str, dropout_rng) -> Tensor:
         store = self.store
         normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
         hidden = ag.gelu(ag.linear(normed, store[f"{prefix}/w1"], store[f"{prefix}/b1"]))
         out = ag.linear(hidden, store[f"{prefix}/w2"], store[f"{prefix}/b2"])
-        return ag.add(x, ag.dropout(out, self.config.dropout_rate, training, rng))
+        return ag.add(x, ag.dropout(out, self.config.dropout_rate, dropout_rng))
 
     # -- model stages -------------------------------------------------------
 
-    def spectrum_encoder(self, peaks: Tensor, counts: np.ndarray,
-                         training: bool = False, rng=None) -> Tensor:
+    def spectrum_encoder(self, peaks: Tensor, counts: np.ndarray, dropout_rng=None) -> Tensor:
         """Self-attention stack over packed peak embeddings [n, d] -> [n, d].
 
         ``counts`` [B] gives each spectrum's number of peaks, in packing
@@ -222,14 +222,13 @@ class RerankModel:
         """
         groups = _self_groups(np.cumsum(counts) - counts, np.ones_like(counts), counts)
         for i in range(self.config.n_layers):
-            self.attn_counts["spectrum"] += int((counts * counts).sum())
-            peaks = self._attention_sublayer(peaks, f"enc{i}/attn", groups, training, rng)
-            peaks = self._ff_sublayer(peaks, f"enc{i}/ff", training, rng)
+            peaks = self._attention_sublayer(peaks, f"enc{i}/attn", groups, dropout_rng)
+            peaks = self._ff_sublayer(peaks, f"enc{i}/ff", dropout_rng)
         store = self.store
         return ag.layer_norm(peaks, store["enc_final_norm/gain"], store["enc_final_norm/bias"])
 
     def axial_block(self, grid: Tensor, layout: "AxialLayout", spectrum: Tensor, index: int,
-                    training: bool = False, rng=None) -> Tensor:
+                    dropout_rng=None) -> Tensor:
         """One mixer block over the packed grid [N, d]: row, column and cross
         attention, then feed-forward.
 
@@ -240,19 +239,17 @@ class RerankModel:
         lone spectrum runs exactly the transposed grid's arithmetic. Cross
         attention lets each spectrum's cells query its own encoded peaks.
         No attention crosses spectra, so only pad cells need masking, as
-        keys. Attention counts cover each spectrum's own c x w grid.
+        keys.
         """
-        for key, count in layout.scores.items():
-            self.attn_counts[key] += count
-        grid = self._attention_sublayer(grid, f"mix{index}/row", layout.rows, training, rng)
+        grid = self._attention_sublayer(grid, f"mix{index}/row", layout.rows, dropout_rng)
         columns = self._attention_sublayer(
             ag.take(grid, layout.to_columns, axis=0), f"mix{index}/col", layout.columns,
-            training, rng
+            dropout_rng
         )
         grid = ag.take(columns, layout.from_columns, axis=0)
-        grid = self._attention_sublayer(grid, f"mix{index}/cross", layout.cross, training, rng,
+        grid = self._attention_sublayer(grid, f"mix{index}/cross", layout.cross, dropout_rng,
                                         memory=spectrum)
-        return self._ff_sublayer(grid, f"mix{index}/ff", training, rng)
+        return self._ff_sublayer(grid, f"mix{index}/ff", dropout_rng)
 
     def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
         """Linear readouts: CLS cells -> peptide scores, other cells -> residue
@@ -268,7 +265,7 @@ class RerankModel:
 
     def forward(self, spectra: ProcessedSpectrum | Sequence[ProcessedSpectrum],
                 candidates: Sequence[Peptide] | Sequence[Sequence[Peptide]],
-                training: bool = False, rng=None) -> tuple[ModelOutput, MsaBatch]:
+                dropout_rng: np.random.Generator | None = None) -> tuple[ModelOutput, MsaBatch]:
         """Score the candidates of B spectra in one packed batch.
 
         ``spectra`` is a sequence of B processed spectra and ``candidates``
@@ -277,24 +274,28 @@ class RerankModel:
         in spectrum order (see :class:`ModelOutput`). One spectrum with its
         candidate list is the B=1 call, returned as one grid: pmd [c], rmd
         [c, L] and a [c, L+1] mask.
+
+        Dropout follows the generator: each sublayer draws its mask from
+        ``dropout_rng`` (training), and without one nothing is dropped
+        (scoring). Each call adds its attention score counts to ``attn_counts``.
         """
-        if training and self.config.dropout_rate > 0 and rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
         single = isinstance(spectra, ProcessedSpectrum)
         if single:
             spectra, candidates = [spectra], [candidates]
         config = self.config.embedding
         peaks = collate_peaks(spectra)
         encoded = self.spectrum_encoder(
-            embed_spectrum(peaks, self.store, config), peaks.counts, training, rng
+            embed_spectrum(peaks, self.store, config), peaks.counts, dropout_rng
         )
         batch = assemble_msa(
             candidates, [s.precursor for s in spectra], self.table, self.store, config
         )
         layout = AxialLayout.of(batch, peaks.counts)
+        for key, count in layout.scores.items():
+            self.attn_counts[key] += self.config.n_layers * count
         grid = batch.embeddings
         for i in range(self.config.n_layers):
-            grid = self.axial_block(grid, layout, encoded, i, training, rng)
+            grid = self.axial_block(grid, layout, encoded, i, dropout_rng)
         output = self.predict_heads(grid, batch)
         if single:
             (n_rows, width), = batch.shapes
@@ -330,7 +331,9 @@ class AxialLayout:
 
     ``rows`` and ``cross`` index the packed rows; ``columns`` index the
     column-major order that ``to_columns`` gathers (and ``from_columns``
-    undoes). ``scores`` counts the attention scores of one block.
+    undoes). ``scores`` counts the attention scores of one layer: its
+    encoder layer's over each spectrum's own peaks, and its mixer block's
+    over each spectrum's own c x w grid.
     """
 
     rows: list[ag.AttentionGroup]
@@ -360,7 +363,8 @@ class AxialLayout:
         cross = [ag.AttentionGroup(int(batch.starts[b]), int(peak_starts[b]), 1,
                                    int(n_rows[b] * widths[b]), int(peak_counts[b]))
                  for b in range(len(shapes))]
-        scores = {"row": int((n_rows * widths * widths).sum()),
+        scores = {"spectrum": int((peak_counts * peak_counts).sum()),
+                  "row": int((n_rows * widths * widths).sum()),
                   "col": int((widths * n_rows * n_rows).sum()),
                   "cross": int((n_rows * widths * peak_counts).sum())}
         return cls(rows, columns, cross, to_columns, from_columns, scores)

@@ -61,10 +61,6 @@ class CandidateSet:
     label: str | None = None
 
     @property
-    def model_names(self) -> list[str]:
-        return [model for model, _ in self.candidates]
-
-    @property
     def peptides(self) -> list[str]:
         return [peptide for _, peptide in self.candidates]
 
@@ -222,8 +218,6 @@ class TrainingInstance:
 
     spectrum: ProcessedSpectrum
     candidates: list[Peptide]
-    model_names: list[str]
-    label: Peptide
     pmd_targets: np.ndarray  # [c]
     rmd_targets: list[np.ndarray]  # per candidate, one value per residue
 
@@ -250,8 +244,6 @@ def build_training_set(
             TrainingInstance(
                 spectrum=spectrum,
                 candidates=candidates,
-                model_names=cs.model_names,
-                label=label,
                 pmd_targets=np.array([pmd(c, label, table, gap=gap) for c in candidates]),
                 rmd_targets=[rmd(c, label, table) for c in candidates],
             )
@@ -463,12 +455,12 @@ class StepRecord:
 
 
 def minibatch_loss(model: RerankModel, instances: Sequence[TrainingInstance],
-                   training: bool = False, rng=None) -> Tensor:
+                   dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Mean over the instances of each one's joint loss, from one packed
-    forward; residue targets are padded to each instance's own grid."""
+    forward with dropout drawn from ``dropout_rng`` (none without it);
+    residue targets are padded to each instance's own grid."""
     output, batch = model.forward(
-        [i.spectrum for i in instances], [i.candidates for i in instances],
-        training=training, rng=rng,
+        [i.spectrum for i in instances], [i.candidates for i in instances], dropout_rng
     )
     rmd_targets, rmd_mask = [], []
     for b, instance in enumerate(instances):
@@ -521,7 +513,7 @@ def train(
             batch = [instances[i] for i in order[start : start + config.batch_size]]
             lr = learning_rate(step, config.lr, warmup_steps, total_steps)
             model.store.zero_grad()
-            loss = minibatch_loss(model, batch, training=True, rng=dropout_rng)
+            loss = minibatch_loss(model, batch, dropout_rng)
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise RuntimeError(
@@ -577,7 +569,7 @@ def rerank_run(
     selections: list[Selection] = []
     with ag.no_grad():
         for cs, spectrum, candidates, _ in admitted:
-            output, _ = model.forward(spectrum, candidates, training=False)
+            output, _ = model.forward(spectrum, candidates)
             index = rerank_select(output.pmd_pred)
             selections.append(
                 Selection(

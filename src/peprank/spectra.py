@@ -105,9 +105,11 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
 
     Blocks are delimited by BEGIN IONS / END IONS; PEPMASS and CHARGE are
     required per block, TITLE names the spectrum (falling back to a
-    running index), and an optional SEQ header carries the label peptide.
+    running index) and must be unique, and an optional SEQ header carries
+    the label peptide.
     """
     spectra: list[RawSpectrum] = []
+    block_of: dict[str, int] = {}  # spectrum id -> line of its block
     in_block = False
     block_line = 0
     headers: dict[str, str] = {}
@@ -145,6 +147,10 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
                 raise ValueError(f"{context}: non-finite PEPMASS {headers['PEPMASS']!r}")
             charge = _parse_charge(headers["CHARGE"], context)
             spectrum_id = headers.get("TITLE", f"spectrum_{len(spectra)}")
+            if spectrum_id in block_of:
+                raise ValueError(f"{context}: duplicate TITLE {spectrum_id!r} "
+                                 f"(first used by the block at line {block_of[spectrum_id]})")
+            block_of[spectrum_id] = block_line
             try:
                 spectrum = RawSpectrum(
                     spectrum_id=spectrum_id,
@@ -153,7 +159,7 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
                     precursor=Precursor.from_mz(pepmass, charge),
                     label=headers.get("SEQ"),
                 )
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # a CHARGE too large for a float
                 raise ValueError(f"{context}: {exc}") from None
             spectra.append(spectrum)
             in_block = False

@@ -58,12 +58,12 @@ class TestForwardValues:
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(6.0))
-        assert ag.dropout(x, 0.5, training=False) is x
+        assert ag.dropout(x, 0.5, None) is x
 
     def test_dropout_train_scales(self):
         rng = np.random.default_rng(1)
         x = Tensor(np.ones(10000))
-        out = ag.dropout(x, 0.25, training=True, rng=rng)
+        out = ag.dropout(x, 0.25, rng)
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 1 / 0.75)
         assert kept.size == pytest.approx(7500, abs=200)
@@ -332,7 +332,7 @@ class TestGradCheck:
             a = leaf(rng, 4, 4)
             # deterministic: a fresh, identically seeded rng on every call
             f = lambda: ag.tensor_sum(
-                ag.dropout(a, 0.4, training=True, rng=np.random.default_rng(99))
+                ag.dropout(a, 0.4, np.random.default_rng(99))
             )
             inputs = [a]
         elif name == "linear":
@@ -559,7 +559,7 @@ class TestErf:
         spectra, cands = pipeline.synthesize_dataset(table, seed=1, n_spectra=24)
         instances, _ = pipeline.build_training_set(spectra, cands, table)
         model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
-        pipeline.minibatch_loss(model, instances[:16], training=True)
+        pipeline.minibatch_loss(model, instances[:16])
         monkeypatch.undo()
         assert len(inputs) == 2 * model.config.n_layers  # encoder and mixer feed-forwards
         for x in inputs:

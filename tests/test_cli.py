@@ -265,6 +265,10 @@ class TestTrainRerankEvaluateChain:
         ({"epochs": 0}, "epochs must be >= 1, got 0"),
         ({"warmup_epochs": -0.5}, "warmup_epochs must be finite and >= 0, got -0.5"),
         ({"dropout_rate": 1.0}, "dropout_rate must be in [0, 1), got 1.0"),
+        ({"n_layers": 0}, "n_layers must be positive, got 0"),
+        ({"n_layers": -2}, "n_layers must be positive, got -2"),
+        ({"ff_dim": 0}, "ff_dim must be positive, got 0"),
+        ({"ff_dim": -1}, "ff_dim must be positive, got -1"),
     ])
     def test_bad_config_values_are_data_errors(self, tmp_path, capsys, override, message):
         config = tmp_path / "config.json"

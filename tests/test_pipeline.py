@@ -416,6 +416,21 @@ class TestTrain:
         for name, array in c1.params.items():
             np.testing.assert_array_equal(array, c2.params[name])
 
+    def test_training_draws_dropout_from_its_generator(self, table):
+        spectra, cands = synthesize_dataset(table, seed=10, n_spectra=6)
+        instances, _ = build_training_set(spectra, cands, table)
+        config = small_config(table, epochs=1,
+                              model=replace(small_config(table).model, dropout_rate=0.2))
+        model = RerankModel(config.model, table, seed=5)
+        plain = float(pipeline.minibatch_loss(model, instances).data)
+        drawn = [float(pipeline.minibatch_loss(model, instances, np.random.default_rng(7)).data)
+                 for _ in range(2)]
+        assert drawn[0] == drawn[1] != plain
+        _, history = train(config, instances, table, seed=5)
+        no_dropout = replace(config, model=replace(config.model, dropout_rate=0.0))
+        _, plain_history = train(no_dropout, instances, table, seed=5)
+        assert history[0].loss != plain_history[0].loss
+
 
 def single_instance_loss(model, instance):
     """The per-spectrum training loss: one B=1 forward and its joint loss."""
@@ -493,7 +508,7 @@ class TestGraphMemory:
         spectra, cands = synthesize_dataset(table, seed=1, n_spectra=24)
         instances, _ = build_training_set(spectra, cands, table)
         model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
-        loss = pipeline.minibatch_loss(model, instances[:16], training=True)
+        loss = pipeline.minibatch_loss(model, instances[:16])
         assert graph_bytes(loss) <= 48 * 2**20
 
 
@@ -573,7 +588,7 @@ class TestZeroShotEval:
     def test_all_models_equals_plain_run(self, table):
         spectra, cands = synthesize_dataset(table, seed=20, n_spectra=5)
         model = RerankModel(small_config(table).model, table, seed=0)
-        names = cands[0].model_names
+        names = ["model_1", "model_2", "model_3", "model_4"]
         reports = zero_shot_eval(model, spectra, cands, [names], table)
         selections = rerank_run(model, spectra, cands)
         from peprank.evaluation import corpus_stats
@@ -611,7 +626,8 @@ class TestZeroShotEval:
         cands[1] = replace(cands[1], label="PEPZIDE")
         with pytest.raises(ValueError, match=f"spectrum '{cands[1].spectrum_id}': unknown "
                                              "residue token 'Z' in 'PEPZIDE'"):
-            zero_shot_eval(model, spectra, cands, [cands[0].model_names], table)
+            zero_shot_eval(model, spectra, cands, [["model_1", "model_2", "model_3", "model_4"]],
+                           table)
 
     def test_empty_subset_errors(self, table):
         spectra, cands = synthesize_dataset(table, seed=22, n_spectra=2)

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peprank.cli import main
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
@@ -80,6 +82,45 @@ class TestParseMgf:
         block = "BEGIN IONS\nPEPMASS=500.0\nCHARGE=2+\n100.0 1.0\nEND IONS\n"
         spectra = parse_mgf(io.StringIO(block + block))
         assert [s.spectrum_id for s in spectra] == ["spectrum_0", "spectrum_1"]
+
+    def test_charge_too_large_for_a_float_names_its_block(self, tmp_path, capsys):
+        text = MINIMAL_MGF + MINIMAL_MGF.replace("spec_1", "spec_2").replace("2+", "9" * 400)
+        with pytest.raises(ValueError, match="block at line 9: int too large"):
+            parse_mgf(io.StringIO(text))
+        mgf = tmp_path / "big_charge.mgf"
+        mgf.write_text(text)
+        assert main(["preprocess", "--mgf", str(mgf), "--out", str(tmp_path / "out.mgf")]) == 2
+        assert "block at line 9" in capsys.readouterr().err
+
+    def test_duplicate_title_names_both_blocks(self):
+        second = MINIMAL_MGF.replace("PEPMASS=500.0", "PEPMASS=600.0")
+        with pytest.raises(ValueError, match="block at line 9: duplicate TITLE 'spec_1' "
+                                             r"\(first used by the block at line 1\)"):
+            parse_mgf(io.StringIO(MINIMAL_MGF + second))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_bytes_parse_or_raise_value_error(self, data):
+        """Each byte flip, truncation or insertion of a small MGF either
+        parses into spectra with finite values or raises ValueError (an
+        undecodable byte raises UnicodeDecodeError, a ValueError)."""
+        original = (MINIMAL_MGF + MINIMAL_MGF.replace("spec_1", "spec_2")).encode()
+        kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        at = data.draw(st.integers(0, len(original) - 1))
+        if kind == "flip":
+            bit = data.draw(st.integers(0, 7))
+            mutant = original[:at] + bytes([original[at] ^ (1 << bit)]) + original[at + 1 :]
+        elif kind == "truncate":
+            mutant = original[:at]
+        else:
+            mutant = original[:at] + data.draw(st.binary(min_size=1, max_size=8)) + original[at:]
+        try:
+            spectra = parse_mgf(io.StringIO(mutant.decode("utf-8")))
+        except ValueError:
+            return
+        for spectrum in spectra:
+            assert np.isfinite(spectrum.mz).all() and np.isfinite(spectrum.intensity).all()
+            assert np.isfinite(spectrum.precursor.neutral_mass)
 
     def test_round_trip(self):
         spectra = parse_mgf(io.StringIO(MINIMAL_MGF))
@@ -181,13 +222,14 @@ class TestPreprocess:
     def test_batch_keeps_order_and_reports_exclusions(self, tmp_path):
         good = make_spectrum([100.0], [1.0], spectrum_id="good")
         bad = make_spectrum([10.0], [1.0], spectrum_id="bad")
+        good_2 = make_spectrum([100.0], [1.0], spectrum_id="good_2")
         mgf, out, report = tmp_path / "in.mgf", tmp_path / "out.mgf", tmp_path / "report.tsv"
         with open(mgf, "w", encoding="utf-8") as sink:
-            write_mgf([good, bad, good], sink)
+            write_mgf([good, bad, good_2], sink)
         assert main(["preprocess", "--mgf", str(mgf), "--out", str(out),
                      "--report", str(report)]) == 0
         kept = parse_mgf(io.StringIO(out.read_text()))
-        assert [s.spectrum_id for s in kept] == ["good", "good"]
+        assert [s.spectrum_id for s in kept] == ["good", "good_2"]
         assert report.read_text().splitlines()[1:] == ["bad\tempty_after_preprocessing"]
 
 
