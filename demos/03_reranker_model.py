@@ -39,7 +39,8 @@ candidates = [parse_peptide(t, table) for t in ("GAVKPW", "GAVQPW", "GAVKP", "AG
 model.reset_attention_counts()
 output, batch = model.forward(spectrum, candidates)
 print(f"\npeptide scores: {np.array2string(output.pmd_pred.data, precision=4)}")
-print(f"residue score grid: {output.rmd_pred.shape}")
+print(f"residue scores: {output.rmd_pred.size} "
+      f"(one per residue of the {sum(len(p) for p in candidates)} in the candidates)")
 print(f"selected candidate: {candidates[rerank_select(output.pmd_pred)]}")
 
 c, width, k = len(candidates), batch.width, spectrum.n_peaks

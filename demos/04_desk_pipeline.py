@@ -67,7 +67,8 @@ for slot in range(4):
 
 print("5. which slot-model uniquely provided the correct picks?")
 records = [
-    (candidate_sets[i].candidates, sel.peptide, labels[sel.spectrum_id])
+    ([(name, parse_peptide(text, table)) for name, text in candidate_sets[i].candidates],
+     parse_peptide(sel.peptide, table), parse_peptide(labels[sel.spectrum_id], table))
     for i, sel in enumerate(selections)
 ]
 for name, share in sorted(contribution_analysis(records, table).items()):

@@ -236,13 +236,13 @@ def _evaluation_pairs(args, table: MassTable):
     """(pred, truth) peptide pairs from either input layout."""
     if args.predictions:
         records = _read(args.predictions, pipeline.load_predictions)
-        return [pipeline.parse_pair(r["spectrum_id"], r["pred"], r["truth"], table)
+        return [pipeline.parse_peptides(r["spectrum_id"], [r["pred"], r["truth"]], table)
                 for r in records]
     if not (args.selections and args.candidates):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
         )
-    return [pipeline.parse_pair(sel.spectrum_id, sel.peptide, cs.label, table)
+    return [pipeline.parse_peptides(sel.spectrum_id, [sel.peptide, cs.label], table)
             for sel, cs in _selected_records(args)]
 
 
@@ -303,8 +303,12 @@ def _cmd_analyze(args) -> int:
         elif args.analysis == "contribution":
             if not (args.selections and args.candidates):
                 raise ValueError("contribution analysis needs --selections and --candidates")
-            records = [(cs.candidates, sel.peptide, cs.label)
-                       for sel, cs in _selected_records(args)]
+            records = []
+            for sel, cs in _selected_records(args):
+                *candidates, selected, truth = pipeline.parse_peptides(
+                    sel.spectrum_id, [*cs.peptides, sel.peptide, cs.label], table)
+                models = [model for model, _ in cs.candidates]
+                records.append((list(zip(models, candidates)), selected, truth))
             shares = contribution_analysis(records, table)
             sink.write("model\tshare\n")
             for model in sorted(shares):

@@ -85,8 +85,6 @@ class MsaBatch:
     ``embeddings`` [N, d]. Grids are stored in order of width, so grids of
     equal width sit side by side. ``mask`` [N] marks real cells: each CLS
     cell and each residue. ``shapes`` [B, 2] holds (c_b, w_b).
-
-    The B=1 forward returns its one grid unpacked: [c, w, d] and [c, w].
     """
 
     embeddings: Tensor

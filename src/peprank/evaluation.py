@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masses import MassTable, Peptide, parse_peptide, residue_masses
+from .masses import MassTable, Peptide, residue_masses
 
 AA_TOLERANCE = 0.1  # Da, per-residue mass rule
 CUM_TOLERANCE = 0.5  # Da, cumulative prefix/suffix rule
@@ -168,13 +168,13 @@ def residue_confusion(pairs: Sequence[tuple[Peptide, Peptide]],
 
 
 def contribution_analysis(
-    records: Sequence[tuple[Sequence[tuple[str, str]], str, str]],
+    records: Sequence[tuple[Sequence[tuple[str, Peptide]], Peptide, Peptide]],
     table: MassTable,
 ) -> dict[str, float]:
     """Share of uniquely-correct selections contributed by each base model.
 
     Each record is (candidates, selected, truth) where candidates are
-    (model_name, peptide_text) pairs. A record enters the tally when the
+    (model_name, peptide) pairs. A record enters the tally when the
     selected peptide matches the truth and exactly one base model emitted
     a token-identical copy of it. Shares over the tallied records sum to
     one; an empty tally yields an empty mapping.
@@ -182,15 +182,10 @@ def contribution_analysis(
     counts: Counter[str] = Counter()
     total = 0
     for candidates, selected, truth in records:
-        selected_pep = parse_peptide(selected, table)
-        truth_pep = parse_peptide(truth, table)
-        if not aa_match(selected_pep, truth_pep, table).peptide_matched:
+        if not aa_match(selected, truth, table).peptide_matched:
             continue
-        providers = {
-            model
-            for model, text in candidates
-            if parse_peptide(text, table).residues == selected_pep.residues
-        }
+        providers = {model for model, peptide in candidates
+                     if peptide.residues == selected.residues}
         if len(providers) != 1:
             continue
         counts[next(iter(providers))] += 1

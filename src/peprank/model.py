@@ -15,8 +15,8 @@ spectra: the peaks as [sum of K_b, d] and each spectrum's own c_b x w_b
 candidate grid as rows of one [N, d] array. Token-wise ops run once over
 the packed rows; each attention runs per spectrum, grouping sequences of
 equal shape into one batched product. A training minibatch is one such
-batch (one autograd graph); a single spectrum is the B=1 call and runs
-the same float ops as an unbatched model would.
+batch (one autograd graph); a single spectrum is the one-spectrum batch,
+with the same outputs in the same format.
 """
 
 from __future__ import annotations
@@ -119,15 +119,11 @@ EMBEDDING_KEYS = tuple(f.name for f in fields(EmbeddingConfig) if f.name != "d")
 
 @dataclass
 class ModelOutput:
-    """Per-candidate peptide-level scores and per-residue deviations.
+    """Per-candidate peptide-level scores and per-residue deviations, in
+    spectrum, then candidate, then residue order; pad cells get no score."""
 
-    For a batch both are packed in spectrum order: ``pmd_pred`` holds c_b
-    scores per spectrum, ``rmd_pred`` c_b x (w_b - 1) deviations per
-    spectrum, row-major over its grid without the CLS column.
-    """
-
-    pmd_pred: Tensor  # [c], or [sum of c_b] for a batch
-    rmd_pred: Tensor  # [c, L], or [sum of c_b * (w_b - 1)] for a batch
+    pmd_pred: Tensor  # [sum of c_b]
+    rmd_pred: Tensor  # [total residues of all candidates]
 
 
 class RerankModel:
@@ -252,16 +248,18 @@ class RerankModel:
         return self._ff_sublayer(grid, f"mix{index}/ff", dropout_rng)
 
     def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
-        """Linear readouts: CLS cells -> peptide scores, other cells -> residue
-        scores, both packed in spectrum order (see :class:`ModelOutput`)."""
+        """Linear readouts: CLS cells -> peptide scores, residue cells ->
+        residue scores (see :class:`ModelOutput`)."""
         store = self.store
         cells = [batch.cells(b) for b in range(len(batch.shapes))]
         cls = ag.take(grid, np.concatenate([rows[:, 0] for rows in cells]), axis=0)
-        tokens = ag.take(grid, np.concatenate([rows[:, 1:].ravel() for rows in cells]), axis=0)
+        tokens = np.concatenate([rows[:, 1:].ravel() for rows in cells])
         pmd_pred = ag.linear(cls, store["head/pmd_w"], store["head/pmd_b"])
-        rmd_pred = ag.linear(tokens, store["head/rmd_w"], store["head/rmd_b"])
-        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)),
-                           rmd_pred=ag.reshape(rmd_pred, (-1,)))
+        # head over every non-CLS cell, then keep residues: GEMM bits depend on the row count
+        rmd_cells = ag.linear(ag.take(grid, tokens, axis=0),
+                              store["head/rmd_w"], store["head/rmd_b"])
+        rmd_pred = ag.take(ag.reshape(rmd_cells, (-1,)), np.flatnonzero(batch.mask[tokens]))
+        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)), rmd_pred=rmd_pred)
 
     def forward(self, spectra: ProcessedSpectrum | Sequence[ProcessedSpectrum],
                 candidates: Sequence[Peptide] | Sequence[Sequence[Peptide]],
@@ -269,18 +267,16 @@ class RerankModel:
         """Score the candidates of B spectra in one packed batch.
 
         ``spectra`` is a sequence of B processed spectra and ``candidates``
-        their candidate lists. Each spectrum keeps its own peaks and its
-        own c_b x w_b grid (see :class:`MsaBatch`); the outputs are packed
-        in spectrum order (see :class:`ModelOutput`). One spectrum with its
-        candidate list is the B=1 call, returned as one grid: pmd [c], rmd
-        [c, L] and a [c, L+1] mask.
+        their candidate lists; one spectrum with its candidate list is the
+        B=1 batch. Each spectrum keeps its own peaks and its own c_b x w_b
+        grid (see :class:`MsaBatch`); the outputs are packed in spectrum
+        order (see :class:`ModelOutput`).
 
         Dropout follows the generator: each sublayer draws its mask from
         ``dropout_rng`` (training), and without one nothing is dropped
         (scoring). Each call adds its attention score counts to ``attn_counts``.
         """
-        single = isinstance(spectra, ProcessedSpectrum)
-        if single:
+        if isinstance(spectra, ProcessedSpectrum):
             spectra, candidates = [spectra], [candidates]
         config = self.config.embedding
         peaks = collate_peaks(spectra)
@@ -296,14 +292,7 @@ class RerankModel:
         grid = batch.embeddings
         for i in range(self.config.n_layers):
             grid = self.axial_block(grid, layout, encoded, i, dropout_rng)
-        output = self.predict_heads(grid, batch)
-        if single:
-            (n_rows, width), = batch.shapes
-            output = ModelOutput(output.pmd_pred,
-                                 ag.reshape(output.rmd_pred, (n_rows, width - 1)))
-            batch = MsaBatch(ag.reshape(batch.embeddings, (n_rows, width, self.config.d)),
-                             batch.mask.reshape(n_rows, width), batch.shapes, batch.starts)
-        return output, batch
+        return self.predict_heads(grid, batch), batch
 
 
 def _self_groups(starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray,
@@ -375,20 +364,17 @@ class AxialLayout:
 
 
 def joint_loss(output: ModelOutput, pmd_targets: np.ndarray, rmd_targets: np.ndarray,
-               rmd_mask: np.ndarray, loss_lambda: float,
-               instances: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
-    """lambda * RMSE(peptide scores) + (1 - lambda) * masked RMSE(residue scores).
+               loss_lambda: float, instances: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    """Mean over instances of lambda * RMSE(peptide scores) + (1 - lambda) *
+    RMSE(residue scores), each RMSE taken over one instance's scores.
 
-    For a packed batch, ``instances`` gives the instance index of each
-    peptide score and of each residue score; both RMSEs are then taken per
-    instance and the loss is the mean over instances of their joint
-    losses. No RMSE is pooled across instances.
+    ``instances`` gives the instance index of each peptide score and of
+    each residue score; no RMSE is pooled across instances.
     """
-    pmd_ids, rmd_ids = (None, None) if instances is None else instances
+    pmd_ids, rmd_ids = instances
     pmd_term = ag.rmse(output.pmd_pred, Tensor(pmd_targets), segments=pmd_ids)
-    rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), rmd_mask, segments=rmd_ids)
-    loss = ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda))
-    return loss if instances is None else ag.mean(loss)
+    rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), segments=rmd_ids)
+    return ag.mean(ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda)))
 
 
 def rerank_select(pmd_pred) -> int:

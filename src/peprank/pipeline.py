@@ -142,6 +142,14 @@ def load_predictions(source: TextIO | Iterable[str]) -> list[dict]:
 # record admission
 
 
+def parse_peptides(spectrum_id: str, texts: Sequence[str], table: MassTable) -> list[Peptide]:
+    """One spectrum's peptides, in order; a parse error names the spectrum."""
+    try:
+        return [parse_peptide(text, table) for text in texts]
+    except ValueError as exc:
+        raise ValueError(f"spectrum {spectrum_id!r}: {exc}") from None
+
+
 def gate_spectrum(raw: RawSpectrum, label: Peptide | None,
                   table: MassTable) -> tuple[ProcessedSpectrum | None, str | None]:
     """Precursor check against the label (when given), then preprocessing.
@@ -184,11 +192,8 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
         label_text = (cs.label if cs.label is not None else raw.label) if labeled else None
         if labeled and label_text is None:
             raise ValueError(f"spectrum {spectrum_id!r} has no label peptide")
-        try:
-            label = None if label_text is None else parse_peptide(label_text, table)
-            candidates = [parse_peptide(text, table) for text in cs.peptides]
-        except ValueError as exc:
-            raise ValueError(f"spectrum {spectrum_id!r}: {exc}") from None
+        label = None if label_text is None else parse_peptides(spectrum_id, [label_text], table)[0]
+        candidates = parse_peptides(spectrum_id, cs.peptides, table)
         peptides = candidates + ([] if label is None else [label])
         if not all(peptides):
             raise ValueError(f"spectrum {spectrum_id!r} has an empty label or candidate")
@@ -457,24 +462,17 @@ class StepRecord:
 def minibatch_loss(model: RerankModel, instances: Sequence[TrainingInstance],
                    dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Mean over the instances of each one's joint loss, from one packed
-    forward with dropout drawn from ``dropout_rng`` (none without it);
-    residue targets are padded to each instance's own grid."""
-    output, batch = model.forward(
+    forward with dropout drawn from ``dropout_rng`` (none without it)."""
+    output, _ = model.forward(
         [i.spectrum for i in instances], [i.candidates for i in instances], dropout_rng
     )
-    rmd_targets, rmd_mask = [], []
-    for b, instance in enumerate(instances):
-        targets = np.zeros(batch.shapes[b] - (0, 1))
-        for row, values in enumerate(instance.rmd_targets):
-            targets[row, : len(values)] = values
-        rmd_targets.append(targets.ravel())
-        rmd_mask.append(batch.mask[batch.cells(b)[:, 1:]].ravel())
+    pmd_targets = [i.pmd_targets for i in instances]
+    rmd_targets = [np.concatenate(i.rmd_targets) for i in instances]
     ids = np.arange(len(instances))
-    n_rows, widths = batch.shapes.T
-    return joint_loss(output, np.concatenate([i.pmd_targets for i in instances]),
-                      np.concatenate(rmd_targets), np.concatenate(rmd_mask),
+    return joint_loss(output, np.concatenate(pmd_targets), np.concatenate(rmd_targets),
                       model.config.loss_lambda,
-                      (np.repeat(ids, n_rows), np.repeat(ids, n_rows * (widths - 1))))
+                      (np.repeat(ids, [t.size for t in pmd_targets]),
+                       np.repeat(ids, [t.size for t in rmd_targets])))
 
 
 def train(
@@ -628,15 +626,6 @@ def read_selections(source: TextIO | Iterable[str]) -> list[Selection]:
     return selections
 
 
-def parse_pair(spectrum_id: str, pred: str, truth: str,
-               table: MassTable) -> tuple[Peptide, Peptide]:
-    """One spectrum's (prediction, truth) peptides; a parse error names the spectrum."""
-    try:
-        return parse_peptide(pred, table), parse_peptide(truth, table)
-    except ValueError as exc:
-        raise ValueError(f"spectrum {spectrum_id!r}: {exc}") from None
-
-
 @dataclass
 class SubsetReport:
     models: tuple[str, ...]
@@ -654,8 +643,9 @@ def zero_shot_eval(
     """Rerank with candidates restricted to each base-model subset.
 
     Every candidate set must retain at least one candidate under each
-    subset, and labels are required for the recall computation.
+    subset, and a label (the set's, else its spectrum's) for the recall.
     """
+    spectrum_labels = {s.spectrum_id: s.label for s in spectra}
     reports: list[SubsetReport] = []
     for subset in model_subsets:
         allowed = set(subset)
@@ -666,13 +656,14 @@ def zero_shot_eval(
                 raise ValueError(
                     f"spectrum {cs.spectrum_id!r} has no candidates from subset {sorted(allowed)}"
                 )
-            if cs.label is None:
+            label = cs.label if cs.label is not None else spectrum_labels.get(cs.spectrum_id)
+            if label is None:
                 raise ValueError(f"spectrum {cs.spectrum_id!r} has no label")
-            filtered.append(CandidateSet(cs.spectrum_id, kept, cs.label))
+            filtered.append(CandidateSet(cs.spectrum_id, kept, label))
         selections = rerank_run(model, spectra, filtered)
         labels = {cs.spectrum_id: cs.label for cs in filtered}
         pairs = [
-            parse_pair(sel.spectrum_id, sel.peptide, labels[sel.spectrum_id], table)
+            parse_peptides(sel.spectrum_id, [sel.peptide, labels[sel.spectrum_id]], table)
             for sel in selections
         ]
         stats = corpus_stats(pairs, table)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,47 @@ class TestAnalyzeCommands:
                             "--candidates", str(cands))
         assert got == code
         assert message in (out if code == 0 else err)
+
+    @pytest.mark.parametrize("selected", ["PEPTIDE", "PEPTLDE"])  # matches its label, or not
+    def test_contribution_parses_every_candidate_naming_its_spectrum(self, tmp_path, capsys,
+                                                                     selected):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+            f"s1\t0\tm1\t{selected}\t0.1,0.2\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        cands.write_text(json.dumps({"spectrum_id": "s1", "label": "PEPTIDE",
+                                     "candidates": [{"model": "m1", "peptide": selected},
+                                                    {"model": "m2", "peptide": "GAVZK"}]})
+                         + "\n")
+        code, _, err = run(capsys, "analyze", "--analysis", "contribution",
+                           "--selections", str(selections), "--candidates", str(cands))
+        assert code == 2
+        assert "spectrum 's1': unknown residue token 'Z' in 'GAVZK'" in err
+
+    def test_zeroshot_takes_the_label_from_either_file(self, tmp_path, capsys):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        tables = {}
+        for where in ("candidates", "mgf", "neither"):
+            directory = tmp_path / where
+            directory.mkdir()
+            mgf, cands_path = write_corpus(
+                directory, [replace(s, label=s.label if where == "mgf" else None) for s in spectra],
+                [replace(cs, label=cs.label if where == "candidates" else None) for cs in cands])
+            out = directory / "zeroshot.tsv"
+            code, _, err = run(capsys, "analyze", "--analysis", "zeroshot",
+                               "--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
+                               "--candidates", str(cands_path),
+                               "--subsets", "model_1;model_1,model_2", "--out", str(out))
+            if where == "neither":
+                assert code == 2
+                assert "spectrum 'synth_00000' has no label" in err
+            else:
+                assert code == 0, err
+                tables[where] = out.read_text()
+        assert tables["candidates"] == tables["mgf"]
+        assert len(tables["mgf"].splitlines()) == 3
 
     def test_missing_inputs_are_usage_like_data_errors(self, capsys):
         code, _, err = run(capsys, "analyze", "--analysis", "length")

@@ -15,6 +15,13 @@ def pairs_of(table, *texts):
     return [(parse_peptide(p, table), parse_peptide(t, table)) for p, t in texts]
 
 
+def records_of(table, records):
+    """Contribution records with every peptide text parsed."""
+    return [([(model, parse_peptide(text, table)) for model, text in candidates],
+             parse_peptide(selected, table), parse_peptide(truth, table))
+            for candidates, selected, truth in records]
+
+
 class TestAaMatch:
     def test_exact_match(self, table):
         result = aa_match(parse_peptide("GAVK", table), parse_peptide("GAVK", table), table)
@@ -174,16 +181,16 @@ class TestContributionAnalysis:
             ([("m1", "GAV"), ("m2", "KKK")], "GAV", "GAV"),
             ([("m1", "WAV"), ("m2", "PPP")], "WAV", "WAV"),
         ]
-        shares = contribution_analysis(records, table)
+        shares = contribution_analysis(records_of(table, records), table)
         assert shares == {"m1": 1.0}
 
     def test_duplicated_selection_excluded(self, table):
         records = [([("m1", "GAV"), ("m2", "GAV")], "GAV", "GAV")]
-        assert contribution_analysis(records, table) == {}
+        assert contribution_analysis(records_of(table, records), table) == {}
 
     def test_incorrect_selection_excluded(self, table):
         records = [([("m1", "GAV"), ("m2", "KKK")], "KKK", "GAV")]
-        assert contribution_analysis(records, table) == {}
+        assert contribution_analysis(records_of(table, records), table) == {}
 
     def test_shares_sum_to_one(self, table):
         rng = np.random.default_rng(15)
@@ -197,7 +204,7 @@ class TestContributionAnalysis:
                 (f"m{k + 1}", wrong.render()) for k in range(3) if f"m{k + 1}" != provider
             ]
             records.append((candidates, truth.render(), truth.render()))
-        shares = contribution_analysis(records, table)
+        shares = contribution_analysis(records_of(table, records), table)
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_filtered_tally(self, table):
@@ -208,6 +215,6 @@ class TestContributionAnalysis:
         records.append(([("m1", "PPP"), ("m2", "WAV")], "WAV", "WAV"))
         records.append(([("m1", "GAV"), ("m2", "GAV")], "GAV", "GAV"))  # two providers
         records.append(([("m1", "AAA"), ("m2", "KKK")], "AAA", "GGG"))  # wrong selection
-        shares = contribution_analysis(records, table)
+        shares = contribution_analysis(records_of(table, records), table)
         assert shares["m1"] == pytest.approx(0.75)
         assert shares["m2"] == pytest.approx(0.25)

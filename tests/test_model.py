@@ -5,11 +5,12 @@ import pytest
 
 from peprank import autograd as ag
 from peprank.autograd import Tensor
-from peprank.encoders import EmbeddingConfig
+from peprank.encoders import EmbeddingConfig, collate_peaks, embed_spectrum
 from peprank.masses import MassTable, Precursor, parse_peptide
 from peprank.model import (
     AxialLayout,
     ModelConfig,
+    ModelOutput,
     RerankModel,
     joint_loss,
     rerank_select,
@@ -50,6 +51,11 @@ def make_candidates(table, texts=("GAVKPG", "GAVK", "AAV")):
     return [parse_peptide(t, table) for t in texts]
 
 
+def one_instance(output):
+    """Instance ids that make every score of ``output`` one instance's."""
+    return (np.zeros(output.pmd_pred.size, dtype=int), np.zeros(output.rmd_pred.size, dtype=int))
+
+
 class TestSpectrumEncoder:
     def test_single_peak_is_finite_and_deterministic(self, table, model):
         spectrum = make_processed(table, k=1)
@@ -59,8 +65,6 @@ class TestSpectrumEncoder:
         np.testing.assert_array_equal(out.pmd_pred.data, out2.pmd_pred.data)
 
     def test_peak_permutation_equivariance(self, table, model):
-        from peprank.encoders import embed_spectrum
-
         spectrum = make_processed(table, k=6)
         encoded = model.spectrum_encoder(
             embed_spectrum(spectrum, model.store, model.config.embedding), np.array([6])
@@ -114,17 +118,14 @@ class TestAxialBlock:
     def test_padding_isolation(self, table, model):
         spectrum = make_processed(table)
         candidates = make_candidates(table)  # ragged: lengths 6, 4, 3
-        out, batch = model.forward(spectrum, candidates)
-        # corrupt the pad vector; unmasked outputs must not move
+        out, _ = model.forward(spectrum, candidates)
+        # corrupt the pad vector; no output (each scores a real cell) may move
         model.store["embed/pad"].data[:] = np.random.default_rng(3).normal(
             size=model.config.d
         ) * 100.0
         out2, _ = model.forward(spectrum, candidates)
         np.testing.assert_allclose(out2.pmd_pred.data, out.pmd_pred.data, atol=1e-9)
-        valid = batch.mask[:, 1:]
-        np.testing.assert_allclose(
-            out2.rmd_pred.data[valid], out.rmd_pred.data[valid], atol=1e-9
-        )
+        np.testing.assert_allclose(out2.rmd_pred.data, out.rmd_pred.data, atol=1e-9)
 
 
 class TestBatchedForward:
@@ -147,21 +148,19 @@ class TestBatchedForward:
         out, batch = model.forward(spectra, candidates)
         sizes = [(len(c), max(len(p) for p in c) + 1) for c in candidates]
         assert out.pmd_pred.shape == (sum(c for c, _ in sizes),)
-        assert out.rmd_pred.shape == (sum(c * (w - 1) for c, w in sizes),)
+        assert out.rmd_pred.shape == (sum(len(p) for c in candidates for p in c),)
         assert batch.mask.shape == (sum(c * w for c, w in sizes),)
         assert batch.embeddings.shape == batch.mask.shape + (model.config.d,)
         pmd_at = rmd_at = 0
         for b, (spectrum, cands) in enumerate(zip(spectra, candidates)):
             single, single_batch = model.forward(spectrum, cands)
-            c, width = single_batch.mask.shape
-            np.testing.assert_array_equal(batch.mask[batch.cells(b)], single_batch.mask)
+            c, n = len(cands), sum(len(p) for p in cands)
+            np.testing.assert_array_equal(batch.mask[batch.cells(b)].ravel(), single_batch.mask)
             np.testing.assert_allclose(out.pmd_pred.data[pmd_at : pmd_at + c],
                                        single.pmd_pred.data, rtol=0, atol=1e-10)
-            rmd = out.rmd_pred.data[rmd_at : rmd_at + c * (width - 1)].reshape(c, width - 1)
-            valid = single_batch.mask[:, 1:]
-            np.testing.assert_allclose(rmd[valid], single.rmd_pred.data[valid],
-                                       rtol=0, atol=1e-10)
-            pmd_at, rmd_at = pmd_at + c, rmd_at + c * (width - 1)
+            np.testing.assert_allclose(out.rmd_pred.data[rmd_at : rmd_at + n],
+                                       single.rmd_pred.data, rtol=0, atol=1e-10)
+            pmd_at, rmd_at = pmd_at + c, rmd_at + n
 
     def test_matches_single_spectrum_calls(self, table, deep_model):
         spectra, candidates = self.batch(table)
@@ -210,55 +209,75 @@ class TestPredictHeads:
 
     def test_output_shapes(self, table, model):
         spectrum = make_processed(table)
-        out, batch = model.forward(spectrum, make_candidates(table))
+        out, batch = model.forward(spectrum, make_candidates(table))  # 6, 4 and 3 residues
         assert out.pmd_pred.shape == (3,)
-        assert out.rmd_pred.shape == (3, batch.width - 1)
+        assert out.rmd_pred.shape == (6 + 4 + 3,)
+        assert batch.mask.shape == (3 * batch.width,)
+
+    def test_one_spectrum_is_the_one_spectrum_batch(self, table, model):
+        spectrum = make_processed(table, k=8)
+        candidates = make_candidates(table)
+        out, batch = model.forward(spectrum, candidates)
+        out_b, batch_b = model.forward([spectrum], [candidates])
+        for got, want in ((out.pmd_pred.data, out_b.pmd_pred.data),
+                          (out.rmd_pred.data, out_b.rmd_pred.data),
+                          (batch.mask, batch_b.mask), (batch.shapes, batch_b.shapes)):
+            np.testing.assert_array_equal(got, want)
+        assert out.rmd_pred.shape == (sum(len(p) for p in candidates),)
+
+        # the residue scores are the rmd head over the final grid's residue
+        # cells, candidate by candidate
+        peaks = collate_peaks([spectrum])
+        encoded = model.spectrum_encoder(
+            embed_spectrum(peaks, model.store, model.config.embedding), peaks.counts)
+        layout = AxialLayout.of(batch, peaks.counts)
+        grid = batch.embeddings
+        for i in range(model.config.n_layers):
+            grid = model.axial_block(grid, layout, encoded, i)
+        rows = np.concatenate([batch.cells(0)[r, 1 : len(p) + 1]
+                               for r, p in enumerate(candidates)])
+        expected = (grid.data[rows] @ model.store["head/rmd_w"].data)[:, 0] \
+            + model.store["head/rmd_b"].data
+        np.testing.assert_allclose(out.rmd_pred.data, expected, rtol=0, atol=1e-12)
 
 
 class TestJointLoss:
     def test_zero_when_predictions_equal_targets(self):
-        pmd_pred = Tensor(np.array([0.5, 1.5]))
-        rmd_pred = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        from peprank.model import ModelOutput
-
-        output = ModelOutput(pmd_pred, rmd_pred)
-        mask = np.ones((2, 2), dtype=bool)
-        loss = joint_loss(output, pmd_pred.data.copy(), rmd_pred.data.copy(), mask, 0.5)
+        output = ModelOutput(Tensor(np.array([0.5, 1.5])), Tensor(np.array([1.0, 2.0, 3.0, 4.0])))
+        loss = joint_loss(output, output.pmd_pred.data.copy(), output.rmd_pred.data.copy(), 0.5,
+                          one_instance(output))
         assert loss.item() == 0.0
 
     def test_lambda_one_is_pmd_term_alone(self):
-        from peprank.model import ModelOutput
-
         rng = np.random.default_rng(4)
-        output = ModelOutput(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=(3, 2))))
+        output = ModelOutput(Tensor(rng.normal(size=3)), Tensor(rng.normal(size=6)))
         pmd_t = rng.normal(size=3)
-        rmd_t = rng.normal(size=(3, 2))
-        mask = np.ones((3, 2), dtype=bool)
-        loss = joint_loss(output, pmd_t, rmd_t, mask, 1.0)
+        rmd_t = rng.normal(size=6)
+        loss = joint_loss(output, pmd_t, rmd_t, 1.0, one_instance(output))
         expected = np.sqrt(np.mean((output.pmd_pred.data - pmd_t) ** 2))
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_matches_scalar_reimplementation(self):
-        from peprank.model import ModelOutput
-
         rng = np.random.default_rng(5)
-        output = ModelOutput(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(4, 5))))
+        output = ModelOutput(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=14)))
         pmd_t = rng.normal(size=4)
-        rmd_t = rng.normal(size=(4, 5))
-        mask = rng.random((4, 5)) > 0.3
+        rmd_t = rng.normal(size=14)
+        pmd_ids, rmd_ids = np.array([0, 0, 0, 1]), np.repeat([0, 1], [9, 5])
         lam = 0.5
-        loss = joint_loss(output, pmd_t, rmd_t, mask, lam)
-        pmd_rmse = np.sqrt(np.mean((output.pmd_pred.data - pmd_t) ** 2))
-        diffs = (output.rmd_pred.data - rmd_t)[mask]
-        rmd_rmse = np.sqrt(np.mean(diffs**2))
-        assert loss.item() == pytest.approx(lam * pmd_rmse + (1 - lam) * rmd_rmse, rel=1e-12)
+        loss = joint_loss(output, pmd_t, rmd_t, lam, (pmd_ids, rmd_ids))
+        expected = []
+        for i in (0, 1):
+            pmd_diffs = (output.pmd_pred.data - pmd_t)[pmd_ids == i]
+            rmd_diffs = (output.rmd_pred.data - rmd_t)[rmd_ids == i]
+            expected.append(lam * np.sqrt(np.mean(pmd_diffs**2))
+                            + (1 - lam) * np.sqrt(np.mean(rmd_diffs**2)))
+        assert loss.item() == pytest.approx(np.mean(expected), rel=1e-12)
 
-    def test_all_masked_rmd_rejected(self):
-        from peprank.model import ModelOutput
-
-        output = ModelOutput(Tensor(np.zeros(2)), Tensor(np.zeros((2, 3))))
-        with pytest.raises(ValueError, match="unmasked"):
-            joint_loss(output, np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3), bool), 0.5)
+    def test_instance_without_residue_scores_rejected(self):
+        output = ModelOutput(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match="zero unmasked elements"):
+            joint_loss(output, np.zeros(3), np.zeros(3), 0.5,
+                       (np.array([0, 1, 2]), np.array([0, 0, 2])))
 
 
 class TestRerankSelect:
@@ -296,9 +315,9 @@ class TestModelGradients:
         pmd_t = rng.uniform(0, 2, size=3)
 
         def f():
-            out, batch = model.forward(spectrum, candidates)
+            out, _ = model.forward(spectrum, candidates)
             rmd_t = np.zeros(out.rmd_pred.shape)
-            return joint_loss(out, pmd_t, rmd_t, batch.mask[:, 1:], 0.5)
+            return joint_loss(out, pmd_t, rmd_t, 0.5, one_instance(out))
 
         # spot-check a few coordinates of a few parameter tensors
         names = ["embed/residue", "enc0/attn/wq", "mix0/col/wv", "head/pmd_w",

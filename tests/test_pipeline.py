@@ -16,7 +16,7 @@ from peprank.cli import main as cli_main
 from peprank.encoders import EmbeddingConfig
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
 from peprank.metrics import pmd, rmd
-from peprank.model import ModelConfig, RerankModel, joint_loss
+from peprank.model import ModelConfig, RerankModel
 from peprank.pipeline import (
     CandidateSet,
     Checkpoint,
@@ -432,16 +432,6 @@ class TestTrain:
         assert history[0].loss != plain_history[0].loss
 
 
-def single_instance_loss(model, instance):
-    """The per-spectrum training loss: one B=1 forward and its joint loss."""
-    output, batch = model.forward(instance.spectrum, instance.candidates)
-    rmd_matrix = np.zeros(output.rmd_pred.shape)
-    for row, values in enumerate(instance.rmd_targets):
-        rmd_matrix[row, : len(values)] = values
-    return joint_loss(output, instance.pmd_targets, rmd_matrix, batch.mask[:, 1:],
-                      model.config.loss_lambda)
-
-
 class TestMinibatchLoss:
     def instances(self, table):
         spectra, cands = synthesize_dataset(table, seed=17, n_spectra=5)
@@ -462,7 +452,7 @@ class TestMinibatchLoss:
         instances = self.instances(table)
         model = RerankModel(small_config(table).model, table, seed=0)
         batched = pipeline.minibatch_loss(model, instances)
-        singles = [single_instance_loss(model, i) for i in instances]
+        singles = [pipeline.minibatch_loss(model, [i]) for i in instances]
         mean = sum(float(loss.data) for loss in singles) / len(singles)
         assert abs(float(batched.data) - mean) <= 1e-12
         expected = self.gradients(
@@ -472,10 +462,17 @@ class TestMinibatchLoss:
                                        err_msg=name)
 
     def test_one_instance_is_its_single_loss(self, table):
+        # the joint loss of one spectrum's forward, by hand: its residue
+        # scores line up with its candidates' residue targets in order
         instance = self.instances(table)[1]
         model = RerankModel(small_config(table).model, table, seed=0)
-        assert abs(float(pipeline.minibatch_loss(model, [instance]).data)
-                   - float(single_instance_loss(model, instance).data)) <= 1e-12
+        output, _ = model.forward(instance.spectrum, instance.candidates)
+        lam = model.config.loss_lambda
+        pmd_diffs = output.pmd_pred.data - instance.pmd_targets
+        rmd_diffs = output.rmd_pred.data - np.concatenate(instance.rmd_targets)
+        expected = (lam * np.sqrt(np.mean(pmd_diffs**2))
+                    + (1 - lam) * np.sqrt(np.mean(rmd_diffs**2)))
+        assert abs(float(pipeline.minibatch_loss(model, [instance]).data) - expected) <= 1e-12
 
 
 def graph_bytes(loss) -> int:
