@@ -78,6 +78,5 @@ print("6. zero-shot style subset evaluation (fewer candidate sources)")
 for report in zero_shot_eval(
     model, spectra, candidate_sets,
     [["model_1", "model_2"], ["model_1", "model_2", "model_3", "model_4"]],
-    table,
 ):
     print(f"   subset {','.join(report.models)}: recall {report.peptide_recall:.3f}")

@@ -746,7 +746,6 @@ class ParameterStore:
     """Named trainable tensors, initialized in creation order from one seeded generator."""
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._params: dict[str, Tensor] = {}
 

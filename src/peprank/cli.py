@@ -123,10 +123,8 @@ def _cmd_preprocess(args) -> int:
     spectra = _read(args.mgf, parse_mgf)
     kept, exclusions = [], []
     for raw in spectra:
-        try:
-            label = None if raw.label is None else parse_peptide(raw.label, table)
-        except ValueError as exc:
-            raise ValueError(f"spectrum {raw.spectrum_id!r}: {exc}") from None
+        label = (None if raw.label is None
+                 else pipeline.parse_peptides(raw.spectrum_id, [raw.label], table)[0])
         processed, reason = pipeline.gate_spectrum(raw, label, table)
         if reason is None:
             kept.append(processed)
@@ -326,7 +324,7 @@ def _cmd_analyze(args) -> int:
                 for chunk in args.subsets.split(";")
                 if chunk.strip()
             ]
-            reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets, table)
+            reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets)
             sink.write("subset\tn_spectra\tpeptide_recall\n")
             for report in reports:
                 sink.write(

@@ -47,12 +47,9 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.d % 4 != 0:
-            raise ValueError(f"model dimension must be divisible by 4, got {self.d}")
-        for name, dim in (("d_res", self.d_res), ("d_prefix", self.d_prefix),
-                          ("d_suffix", self.d_suffix), ("d_prec", self.d_prec)):
-            if dim % 2 != 0:
-                raise ValueError(f"sub-dimension {name}={dim} must be even (d={self.d})")
+        if self.d % 8 != 0:
+            raise ValueError(f"model dimension must be divisible by 8, so that every "
+                             f"sub-dimension (d/4, d/2) is even, got {self.d}")
         if not 0 < self.mu_min < self.mu_max < np.inf:  # NaN fails every comparison
             raise ValueError(f"require 0 < mu_min < mu_max < inf, got {self.mu_min}, {self.mu_max}")
         if self.max_len < 1 or self.max_charge < 1:
@@ -83,14 +80,18 @@ class MsaBatch:
     cell, then residues and pad cells up to its longest candidate), stored
     row-major as rows ``starts[b] : starts[b] + c_b * w_b`` of
     ``embeddings`` [N, d]. Grids are stored in order of width, so grids of
-    equal width sit side by side. ``mask`` [N] marks real cells: each CLS
-    cell and each residue. ``shapes`` [B, 2] holds (c_b, w_b).
+    equal width sit side by side. ``shapes`` [B, 2] holds (c_b, w_b).
+    ``cls_rows`` [sum of c_b] and ``residue_rows`` [total residues] hold the
+    packed row of each CLS cell and each residue, in spectrum, then
+    candidate, then residue order; ``mask`` [N] marks their union.
     """
 
     embeddings: Tensor
     mask: np.ndarray
     shapes: np.ndarray
     starts: np.ndarray
+    cls_rows: np.ndarray
+    residue_rows: np.ndarray
 
     @property
     def width(self) -> int:
@@ -204,7 +205,7 @@ def assemble_msa(
     end, up to its spectrum's width, hold the learned pad vector. The
     per-column positional embedding is added to every cell. There is no
     per-row embedding, so permuting candidates permutes the grid rows
-    exactly.
+    exactly. The CLS and residue rows it records are the rows the heads read.
     """
     if not candidates or not all(candidates):
         raise ValueError("assemble_msa requires at least one candidate per spectrum")
@@ -230,26 +231,25 @@ def assemble_msa(
     starts = np.empty(n_spectra, dtype=np.intp)
     starts[order] = np.cumsum(sizes[order]) - sizes[order]
 
-    # each cell's source row: its spectrum's CLS row (0..B-1), its residue's
-    # row (B..), or for a pad cell the pad row after them
-    n_cells = int(sizes.sum())
-    source = np.empty(n_cells, dtype=np.intp)
-    mask = np.zeros(n_cells, dtype=bool)
-    token_ids, prefixes, suffixes = [], [], []
+    cls_rows, residue_rows, token_ids, prefixes, suffixes = [], [], [], [], []
     for b, peptides in enumerate(candidates):
-        width = shapes[b, 1]
         for row, peptide in enumerate(peptides):
-            first, n = starts[b] + row * width, len(peptide)
-            source[first] = b
-            source[first + 1 : first + n + 1] = n_spectra + len(token_ids) + np.arange(n)
-            mask[first : first + n + 1] = True
+            cls_rows.append(starts[b] + row * shapes[b, 1])
+            residue_rows.extend(range(cls_rows[-1] + 1, cls_rows[-1] + len(peptide) + 1))
             try:
                 token_ids.extend(index[token] for token in peptide)
             except KeyError as exc:
                 raise ValueError(f"unknown residue token {exc.args[0]!r}") from None
             prefixes.append(cumulative_masses(peptide, table, "prefix"))
             suffixes.append(cumulative_masses(peptide, table, "suffix"))
-    source[~mask] = n_spectra + len(token_ids)
+    cls_rows, residue_rows = np.array(cls_rows, np.intp), np.array(residue_rows, np.intp)
+    # each cell's source row: its spectrum's CLS row (0..B-1), its residue's
+    # row (B..), or for a pad cell the pad row after them
+    pad_row = n_spectra + len(token_ids)
+    source = np.full(int(sizes.sum()), pad_row, dtype=np.intp)
+    source[cls_rows] = np.repeat(np.arange(n_spectra), shapes[:, 0])
+    source[residue_rows] = np.arange(n_spectra, pad_row)
+    mask = source != pad_row
 
     residues = ag.concat([
         ag.take(store["embed/residue"], token_ids, axis=0),
@@ -267,4 +267,5 @@ def assemble_msa(
     columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes[order]])
     positions = ag.take(store["embed/position"], columns, axis=0)
     embeddings = ag.add(ag.take(sources, source, axis=0), positions)
-    return MsaBatch(embeddings=embeddings, mask=mask, shapes=shapes, starts=starts)
+    return MsaBatch(embeddings=embeddings, mask=mask, shapes=shapes, starts=starts,
+                    cls_rows=cls_rows, residue_rows=residue_rows)

@@ -119,8 +119,8 @@ EMBEDDING_KEYS = tuple(f.name for f in fields(EmbeddingConfig) if f.name != "d")
 
 @dataclass
 class ModelOutput:
-    """Per-candidate peptide-level scores and per-residue deviations, in
-    spectrum, then candidate, then residue order; pad cells get no score."""
+    """Peptide-level scores and residue deviations, one per entry of
+    ``MsaBatch.cls_rows`` and ``residue_rows``, in that order; pad cells get none."""
 
     pmd_pred: Tensor  # [sum of c_b]
     rmd_pred: Tensor  # [total residues of all candidates]
@@ -248,18 +248,16 @@ class RerankModel:
         return self._ff_sublayer(grid, f"mix{index}/ff", dropout_rng)
 
     def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
-        """Linear readouts: CLS cells -> peptide scores, residue cells ->
-        residue scores (see :class:`ModelOutput`)."""
+        """Linear readouts of the packed grid [N, d]: the peptide head over
+        ``batch.cls_rows``, the residue head over ``batch.residue_rows``
+        (see :class:`ModelOutput`)."""
         store = self.store
-        cells = [batch.cells(b) for b in range(len(batch.shapes))]
-        cls = ag.take(grid, np.concatenate([rows[:, 0] for rows in cells]), axis=0)
-        tokens = np.concatenate([rows[:, 1:].ravel() for rows in cells])
-        pmd_pred = ag.linear(cls, store["head/pmd_w"], store["head/pmd_b"])
-        # head over every non-CLS cell, then keep residues: GEMM bits depend on the row count
-        rmd_cells = ag.linear(ag.take(grid, tokens, axis=0),
-                              store["head/rmd_w"], store["head/rmd_b"])
-        rmd_pred = ag.take(ag.reshape(rmd_cells, (-1,)), np.flatnonzero(batch.mask[tokens]))
-        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)), rmd_pred=rmd_pred)
+        pmd_pred = ag.linear(ag.take(grid, batch.cls_rows, axis=0),
+                             store["head/pmd_w"], store["head/pmd_b"])
+        rmd_pred = ag.linear(ag.take(grid, batch.residue_rows, axis=0),
+                             store["head/rmd_w"], store["head/rmd_b"])
+        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)),
+                           rmd_pred=ag.reshape(rmd_pred, (-1,)))
 
     def forward(self, spectra: ProcessedSpectrum | Sequence[ProcessedSpectrum],
                 candidates: Sequence[Peptide] | Sequence[Sequence[Peptide]],
@@ -369,11 +367,13 @@ def joint_loss(output: ModelOutput, pmd_targets: np.ndarray, rmd_targets: np.nda
     RMSE(residue scores), each RMSE taken over one instance's scores.
 
     ``instances`` gives the instance index of each peptide score and of
-    each residue score; no RMSE is pooled across instances.
+    each residue score; each instance needs both, and none is pooled.
     """
     pmd_ids, rmd_ids = instances
     pmd_term = ag.rmse(output.pmd_pred, Tensor(pmd_targets), segments=pmd_ids)
     rmd_term = ag.rmse(output.rmd_pred, Tensor(rmd_targets), segments=rmd_ids)
+    if pmd_term.shape != rmd_term.shape:  # rmse drops a trailing segment with no element
+        raise ValueError("an instance has zero unmasked elements (no peptide or residue score)")
     return ag.mean(ag.add(ag.mul(pmd_term, loss_lambda), ag.mul(rmd_term, 1.0 - loss_lambda)))
 
 

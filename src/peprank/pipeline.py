@@ -638,14 +638,19 @@ def zero_shot_eval(
     spectra: Sequence[RawSpectrum],
     candidate_sets: Sequence[CandidateSet],
     model_subsets: Sequence[Sequence[str]],
-    table: MassTable,
 ) -> list[SubsetReport]:
     """Rerank with candidates restricted to each base-model subset.
 
     Every candidate set must retain at least one candidate under each
     subset, and a label (the set's, else its spectrum's) for the recall.
+    Peptides are read with the model's mass table.
     """
     spectrum_labels = {s.spectrum_id: s.label for s in spectra}
+    labels = {cs.spectrum_id: cs.label if cs.label is not None
+              else spectrum_labels.get(cs.spectrum_id) for cs in candidate_sets}
+    unlabeled = [spectrum_id for spectrum_id, label in labels.items() if label is None]
+    if unlabeled:
+        raise ValueError(f"spectrum {unlabeled[0]!r} has no label")
     reports: list[SubsetReport] = []
     for subset in model_subsets:
         allowed = set(subset)
@@ -656,17 +661,13 @@ def zero_shot_eval(
                 raise ValueError(
                     f"spectrum {cs.spectrum_id!r} has no candidates from subset {sorted(allowed)}"
                 )
-            label = cs.label if cs.label is not None else spectrum_labels.get(cs.spectrum_id)
-            if label is None:
-                raise ValueError(f"spectrum {cs.spectrum_id!r} has no label")
-            filtered.append(CandidateSet(cs.spectrum_id, kept, label))
+            filtered.append(CandidateSet(cs.spectrum_id, kept))
         selections = rerank_run(model, spectra, filtered)
-        labels = {cs.spectrum_id: cs.label for cs in filtered}
         pairs = [
-            parse_peptides(sel.spectrum_id, [sel.peptide, labels[sel.spectrum_id]], table)
+            parse_peptides(sel.spectrum_id, [sel.peptide, labels[sel.spectrum_id]], model.table)
             for sel in selections
         ]
-        stats = corpus_stats(pairs, table)
+        stats = corpus_stats(pairs, model.table)
         reports.append(
             SubsetReport(
                 models=tuple(subset),

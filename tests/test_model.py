@@ -51,6 +51,18 @@ def make_candidates(table, texts=("GAVKPG", "GAVK", "AAV")):
     return [parse_peptide(t, table) for t in texts]
 
 
+def final_grid(model, spectra, batch):
+    """The grid [N, d] that the heads read: the mixer blocks over ``batch``."""
+    peaks = collate_peaks(spectra)
+    encoded = model.spectrum_encoder(
+        embed_spectrum(peaks, model.store, model.config.embedding), peaks.counts)
+    layout = AxialLayout.of(batch, peaks.counts)
+    grid = batch.embeddings
+    for i in range(model.config.n_layers):
+        grid = model.axial_block(grid, layout, encoded, i)
+    return grid.data
+
+
 def one_instance(output):
     """Instance ids that make every score of ``output`` one instance's."""
     return (np.zeros(output.pmd_pred.size, dtype=int), np.zeros(output.rmd_pred.size, dtype=int))
@@ -227,18 +239,34 @@ class TestPredictHeads:
 
         # the residue scores are the rmd head over the final grid's residue
         # cells, candidate by candidate
-        peaks = collate_peaks([spectrum])
-        encoded = model.spectrum_encoder(
-            embed_spectrum(peaks, model.store, model.config.embedding), peaks.counts)
-        layout = AxialLayout.of(batch, peaks.counts)
-        grid = batch.embeddings
-        for i in range(model.config.n_layers):
-            grid = model.axial_block(grid, layout, encoded, i)
         rows = np.concatenate([batch.cells(0)[r, 1 : len(p) + 1]
                                for r, p in enumerate(candidates)])
-        expected = (grid.data[rows] @ model.store["head/rmd_w"].data)[:, 0] \
-            + model.store["head/rmd_b"].data
+        expected = (final_grid(model, [spectrum], batch)[rows]
+                    @ model.store["head/rmd_w"].data)[:, 0] + model.store["head/rmd_b"].data
         np.testing.assert_allclose(out.rmd_pred.data, expected, rtol=0, atol=1e-12)
+
+    def test_heads_read_the_rows_assemble_msa_records(self, table, model):
+        spectra = [make_processed(table, k=k, seed=k) for k, _ in TestBatchedForward.SPECTRA]
+        candidates = [make_candidates(table, texts) for _, texts in TestBatchedForward.SPECTRA]
+        out, batch = model.forward(spectra, candidates)
+        assert np.argsort(batch.starts).tolist() == [0, 2, 1]  # stored by width
+
+        # spectrum, then candidate, then residue order, derived from each grid
+        cls_rows = [batch.cells(b)[r, 0] for b, cands in enumerate(candidates)
+                    for r in range(len(cands))]
+        residue_rows = [i for b, cands in enumerate(candidates) for r, p in enumerate(cands)
+                        for i in batch.cells(b)[r, 1 : len(p) + 1]]
+        np.testing.assert_array_equal(batch.cls_rows, cls_rows)
+        np.testing.assert_array_equal(batch.residue_rows, residue_rows)
+        np.testing.assert_array_equal(np.flatnonzero(batch.mask),
+                                      np.union1d(cls_rows, residue_rows))
+
+        grid = final_grid(model, spectra, batch)
+        for pred, rows, head in ((out.pmd_pred, cls_rows, "pmd"),
+                                 (out.rmd_pred, residue_rows, "rmd")):
+            expected = (grid[rows] @ model.store[f"head/{head}_w"].data)[:, 0] \
+                + model.store[f"head/{head}_b"].data
+            np.testing.assert_allclose(pred.data, expected, rtol=0, atol=1e-12)
 
 
 class TestJointLoss:
@@ -274,10 +302,12 @@ class TestJointLoss:
         assert loss.item() == pytest.approx(np.mean(expected), rel=1e-12)
 
     def test_instance_without_residue_scores_rejected(self):
-        output = ModelOutput(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-        with pytest.raises(ValueError, match="zero unmasked elements"):
-            joint_loss(output, np.zeros(3), np.zeros(3), 0.5,
-                       (np.array([0, 1, 2]), np.array([0, 0, 2])))
+        # instance 1 has none: in the middle, and last (which rmse alone cannot see)
+        for pmd_ids, rmd_ids in (([0, 1, 2], [0, 0, 2]), ([0, 1], [0, 0, 0])):
+            output = ModelOutput(Tensor(np.zeros(len(pmd_ids))), Tensor(np.zeros(len(rmd_ids))))
+            with pytest.raises(ValueError, match="zero unmasked elements"):
+                joint_loss(output, np.zeros(len(pmd_ids)), np.zeros(len(rmd_ids)), 0.5,
+                           (np.array(pmd_ids), np.array(rmd_ids)))
 
 
 class TestRerankSelect:

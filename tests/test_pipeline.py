@@ -586,7 +586,7 @@ class TestZeroShotEval:
         spectra, cands = synthesize_dataset(table, seed=20, n_spectra=5)
         model = RerankModel(small_config(table).model, table, seed=0)
         names = ["model_1", "model_2", "model_3", "model_4"]
-        reports = zero_shot_eval(model, spectra, cands, [names], table)
+        reports = zero_shot_eval(model, spectra, cands, [names])
         selections = rerank_run(model, spectra, cands)
         from peprank.evaluation import corpus_stats
 
@@ -601,7 +601,7 @@ class TestZeroShotEval:
     def test_single_model_subset_forces_selection(self, table):
         spectra, cands = synthesize_dataset(table, seed=21, n_spectra=5)
         model = RerankModel(small_config(table).model, table, seed=0)
-        reports = zero_shot_eval(model, spectra, cands, [["model_2"]], table)
+        reports = zero_shot_eval(model, spectra, cands, [["model_2"]])
         # recall equals that model's standalone recall
         from peprank.evaluation import aa_match
 
@@ -623,14 +623,13 @@ class TestZeroShotEval:
         cands[1] = replace(cands[1], label="PEPZIDE")
         with pytest.raises(ValueError, match=f"spectrum '{cands[1].spectrum_id}': unknown "
                                              "residue token 'Z' in 'PEPZIDE'"):
-            zero_shot_eval(model, spectra, cands, [["model_1", "model_2", "model_3", "model_4"]],
-                           table)
+            zero_shot_eval(model, spectra, cands, [["model_1", "model_2", "model_3", "model_4"]])
 
     def test_empty_subset_errors(self, table):
         spectra, cands = synthesize_dataset(table, seed=22, n_spectra=2)
         model = RerankModel(small_config(table).model, table, seed=0)
         with pytest.raises(ValueError, match="no candidates from subset"):
-            zero_shot_eval(model, spectra, cands, [["nonexistent"]], table)
+            zero_shot_eval(model, spectra, cands, [["nonexistent"]])
 
 
 class TestCheckpointIo:
