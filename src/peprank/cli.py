@@ -88,8 +88,8 @@ def _cmd_metrics(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "metrics", "pairs": args.pairs})
     gap = gap_penalty(table)
-    with _output(args.out) as sink, open(args.pairs, "r", encoding="utf-8") as handle:
-        sink.write("query\ttarget\tpmd\trmd\n")
+    pairs = []  # every pair parses before the output is opened
+    with open(args.pairs, "r", encoding="utf-8") as handle:
         header_allowed = True  # only the first non-blank, non-comment line
         for lineno, line in enumerate(handle, start=1):
             text = line.rstrip("\n")
@@ -104,8 +104,13 @@ def _cmd_metrics(args) -> int:
                 header_allowed = False
                 continue
             header_allowed = False
-            query = parse_peptide(parts[0], table)
-            target = parse_peptide(parts[1], table)
+            try:
+                pairs.append((parts, *(parse_peptide(part, table) for part in parts)))
+            except ValueError as exc:
+                raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
+    with _output(args.out) as sink:
+        sink.write("query\ttarget\tpmd\trmd\n")
+        for parts, query, target in pairs:
             score = pmd(query, target, table, gap=gap)
             if len(query) and len(target):
                 deviations = ",".join(
@@ -216,7 +221,8 @@ def _cmd_rerank(args) -> int:
 
 
 def _selected_records(args) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
-    """Each --selections row with its --candidates record, which must carry a label."""
+    """Each --selections row with its --candidates record, which must carry a
+    label, one candidate per score and the selected candidate at its index."""
     selections = _read(args.selections, pipeline.read_selections)
     by_id = {cs.spectrum_id: cs for cs in _read(args.candidates, pipeline.load_candidates)}
     joined = []
@@ -226,6 +232,11 @@ def _selected_records(args) -> list[tuple[pipeline.Selection, pipeline.Candidate
             raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
         if cs.label is None:
             raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
+        if (len(sel.scores) != len(cs.candidates)  # so that the selected index is in range
+                or cs.candidates[sel.index] != (sel.model_name, sel.peptide)):
+            raise ValueError(f"spectrum {sel.spectrum_id!r}: selection {sel.index} "
+                             f"({sel.model_name} {sel.peptide}, {len(sel.scores)} scores) "
+                             f"does not match its {len(cs.candidates)} candidates")
         joined.append((sel, cs))
     return joined
 

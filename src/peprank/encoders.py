@@ -79,8 +79,8 @@ class MsaBatch:
     Spectrum b keeps its own grid of c_b candidate rows by w_b cells (a CLS
     cell, then residues and pad cells up to its longest candidate), stored
     row-major as rows ``starts[b] : starts[b] + c_b * w_b`` of
-    ``embeddings`` [N, d]. Grids are stored in order of width, so grids of
-    equal width sit side by side. ``shapes`` [B, 2] holds (c_b, w_b).
+    ``embeddings`` [N, d], in spectrum order. ``shapes`` [B, 2] holds
+    (c_b, w_b).
     ``cls_rows`` [sum of c_b] and ``residue_rows`` [total residues] hold the
     packed row of each CLS cell and each residue, in spectrum, then
     candidate, then residue order; ``mask`` [N] marks their union.
@@ -227,9 +227,7 @@ def assemble_msa(
     shapes = np.array([(len(peptides), max(len(p) for p in peptides) + 1)
                        for peptides in candidates])
     sizes = shapes[:, 0] * shapes[:, 1]
-    order = np.argsort(shapes[:, 1], kind="stable")
-    starts = np.empty(n_spectra, dtype=np.intp)
-    starts[order] = np.cumsum(sizes[order]) - sizes[order]
+    starts = np.cumsum(sizes) - sizes
 
     cls_rows, residue_rows, token_ids, prefixes, suffixes = [], [], [], [], []
     for b, peptides in enumerate(candidates):
@@ -264,7 +262,7 @@ def assemble_msa(
         [ag.add(np.zeros((n_spectra, config.d_res)), store["embed/cls"]), precursor_part], axis=1
     )
     sources = ag.concat([cls, residues, ag.reshape(store["embed/pad"], (1, config.d))], axis=0)
-    columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes[order]])
+    columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes])
     positions = ag.take(store["embed/position"], columns, axis=0)
     embeddings = ag.add(ag.take(sources, source, axis=0), positions)
     return MsaBatch(embeddings=embeddings, mask=mask, shapes=shapes, starts=starts,

@@ -229,13 +229,13 @@ class RerankModel:
         attention, then feed-forward.
 
         Row attention runs over each candidate row of its spectrum's own
-        grid, grouped by grid width. Column attention runs over each
-        column of a grid, grouped by candidate count; its sublayer takes
-        the cells in column-major order (a permutation in and out), so a
-        lone spectrum runs exactly the transposed grid's arithmetic. Cross
-        attention lets each spectrum's cells query its own encoded peaks.
-        No attention crosses spectra, so only pad cells need masking, as
-        keys.
+        grid; adjacent spectra of equal width share a group. Column
+        attention runs over each column of a grid, grouped by candidate
+        count; its sublayer takes the cells in column-major order (a
+        permutation in and out), so a lone spectrum runs exactly the
+        transposed grid's arithmetic. Cross attention lets each spectrum's
+        cells query its own encoded peaks. No attention crosses spectra, so
+        only pad cells need masking, as keys.
         """
         grid = self._attention_sublayer(grid, f"mix{index}/row", layout.rows, dropout_rng)
         columns = self._attention_sublayer(
@@ -316,11 +316,12 @@ class AxialLayout:
     """How the attention of a packed grid splits into groups, built once per
     forward and shared by every mixer block.
 
-    ``rows`` and ``cross`` index the packed rows; ``columns`` index the
-    column-major order that ``to_columns`` gathers (and ``from_columns``
-    undoes). ``scores`` counts the attention scores of one layer: its
-    encoder layer's over each spectrum's own peaks, and its mixer block's
-    over each spectrum's own c x w grid.
+    ``rows`` and ``cross`` index the packed rows, which hold the grids in
+    spectrum order; ``columns`` index the column-major order that
+    ``to_columns`` gathers (grids by candidate count, each transposed) and
+    ``from_columns`` undoes. ``scores`` counts the attention scores of one
+    layer: its encoder layer's over each spectrum's own peaks, and its
+    mixer block's over each spectrum's own c x w grid.
     """
 
     rows: list[ag.AttentionGroup]
@@ -334,17 +335,15 @@ class AxialLayout:
     def of(cls, batch: MsaBatch, peak_counts: np.ndarray) -> "AxialLayout":
         shapes, mask = batch.shapes, batch.mask
         n_rows, widths = shapes[:, 0], shapes[:, 1]
-        stored = np.argsort(batch.starts)  # grids in storage (width) order
-        rows = _self_groups(batch.starts[stored], n_rows[stored], widths[stored], mask)
+        rows = _self_groups(batch.starts, n_rows, widths, mask)
 
         # column-major order: grids by candidate count, each transposed
-        by_count = stored[np.argsort(n_rows[stored], kind="stable")]
+        by_count = np.argsort(n_rows, kind="stable")
         to_columns = np.concatenate([batch.cells(b).T.ravel() for b in by_count])
         sizes = n_rows[by_count] * widths[by_count]
         columns = _self_groups(np.cumsum(sizes) - sizes, widths[by_count], n_rows[by_count],
                                mask[to_columns])
-        from_columns = np.empty_like(to_columns)
-        from_columns[to_columns] = np.arange(to_columns.size)
+        from_columns = np.argsort(to_columns)
 
         peak_starts = np.cumsum(peak_counts) - peak_counts
         cross = [ag.AttentionGroup(int(batch.starts[b]), int(peak_starts[b]), 1,

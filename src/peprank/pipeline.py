@@ -89,7 +89,8 @@ def _require_strings(lineno: int, record: dict, keys: Sequence[str]) -> None:
 
 
 def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
-    """Parse a JSON Lines candidate file; order and duplicates are preserved."""
+    """Parse a JSON Lines candidate file, in file order; a duplicate
+    ``spectrum_id`` is an error that names its line."""
     sets: list[CandidateSet] = []
     seen: set[str] = set()
     for lineno, record in _read_json_lines(source):
@@ -560,14 +561,18 @@ def rerank_run(
     limits (see :func:`admit_records`) and pick per spectrum.
 
     Each spectrum is one B=1 forward that records no graph. Rows keep
-    candidate-file order; exact score ties resolve to the lowest index.
+    candidate-file order; exact score ties resolve to the lowest index. A
+    spectrum with a non-finite score is excluded as ``non_finite_scores``.
     """
-    admitted, _ = admit_records(spectra, candidate_sets, model.table,
-                                model.config.embedding, labeled=False, strict=strict)
+    admitted, excluded = admit_records(spectra, candidate_sets, model.table,
+                                       model.config.embedding, labeled=False, strict=strict)
     selections: list[Selection] = []
-    with ag.no_grad():
+    with ag.no_grad(), np.errstate(all="ignore"):  # non-finite scores are checked below
         for cs, spectrum, candidates, _ in admitted:
             output, _ = model.forward(spectrum, candidates)
+            if not np.isfinite(output.pmd_pred.data).all():
+                skip_record(excluded, cs.spectrum_id, "non_finite_scores", strict)
+                continue
             index = rerank_select(output.pmd_pred)
             selections.append(
                 Selection(

@@ -10,7 +10,13 @@ from peprank.cli import CONFIG_MODEL_KEYS, CONFIG_TRAIN_KEYS, _train_config, mai
 from peprank.encoders import EmbeddingConfig
 from peprank.masses import Precursor, default_mass_table
 from peprank.model import ModelConfig
-from peprank.pipeline import SynthConfig, synthesize_dataset, write_candidates
+from peprank.pipeline import (
+    SynthConfig,
+    load_checkpoint,
+    save_checkpoint,
+    synthesize_dataset,
+    write_candidates,
+)
 from peprank.spectra import write_mgf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -87,6 +93,13 @@ class TestMetricsCommand:
         code, _, err = run(capsys, "metrics", "--pairs", str(pairs))
         assert code == 2
         assert "unknown residue" in err
+        # a bad pair after a good one names its line, and no output is written
+        pairs.write_text("GAV\tGAV\nPEPZ\tGAV\n")
+        out_path = tmp_path / "out.tsv"
+        code, _, err = run(capsys, "metrics", "--pairs", str(pairs), "--out", str(out_path))
+        assert code == 2
+        assert f"{pairs}:2: unknown residue token 'Z' in 'PEPZ'" in err
+        assert not out_path.exists()
 
 
     def test_header_after_a_leading_comment(self, tmp_path, capsys):
@@ -438,6 +451,31 @@ class TestAnalyzeCommands:
         assert got == code
         assert message in (out if code == 0 else err)
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    @pytest.mark.parametrize("row, message", [
+        pytest.param("s1\t2\tm1\tPEPTIDE\t0.1,0.2,0.3",
+                     "selection 2 (m1 PEPTIDE, 3 scores)", id="no-candidate-at-index"),
+        pytest.param("s1\t0\tm1\tPEPTIDE\t0.1,0.2",
+                     "selection 0 (m1 PEPTIDE, 2 scores)", id="other-candidate"),
+        pytest.param("s1\t1\tm2\tGAVKP\t0.1,0.2,0.3",
+                     "selection 1 (m2 GAVKP, 3 scores)", id="score-count"),
+    ])
+    def test_selection_must_match_its_candidate_record(self, tmp_path, capsys, command,
+                                                      row, message):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n" + row + "\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        cands.write_text(json.dumps({"spectrum_id": "s1", "label": "PEPTIDE",
+                                     "candidates": [{"model": "m9", "peptide": "GAVKP"},
+                                                    {"model": "m2", "peptide": "GAVKP"}]})
+                         + "\n")
+        code, _, err = run(capsys, *command, "--selections", str(selections),
+                           "--candidates", str(cands))
+        assert code == 2
+        assert f"spectrum 's1': {message} does not match its 2 candidates" in err
+
     @pytest.mark.parametrize("selected", ["PEPTIDE", "PEPTLDE"])  # matches its label, or not
     def test_contribution_parses_every_candidate_naming_its_spectrum(self, tmp_path, capsys,
                                                                      selected):
@@ -501,6 +539,25 @@ class TestRecordAdmission:
         code, _, err = run(capsys, *args, "--strict")
         assert code == 2
         assert "'synth_00000' excluded: charge_out_of_range" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rerank_excludes_non_finite_scores(self, tmp_path, capsys):
+        checkpoint = load_checkpoint(str(V1_CHECKPOINT))
+        checkpoint.params["head/pmd_w"][:] = 1e308  # finite, so it loads; scores overflow
+        save_checkpoint(checkpoint, str(tmp_path / "overflow.ckpt"))
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=3)
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        args = ("rerank", "--checkpoint", str(tmp_path / "overflow.ckpt"), "--mgf", str(mgf),
+                "--candidates", str(cands_path))
+        out = tmp_path / "selections.tsv"
+        code, _, err = run(capsys, *args, "--out", str(out))
+        assert code == 0, err
+        assert "# reranked 0 of 3 spectra (3 excluded)" in err
+        assert out.read_text().splitlines() == [
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores"]
+        code, _, err = run(capsys, *args, "--strict")
+        assert code == 2
+        assert "spectrum 'synth_00000' excluded: non_finite_scores" in err
 
     def test_train_excludes_records_longer_than_max_len(self, tmp_path, capsys):
         table = default_mass_table()

@@ -257,14 +257,14 @@ class TestAssembleMsa:
 
     def test_spectra_keep_their_own_grids(self, table, config, store):
         """Packing adds no cell across spectra: each spectrum's cells and mask
-        are those of its own one-spectrum batch, and grids are stored by width."""
+        are those of its own one-spectrum batch."""
         lists = [[parse_peptide(t, table) for t in texts]
                  for texts in (("GAVKP", "GA"), ("KP",), ("GAV", "KPGG", "A"))]
         precursors = [Precursor.from_mz(500.0 + 100 * b, b + 1) for b in range(3)]
         batch = assemble_msa(lists, precursors, table, store, config)
         assert batch.embeddings.shape == (12 + 3 + 15, config.d)
         np.testing.assert_array_equal(batch.shapes, [[2, 6], [1, 3], [3, 5]])
-        np.testing.assert_array_equal(batch.starts, [18, 0, 3])
+        np.testing.assert_array_equal(batch.starts, [0, 12, 15])
         for b, (peptides, precursor) in enumerate(zip(lists, precursors)):
             alone = assemble_msa([peptides], [precursor], table, store, config)
             np.testing.assert_array_equal(batch.embeddings.data[batch.cells(b)],

@@ -51,6 +51,14 @@ def make_candidates(table, texts=("GAVKPG", "GAVK", "AAV")):
     return [parse_peptide(t, table) for t in texts]
 
 
+def per_spectrum(output, candidates):
+    """Each spectrum's (pmd_pred, rmd_pred) slices of a batched output."""
+    pmd_ends = np.cumsum([len(cands) for cands in candidates])[:-1]
+    rmd_ends = np.cumsum([sum(len(p) for p in cands) for cands in candidates])[:-1]
+    return list(zip(np.split(output.pmd_pred.data, pmd_ends),
+                    np.split(output.rmd_pred.data, rmd_ends)))
+
+
 def final_grid(model, spectra, batch):
     """The grid [N, d] that the heads read: the mixer blocks over ``batch``."""
     peaks = collate_peaks(spectra)
@@ -142,7 +150,7 @@ class TestAxialBlock:
 
 class TestBatchedForward:
     # peak counts, candidate counts and lengths all differ, so each attention
-    # splits into several groups, and the grids are stored out of spectrum order
+    # splits into several groups
     SPECTRA = ((3, ("GAV",)), (8, ("GAVKPG", "GAVK", "AAV")), (12, ("KPG", "WGTSA", "GA", "AAVH")))
 
     @pytest.fixture()
@@ -181,11 +189,25 @@ class TestBatchedForward:
         layout = AxialLayout.of(batch, np.array([s.n_peaks for s in spectra]))
         assert len(layout.rows) == len(layout.columns) == len(layout.cross) == 3
 
+    @pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1), (2, 1, 0)])
+    def test_batch_mates_order_changes_no_spectrums_outputs(self, table, deep_model, order):
+        spectra, candidates = self.batch(table)
+        out, _ = deep_model.forward(spectra, candidates)
+        moved = [spectra[b] for b in order], [candidates[b] for b in order]
+        moved_out, moved_batch = deep_model.forward(*moved)
+        before, after = per_spectrum(out, candidates), per_spectrum(moved_out, moved[1])
+        for slot, b in enumerate(order):
+            for got, want in zip(after[slot], before[b]):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            _, alone = deep_model.forward(spectra[b], candidates[b])
+            np.testing.assert_array_equal(moved_batch.embeddings.data[moved_batch.cells(slot)],
+                                          alone.embeddings.data[alone.cells(0)])
+
     def test_equal_shapes_share_one_attention_group(self, table, deep_model):
-        # spectra 0 and 2 have equal widths and candidate counts, spectrum 1
-        # only an equal candidate count: rows form two groups, columns one
-        spectra, candidates = self.batch(table, ((5, ("GAVK", "AAV")), (9, ("GAVKPG", "GA")),
-                                                 (7, ("KPG", "WGTS"))))
+        # adjacent spectra 0 and 1 have equal widths and candidate counts,
+        # spectrum 2 only an equal candidate count: rows form two groups, columns one
+        spectra, candidates = self.batch(table, ((5, ("GAVK", "AAV")), (7, ("KPG", "WGTS")),
+                                                 (9, ("GAVKPG", "GA"))))
         self.assert_matches_single_calls(deep_model, spectra, candidates)
         _, batch = deep_model.forward(spectra, candidates)
         layout = AxialLayout.of(batch, np.array([s.n_peaks for s in spectra]))
@@ -249,7 +271,8 @@ class TestPredictHeads:
         spectra = [make_processed(table, k=k, seed=k) for k, _ in TestBatchedForward.SPECTRA]
         candidates = [make_candidates(table, texts) for _, texts in TestBatchedForward.SPECTRA]
         out, batch = model.forward(spectra, candidates)
-        assert np.argsort(batch.starts).tolist() == [0, 2, 1]  # stored by width
+        sizes = batch.shapes[:, 0] * batch.shapes[:, 1]
+        np.testing.assert_array_equal(batch.starts, np.cumsum(sizes) - sizes)  # spectrum order
 
         # spectrum, then candidate, then residue order, derived from each grid
         cls_rows = [batch.cells(b)[r, 0] for b, cands in enumerate(candidates)
