@@ -25,7 +25,7 @@ from .evaluation import (
     residue_confusion,
 )
 from .masses import MassTable, default_mass_table, load_mass_table, parse_peptide
-from .metrics import gap_penalty, pmd, rmd
+from .metrics import gap_penalty, pmd_many, rmd
 from .model import MODEL_KEYS, ModelConfig
 from .spectra import RawSpectrum, parse_mgf, write_mgf
 
@@ -108,10 +108,10 @@ def _cmd_metrics(args) -> int:
                 pairs.append((parts, *(parse_peptide(part, table) for part in parts)))
             except ValueError as exc:
                 raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
+    scores = pmd_many([(query, target) for _, query, target in pairs], table, gap=gap).tolist()
     with _output(args.out) as sink:
         sink.write("query\ttarget\tpmd\trmd\n")
-        for parts, query, target in pairs:
-            score = pmd(query, target, table, gap=gap)
+        for (parts, query, target), score in zip(pairs, scores):
             if len(query) and len(target):
                 deviations = ",".join(
                     repr(float(v)) for v in rmd(query, target, table)

@@ -10,11 +10,16 @@ Two complementary supervision signals:
   mass-for-mass, token position by token position.
 * residue mass deviation (RMD): for each query prefix mass, the signed
   difference to the nearest target prefix mass.
+
+:func:`pmd` scores one pair; :func:`pmd_many` scores many pairs at once,
+bit for bit the same values, by filling all their alignment tables
+together one anti-diagonal at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -61,8 +66,8 @@ def pmd(query: Peptide, target: Peptide, table: MassTable, gap: float | None = N
     to reuse a precomputed penalty for the same table.
     """
     g = gap_penalty(table) if gap is None else gap
-    qm = residue_masses(query, table)
-    km = residue_masses(target, table)
+    qm = residue_masses(query, table).tolist()  # Python floats: same bits, faster loop
+    km = residue_masses(target, table).tolist()
     n, m = len(qm), len(km)
     prev = [g * j for j in range(m + 1)]
     for i in range(1, n + 1):
@@ -73,6 +78,47 @@ def pmd(query: Peptide, target: Peptide, table: MassTable, gap: float | None = N
             cur[j] = min(sub, prev[j] + g, cur[j - 1] + g)
         prev = cur
     return float(prev[m] / g)
+
+
+def pmd_many(
+    pairs: Sequence[tuple[Peptide, Peptide]], table: MassTable, gap: float | None = None
+) -> np.ndarray:
+    """:func:`pmd` of every (query, target) pair, bit for bit, as one vector.
+
+    All P tables are filled together along anti-diagonals s = i + j over
+    zero-padded [P, N] query and [P, M] target masses. Each cell does the
+    float ops of :func:`pmd` in its order: diagonal + |q_i - k_j|, then the
+    up and left gap moves, then the three-way minimum. Only three
+    diagonals of length N + 1 per pair are kept (cell (i, s - i) lives at
+    index i), so memory is linear in P x max length. Padded cells never
+    feed a real corner, because a cell reads only smaller i and j; pair
+    p's corner (n_p, m_p) is read on the step s = n_p + m_p.
+    """
+    g = gap_penalty(table) if gap is None else gap
+    n = np.array([len(query) for query, _ in pairs], dtype=np.int64)
+    m = np.array([len(target) for _, target in pairs], dtype=np.int64)
+    big_n, big_m = int(n.max(initial=0)), int(m.max(initial=0))
+    q = np.zeros((len(pairs), big_n))
+    k = np.zeros((len(pairs), big_m))  # reversed, so k_j sits at column big_m - j
+    for p, (query, target) in enumerate(pairs):
+        q[p, : n[p]] = residue_masses(query, table)
+        k[p, big_m - m[p] :] = residue_masses(target, table)[::-1]
+    corner = np.zeros(len(pairs))  # D[0, 0] = 0
+    total, rows = n + m, np.arange(len(pairs))
+    d2, d1, d0 = (np.zeros((len(pairs), big_n + 1)) for _ in range(3))
+    for s in range(1, big_n + big_m + 1):
+        lo, hi = max(1, s - big_m), min(big_n, s - 1)  # interior cells (i, s - i), maybe none
+        prev, cells = slice(lo - 1, hi), slice(lo, hi + 1)
+        sub = d2[:, prev] + np.abs(q[:, prev] - k[:, big_m - s + lo : big_m - s + hi + 1])
+        d0[:, cells] = np.minimum(np.minimum(sub, d1[:, prev] + g), d1[:, cells] + g)
+        if s <= big_m:
+            d0[:, 0] = g * s
+        if s <= big_n:
+            d0[:, s] = g * s
+        done = total == s
+        corner[done] = d0[rows[done], n[done]]
+        d2, d1, d0 = d1, d0, d2
+    return corner / g
 
 
 def pmd_bruteforce(query: Peptide, target: Peptide, table: MassTable) -> float:

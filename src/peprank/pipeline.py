@@ -33,7 +33,8 @@ from .masses import (
     parse_peptide,
     peptide_neutral_mass,
 )
-from .metrics import gap_penalty, pmd, rmd
+from .metrics import pmd_many, rmd
+from .metrics import pmd  # noqa: F401  (perfbench's tracer wraps pipeline.pmd)
 from .model import ModelConfig, RerankModel, joint_loss, rerank_select
 from .spectra import (
     ProcessedSpectrum,
@@ -240,20 +241,23 @@ def build_training_set(
     ``all_candidates_correct``.
     """
     admitted, excluded = admit_records(spectra, candidate_sets, table, limits, labeled=True)
-    gap = gap_penalty(table)
-    instances: list[TrainingInstance] = []
+    kept = []
     for cs, spectrum, candidates, label in admitted:
         if all(aa_match(c, label, table).peptide_matched for c in candidates):
             excluded.append((cs.spectrum_id, "all_candidates_correct"))
-            continue
-        instances.append(
-            TrainingInstance(
-                spectrum=spectrum,
-                candidates=candidates,
-                pmd_targets=np.array([pmd(c, label, table, gap=gap) for c in candidates]),
-                rmd_targets=[rmd(c, label, table) for c in candidates],
-            )
+        else:
+            kept.append((spectrum, candidates, label))
+    targets = pmd_many([(c, label) for _, candidates, label in kept for c in candidates], table)
+    splits = np.cumsum([len(candidates) for _, candidates, _ in kept])[:-1]
+    instances = [
+        TrainingInstance(
+            spectrum=spectrum,
+            candidates=candidates,
+            pmd_targets=pmd_targets,
+            rmd_targets=[rmd(c, label, table) for c in candidates],
         )
+        for (spectrum, candidates, label), pmd_targets in zip(kept, np.split(targets, splits))
+    ]
     return instances, excluded
 
 

@@ -117,6 +117,29 @@ class TestMetricsCommand:
         assert "unknown residue token 'q' in 'query'" in err
 
 
+    def test_batched_scores_keep_the_scalar_output(self, tmp_path, capsys):
+        # the bytes the one-pair-at-a-time PMD loop wrote for this file
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(
+            "# pairs for the batch check\nquery\ttarget\nPEPTIDE\tPEPTIDE\n\tGAV\nGAVK\t\n"
+            "\t\n# unequal lengths\nM(O)PEPTIDEK\tPEPTLDE\nGG\tNQKLLW\n"
+        )
+        out_path = tmp_path / "out.tsv"
+        code, _, err = run(capsys, "metrics", "--pairs", str(pairs), "--out", str(out_path))
+        assert code == 0, err
+        assert out_path.read_bytes() == (
+            b"query\ttarget\tpmd\trmd\n"
+            b"PEPTIDE\tPEPTIDE\t0.0\t0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+            b"\tGAV\t3.0\t\n"
+            b"GAVK\t\t4.0\t\n"
+            b"\t\t0.0\t\n"
+            b"M(O)PEPTIDEK\tPEPTLDE\t2.0\t49.98264,17.99281000000002,49.98264000000006,"
+            b"45.98772000000008,33.95134000000007,32.00846000000013,17.992810000000077,"
+            b"147.0354000000001,275.13036\n"
+            b"GG\tNQKLLW\t7.3718988852477985\t-57.02147,-1.0000000003174137e-05\n"
+        )
+
+
 class TestSynthCommand:
     def test_deterministic_outputs(self, tmp_path, capsys):
         def generate(subdir):

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peprank.masses import MassTable, Peptide, cumulative_masses, parse_peptide
-from peprank.metrics import divergence_matrix, gap_penalty, pmd, pmd_bruteforce, rmd
+from peprank.metrics import (
+    divergence_matrix,
+    gap_penalty,
+    pmd,
+    pmd_bruteforce,
+    pmd_many,
+    rmd,
+)
 
 from conftest import random_table
 
@@ -113,6 +124,65 @@ class TestPmd:
             assert pmd(extended_a, extended_b, table, gap=gap) <= pmd(
                 a, b, table, gap=gap
             ) + 1e-12
+
+
+TWO_MASSES = MassTable({"a": 57.02146, "b": 71.03711})
+AB = Peptide(("a", "b"))
+
+
+@st.composite
+def pmd_batches(draw):
+    """A random mass table with at least two distinct masses, a batch of
+    0-12 pairs of 0-13 residues each, and the same batch shuffled."""
+    masses = draw(
+        st.lists(st.floats(40.0, 200.0), min_size=2, max_size=6).filter(
+            lambda ms: len(set(ms)) >= 2
+        )
+    )
+    table = MassTable({f"t{i}": m for i, m in enumerate(masses)})
+    peptides = st.lists(st.sampled_from(table.tokens), max_size=13).map(
+        lambda residues: Peptide(tuple(residues))
+    )
+    pairs = draw(st.lists(st.tuples(peptides, peptides), max_size=12))
+    return table, pairs, draw(st.permutations(pairs))
+
+
+class TestPmdMany:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=pmd_batches())
+    @example(batch=(TWO_MASSES, [], []))
+    @example(batch=(TWO_MASSES, [(Peptide(()), AB)], [(Peptide(()), AB)]))
+    @example(batch=(
+        TWO_MASSES,
+        [(AB, Peptide(())), (Peptide(()), Peptide(())), (Peptide(("b",) * 5), AB)],
+        [(Peptide(("b",) * 5), AB), (AB, Peptide(())), (Peptide(()), Peptide(()))],
+    ))
+    def test_equals_scalar_pmd_bit_for_bit(self, batch):
+        table, pairs, shuffled = batch
+        for order in (pairs, shuffled):
+            expected = np.array([pmd(q, k, table) for q, k in order])
+            got = pmd_many(order, table)
+            assert got.shape == (len(order),)
+            np.testing.assert_array_equal(got, expected)
+
+    def test_memory_is_linear_in_pairs(self, table):
+        # A full [P, 31, 31] float64 table alone takes 4000 * 31 * 31 * 8 B = 31 MB.
+        rng = np.random.default_rng(8)
+        pairs = [
+            (random_peptide(rng, table, 30, 30), random_peptide(rng, table, 30, 30))
+            for _ in range(4000)
+        ]
+        tracemalloc.start()
+        try:
+            full = np.ones((len(pairs), 31, 31))  # the probe sees numpy buffers
+            assert tracemalloc.get_traced_memory()[0] >= full.nbytes
+            del full
+            tracemalloc.reset_peak()
+            pmd_many(pairs, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPmdBruteforce:

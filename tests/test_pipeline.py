@@ -220,19 +220,29 @@ class TestSynthesizeDataset:
 
 
 class TestBuildTrainingSet:
-    def test_targets_match_metric_calls(self, table):
-        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=6)
-        instances, _ = build_training_set(spectra, cands, table)
-        assert instances
-        for inst, cs in zip(instances, cands):
+    @pytest.mark.parametrize("seed, config", [
+        (11, SynthConfig()),
+        (12, SynthConfig(n_candidates=10, min_length=25, max_length=40)),
+    ])
+    def test_targets_match_metric_calls(self, table, seed, config):
+        spectra, cands = synthesize_dataset(table, seed=seed, n_spectra=12, config=config)
+        label = cands[2].label  # record 2 keeps no ranking signal, record 5 misses its precursor
+        cands[2] = CandidateSet(cands[2].spectrum_id, [("m1", label), ("m2", label)], label)
+        cands[5] = CandidateSet(cands[5].spectrum_id, cands[5].candidates, label="GGGG")
+        instances, excluded = build_training_set(spectra, cands, table)
+        assert excluded == [
+            (cands[5].spectrum_id, "precursor_mismatch"),
+            (cands[2].spectrum_id, "all_candidates_correct"),
+        ]
+        kept = [cs for k, cs in enumerate(cands) if k not in (2, 5)]
+        assert [inst.spectrum.spectrum_id for inst in instances] == [cs.spectrum_id for cs in kept]
+        for inst, cs in zip(instances, kept):
             label = parse_peptide(cs.label, table)
-            for i, candidate in enumerate(inst.candidates):
-                assert inst.pmd_targets[i] == pytest.approx(
-                    pmd(candidate, label, table), rel=1e-12
-                )
-                np.testing.assert_allclose(
-                    inst.rmd_targets[i], rmd(candidate, label, table)
-                )
+            np.testing.assert_array_equal(
+                inst.pmd_targets, [pmd(c, label, table) for c in inst.candidates]
+            )
+            for got, candidate in zip(inst.rmd_targets, inst.candidates):
+                np.testing.assert_allclose(got, rmd(candidate, label, table))
 
     def test_label_candidate_has_zero_targets(self, table):
         spectra, cands = synthesize_dataset(table, seed=6, n_spectra=4)
