@@ -12,8 +12,8 @@ Two complementary supervision signals:
   difference to the nearest target prefix mass.
 
 :func:`pmd` scores one pair; :func:`pmd_many` scores many pairs at once,
-bit for bit the same values, by filling all their alignment tables
-together one anti-diagonal at a time.
+bit for bit the same values, by filling the alignment tables of pairs of
+similar length together one anti-diagonal at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .masses import MassTable, Peptide, cumulative_masses, residue_masses
 
 BRUTEFORCE_MAX_TOTAL_LEN = 12
+RUN_CELLS = 1 << 17  # bound on pairs x (longest peptide + 1) in one pmd_many run
 
 
 def divergence_matrix(table: MassTable) -> np.ndarray:
@@ -85,19 +86,60 @@ def pmd_many(
 ) -> np.ndarray:
     """:func:`pmd` of every (query, target) pair, bit for bit, as one vector.
 
-    All P tables are filled together along anti-diagonals s = i + j over
-    zero-padded [P, N] query and [P, M] target masses. Each cell does the
-    float ops of :func:`pmd` in its order: diagonal + |q_i - k_j|, then the
-    up and left gap moves, then the three-way minimum. Only three
-    diagonals of length N + 1 per pair are kept (cell (i, s - i) lives at
-    index i), so memory is linear in P x max length. Padded cells never
-    feed a real corner, because a cell reads only smaller i and j; pair
-    p's corner (n_p, m_p) is read on the step s = n_p + m_p.
+    Pairs are sorted by (|query|, |target|) and cut by :func:`_length_runs`
+    into runs of similar length, whose tables :func:`_wavefront` fills
+    together; the values return in input order.
     """
     g = gap_penalty(table) if gap is None else gap
     n = np.array([len(query) for query, _ in pairs], dtype=np.int64)
     m = np.array([len(target) for _, target in pairs], dtype=np.int64)
-    big_n, big_m = int(n.max(initial=0)), int(m.max(initial=0))
+    order = np.lexsort((m, n))
+    out = np.zeros(len(pairs))
+    for run in _length_runs(n[order].tolist(), m[order].tolist()):
+        picked = order[run]
+        out[picked] = _wavefront([pairs[p] for p in picked], n[picked], m[picked], table, g)
+    return out / g
+
+
+def _length_runs(n: list[int], m: list[int]):
+    """Slices of consecutive pairs, sorted by (n, m), to fill together.
+
+    A run grows while its padded cells, count x (N + 1) x (M + 1), stay
+    within twice the sum of its pairs' own (n + 1) x (m + 1), and while
+    count x (max(N, M) + 1) stays within :data:`RUN_CELLS`. So one long
+    pair does not pad many short ones, and a run of several pairs needs
+    about 10 MB of scratch at most (five 1 MB arrays and the temporaries
+    of one step).
+    """
+    start = own = big_m = 0
+    for p, (n_p, m_p) in enumerate(zip(n, m)):  # sorted, so n_p is the run's N
+        count, wide_m, own_p = p - start + 1, max(big_m, m_p), (n_p + 1) * (m_p + 1)
+        if p > start and (
+            count * (n_p + 1) * (wide_m + 1) > 2 * (own + own_p)
+            or count * (max(n_p, wide_m) + 1) > RUN_CELLS
+        ):
+            yield slice(start, p)
+            start, own, wide_m = p, 0, m_p
+        own, big_m = own + own_p, wide_m
+    if n:
+        yield slice(start, len(n))
+
+
+def _wavefront(
+    pairs: list[tuple[Peptide, Peptide]], n: np.ndarray, m: np.ndarray, table: MassTable, g: float
+) -> np.ndarray:
+    """Unnormalized alignment corners D[n_p, m_p] of all pairs, filled together.
+
+    All P tables are filled along anti-diagonals s = i + j over
+    zero-padded [P, N] query and [P, M] target masses. Each cell does the
+    float ops of :func:`pmd` in its order: diagonal + |q_i - k_j|, then the
+    up and left gap moves, then the three-way minimum. Only three
+    diagonals of length N + 1 per pair are kept (cell (i, s - i) lives at
+    index i). Padded cells never feed a real corner, because a cell reads
+    only smaller i and j; pair p's corner (n_p, m_p) is read on the step
+    s = n_p + m_p.
+    """
+    big_n, big_m = int(n.max()), int(m.max())
     q = np.zeros((len(pairs), big_n))
     k = np.zeros((len(pairs), big_m))  # reversed, so k_j sits at column big_m - j
     for p, (query, target) in enumerate(pairs):
@@ -118,7 +160,7 @@ def pmd_many(
         done = total == s
         corner[done] = d0[rows[done], n[done]]
         d2, d1, d0 = d1, d0, d2
-    return corner / g
+    return corner
 
 
 def pmd_bruteforce(query: Peptide, target: Peptide, table: MassTable) -> float:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from peprank.masses import MassTable, Peptide, cumulative_masses, parse_peptide
 from peprank.metrics import (
+    RUN_CELLS,
+    _length_runs,
     divergence_matrix,
     gap_penalty,
     pmd,
@@ -172,17 +174,50 @@ class TestPmdMany:
             (random_peptide(rng, table, 30, 30), random_peptide(rng, table, 30, 30))
             for _ in range(4000)
         ]
-        tracemalloc.start()
-        try:
-            full = np.ones((len(pairs), 31, 31))  # the probe sees numpy buffers
-            assert tracemalloc.get_traced_memory()[0] >= full.nbytes
-            del full
-            tracemalloc.reset_peak()
-            pmd_many(pairs, table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(pmd_many, pairs, table)
         assert peak < 16 * 2**20
+
+    def test_memory_is_bounded_per_run_on_a_ragged_batch(self, table):
+        # Padded to its one 600-residue pair, a single [4001, 601] float64
+        # diagonal of the batch would take 19 MB; runs of similar length keep
+        # the short pairs apart from it.
+        rng = np.random.default_rng(9)
+        pairs = [
+            (random_peptide(rng, table, 5, 15), random_peptide(rng, table, 5, 15))
+            for _ in range(4000)
+        ]
+        pairs.insert(1234, (random_peptide(rng, table, 600, 600), random_peptide(rng, table, 600, 600)))
+        got, peak = traced_peak(pmd_many, pairs, table)
+        assert peak < 16 * 2**20
+        np.testing.assert_array_equal(got, [pmd(q, k, table) for q, k in pairs])
+
+    @settings(max_examples=200, deadline=None)
+    @example(lengths=[(2000, 2000)] * 100)  # 100 x 2001 cells > RUN_CELLS
+    @given(lengths=st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 3000)), max_size=60))
+    def test_length_runs_bound_padding_and_width(self, lengths):
+        n, m = map(list, zip(*sorted(lengths))) if lengths else ([], [])
+        runs = list(_length_runs(n, m))
+        assert [p for run in runs for p in range(run.start, run.stop)] == list(range(len(n)))
+        for run in runs:
+            ns, ms = n[run], m[run]
+            if len(ns) > 1:
+                own = sum((a + 1) * (b + 1) for a, b in zip(ns, ms))
+                assert len(ns) * (max(ns) + 1) * (max(ms) + 1) <= 2 * own
+                assert len(ns) * (max(ns + ms) + 1) <= RUN_CELLS
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        probe = np.ones(2**20)  # the probe sees numpy buffers
+        assert tracemalloc.get_traced_memory()[0] >= probe.nbytes
+        del probe
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPmdBruteforce:
