@@ -524,72 +524,71 @@ def softmax_masked(logits, mask) -> Tensor:
 
 
 class AttentionGroup(NamedTuple):
-    """``count`` sequences of ``n_q`` query rows from row ``q_start``, each
-    over its own ``n_k`` key and value rows from row ``k_start``;
-    ``key_mask`` [count, n_k] marks the valid keys (None: all)."""
+    """Sequences of query rows ``q`` [count, n_q], each over its own key and
+    value rows ``k`` [count, n_k]; ``key_mask`` [count, n_k] marks the valid
+    keys (None: all)."""
 
-    q_start: int
-    k_start: int
-    count: int
-    n_q: int
-    n_k: int
+    q: np.ndarray
+    k: np.ndarray
     key_mask: np.ndarray | None = None
 
 
 def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over packed sequences, as one
+    """Multi-head scaled dot-product attention over indexed sequences, as one
     graph node.
 
-    ``q`` [n, d] and ``k``, ``v`` [m, d] hold many sequences' rows end to
-    end; ``groups`` must cover every row of each exactly once, and each
-    group is one batched product, so no query sees another sequence's
-    keys. The last axis is split into ``n_heads`` heads of d / n_heads;
-    each head's scores are scaled by 1 / sqrt(d / n_heads), masked-softmaxed
-    over the keys and used to weight the values, and the heads are merged
-    back into [n, d]. Beside its inputs the node keeps only the
-    probabilities for the backward.
+    ``q`` [n, d] and ``k``, ``v`` [m, d] hold many sequences' rows in any
+    order; ``groups`` must index every row of each exactly once, and each
+    group is one batched product over the rows it gathers, so no query sees
+    another sequence's keys. The last axis is split into ``n_heads`` heads
+    of d / n_heads; each head's scores are scaled by 1 / sqrt(d / n_heads),
+    masked-softmaxed over the keys and used to weight the values, and the
+    heads are merged back into [n, d] at the query rows. Beside its inputs
+    the node keeps only the probabilities for the backward, which gathers
+    the rows again.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    d = q.shape[-1]
+    n, d = q.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
-    if (sum(grp.count * grp.n_q for grp in groups), sum(grp.count * grp.n_k for grp in groups)
-            ) != (q.shape[0], k.shape[0]):
-        raise ValueError("attention groups must cover every query and key row once")
+    n_rows = n + k.shape[0]
+    indexed = [rows for g in groups for rows in (g.q.ravel(), g.k.ravel() + n)]
+    counts = np.bincount(np.concatenate(indexed), minlength=n_rows)
+    if counts.size != n_rows or (counts != 1).any():
+        raise ValueError("attention groups must index every query and key row exactly once")
 
-    def heads(x, start, count, length):
-        rows = x[start : start + count * length]
-        return rows.reshape(count, length, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(x, rows):
+        count, length = rows.shape
+        return x.take(rows, axis=0).reshape(count, length, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x, out, start):
-        count, _, length, _ = x.shape
-        out[start : start + count * length] = x.transpose(0, 2, 1, 3).reshape(count * length, d)
+    def merge(x, out, rows):
+        out[rows.ravel()] = x.transpose(0, 2, 1, 3).reshape(rows.size, d)
 
     data = np.empty_like(q.data)
     saved = []
     for grp in groups:
-        qh = heads(q.data, grp.q_start, grp.count, grp.n_q)
-        kh, vh = (heads(t.data, grp.k_start, grp.count, grp.n_k) for t in (k, v))
-        p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+        kh, vh = heads(k.data, grp.k), heads(v.data, grp.k)
+        p = np.matmul(heads(q.data, grp.q), kh.transpose(0, 1, 3, 2))
         p *= scale
         _softmax_forward(p, None if grp.key_mask is None else grp.key_mask[:, None, None, :])
-        merge(np.matmul(p, vh), data, grp.q_start)
-        saved.append((grp, qh, kh, vh, p))
+        merge(np.matmul(p, vh), data, grp.q)
+        saved.append((grp, p))
 
     def backward_fn(g):
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
-        for grp, qh, kh, vh, p in saved:
-            gh = heads(g, grp.q_start, grp.count, grp.n_q)
+        for grp, p in saved:
+            gh = heads(g, grp.q)
             if gv is not None:
-                merge(np.matmul(np.swapaxes(p, -1, -2), gh), gv, grp.k_start)
-            gs = _softmax_backward(np.matmul(gh, np.swapaxes(vh, -1, -2)), p)
+                merge(np.matmul(np.swapaxes(p, -1, -2), gh), gv, grp.k)
+            gs = _softmax_backward(np.matmul(gh, np.swapaxes(heads(v.data, grp.k), -1, -2)), p)
             gs *= scale
             if gq is not None:
-                merge(np.matmul(gs, kh), gq, grp.q_start)
+                merge(np.matmul(gs, heads(k.data, grp.k)), gq, grp.q)
             if gk is not None:
                 # (q.T @ gs).T is the GEMM that matmul's backward runs for k.T,
                 # so the key gradient is bit-identical to the composed ops'
-                merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), gk, grp.k_start)
+                qh = heads(q.data, grp.q)
+                merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), gk, grp.k)
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad, fresh=True)

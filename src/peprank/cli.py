@@ -25,7 +25,7 @@ from .evaluation import (
     residue_confusion,
 )
 from .masses import MassTable, default_mass_table, load_mass_table, parse_peptide
-from .metrics import gap_penalty, pmd_many, rmd
+from .metrics import pmd_many, rmd
 from .model import MODEL_KEYS, ModelConfig
 from .spectra import RawSpectrum, parse_mgf, write_mgf
 
@@ -87,7 +87,6 @@ def _output(path: str | None) -> Iterator[TextIO]:
 def _cmd_metrics(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "metrics", "pairs": args.pairs})
-    gap = gap_penalty(table)
     pairs = []  # every pair parses before the output is opened
     with open(args.pairs, "r", encoding="utf-8") as handle:
         header_allowed = True  # only the first non-blank, non-comment line
@@ -108,7 +107,7 @@ def _cmd_metrics(args) -> int:
                 pairs.append((parts, *(parse_peptide(part, table) for part in parts)))
             except ValueError as exc:
                 raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
-    scores = pmd_many([(query, target) for _, query, target in pairs], table, gap=gap).tolist()
+    scores = pmd_many([(query, target) for _, query, target in pairs], table).tolist()
     with _output(args.out) as sink:
         sink.write("query\ttarget\tpmd\trmd\n")
         for (parts, query, target), score in zip(pairs, scores):

@@ -81,16 +81,14 @@ def pmd(query: Peptide, target: Peptide, table: MassTable, gap: float | None = N
     return float(prev[m] / g)
 
 
-def pmd_many(
-    pairs: Sequence[tuple[Peptide, Peptide]], table: MassTable, gap: float | None = None
-) -> np.ndarray:
+def pmd_many(pairs: Sequence[tuple[Peptide, Peptide]], table: MassTable) -> np.ndarray:
     """:func:`pmd` of every (query, target) pair, bit for bit, as one vector.
 
     Pairs are sorted by (|query|, |target|) and cut by :func:`_length_runs`
     into runs of similar length, whose tables :func:`_wavefront` fills
     together; the values return in input order.
     """
-    g = gap_penalty(table) if gap is None else gap
+    g = gap_penalty(table)
     n = np.array([len(query) for query, _ in pairs], dtype=np.int64)
     m = np.array([len(target) for _, target in pairs], dtype=np.int64)
     order = np.lexsort((m, n))

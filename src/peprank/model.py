@@ -13,8 +13,9 @@ the candidate with the smallest predicted peptide-level deviation.
 The forward pass takes B spectra at once, packed with no padding across
 spectra: the peaks as [sum of K_b, d] and each spectrum's own c_b x w_b
 candidate grid as rows of one [N, d] array. Token-wise ops run once over
-the packed rows; each attention runs per spectrum, grouping sequences of
-equal shape into one batched product. A training minibatch is one such
+the packed rows; each attention gathers its sequences' rows by index,
+within one spectrum each, and batches sequences of equal shape into one
+product, so no sublayer reorders the grid. A training minibatch is one such
 batch (one autograd graph); a single spectrum is the one-spectrum batch,
 with the same outputs in the same format.
 """
@@ -216,7 +217,7 @@ class RerankModel:
         ``counts`` [B] gives each spectrum's number of peaks, in packing
         order; a peak attends to its own spectrum's peaks only.
         """
-        groups = _self_groups(np.cumsum(counts) - counts, np.ones_like(counts), counts)
+        groups = _groups([(rows, rows) for rows in _peak_rows(counts)])
         for i in range(self.config.n_layers):
             peaks = self._attention_sublayer(peaks, f"enc{i}/attn", groups, dropout_rng)
             peaks = self._ff_sublayer(peaks, f"enc{i}/ff", dropout_rng)
@@ -229,20 +230,14 @@ class RerankModel:
         attention, then feed-forward.
 
         Row attention runs over each candidate row of its spectrum's own
-        grid; adjacent spectra of equal width share a group. Column
-        attention runs over each column of a grid, grouped by candidate
-        count; its sublayer takes the cells in column-major order (a
-        permutation in and out), so a lone spectrum runs exactly the
-        transposed grid's arithmetic. Cross attention lets each spectrum's
-        cells query its own encoded peaks. No attention crosses spectra, so
-        only pad cells need masking, as keys.
+        grid, column attention over each column of it, and cross attention
+        lets each spectrum's cells query its own encoded peaks; every
+        sublayer runs on the grid as it is packed, its attention gathering
+        the rows of each sequence (see :class:`AxialLayout`). No attention
+        crosses spectra, so only pad cells need masking, as keys.
         """
         grid = self._attention_sublayer(grid, f"mix{index}/row", layout.rows, dropout_rng)
-        columns = self._attention_sublayer(
-            ag.take(grid, layout.to_columns, axis=0), f"mix{index}/col", layout.columns,
-            dropout_rng
-        )
-        grid = ag.take(columns, layout.from_columns, axis=0)
+        grid = self._attention_sublayer(grid, f"mix{index}/col", layout.columns, dropout_rng)
         grid = self._attention_sublayer(grid, f"mix{index}/cross", layout.cross, dropout_rng,
                                         memory=spectrum)
         return self._ff_sublayer(grid, f"mix{index}/ff", dropout_rng)
@@ -293,22 +288,23 @@ class RerankModel:
         return self.predict_heads(grid, batch), batch
 
 
-def _self_groups(starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray,
-                 mask: np.ndarray | None = None) -> list[ag.AttentionGroup]:
-    """Self-attention groups over blocks of ``counts[i]`` sequences of
-    ``lengths[i]`` rows from row ``starts[i]``; the blocks must tile the rows
-    in the order given. Adjacent blocks of equal length form one group.
-    ``mask`` marks the valid rows as keys (default: all)."""
-    groups: list[ag.AttentionGroup] = []
-    for start, count, length in zip(starts.tolist(), counts.tolist(), lengths.tolist()):
-        if groups and groups[-1].n_q == length:
-            groups[-1] = groups[-1]._replace(count=groups[-1].count + count)
-        else:
-            groups.append(ag.AttentionGroup(start, start, count, length, length))
-    if mask is not None:
-        groups = [g._replace(key_mask=mask[g.q_start : g.q_start + g.count * g.n_q]
-                             .reshape(g.count, g.n_q)) for g in groups]
+def _groups(blocks, mask: np.ndarray | None = None) -> list[ag.AttentionGroup]:
+    """Attention groups from blocks of (query rows [count, n_q], key rows
+    [count, n_k]); blocks of equal shape share one group, in order of first
+    appearance. ``mask`` marks the valid rows as keys (default: all)."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for q, k in blocks:
+        by_shape.setdefault((q.shape[1], k.shape[1]), []).append((q, k))
+    groups = []
+    for same in by_shape.values():
+        q, k = (np.concatenate(rows) for rows in zip(*same))
+        groups.append(ag.AttentionGroup(q, k, None if mask is None else mask[k]))
     return groups
+
+
+def _peak_rows(counts: np.ndarray) -> list[np.ndarray]:
+    """Each spectrum's rows of the packed peaks, as one [1, K_b] sequence."""
+    return [rows[None] for rows in np.split(np.arange(counts.sum()), np.cumsum(counts)[:-1])]
 
 
 @dataclass
@@ -316,44 +312,32 @@ class AxialLayout:
     """How the attention of a packed grid splits into groups, built once per
     forward and shared by every mixer block.
 
-    ``rows`` and ``cross`` index the packed rows, which hold the grids in
-    spectrum order; ``columns`` index the column-major order that
-    ``to_columns`` gathers (grids by candidate count, each transposed) and
-    ``from_columns`` undoes. ``scores`` counts the attention scores of one
-    layer: its encoder layer's over each spectrum's own peaks, and its
-    mixer block's over each spectrum's own c x w grid.
+    Each group indexes the packed rows of its sequences: ``rows`` the rows
+    of ``MsaBatch.cells(b)``, ``columns`` the rows of its transpose, and
+    ``cross`` all of spectrum b's cells against its own peaks. ``scores``
+    counts the attention scores of one layer: its encoder layer's over each
+    spectrum's own peaks, and its mixer block's over each spectrum's own
+    c x w grid.
     """
 
     rows: list[ag.AttentionGroup]
     columns: list[ag.AttentionGroup]
     cross: list[ag.AttentionGroup]
-    to_columns: np.ndarray
-    from_columns: np.ndarray
     scores: dict[str, int]
 
     @classmethod
     def of(cls, batch: MsaBatch, peak_counts: np.ndarray) -> "AxialLayout":
-        shapes, mask = batch.shapes, batch.mask
-        n_rows, widths = shapes[:, 0], shapes[:, 1]
-        rows = _self_groups(batch.starts, n_rows, widths, mask)
-
-        # column-major order: grids by candidate count, each transposed
-        by_count = np.argsort(n_rows, kind="stable")
-        to_columns = np.concatenate([batch.cells(b).T.ravel() for b in by_count])
-        sizes = n_rows[by_count] * widths[by_count]
-        columns = _self_groups(np.cumsum(sizes) - sizes, widths[by_count], n_rows[by_count],
-                               mask[to_columns])
-        from_columns = np.argsort(to_columns)
-
-        peak_starts = np.cumsum(peak_counts) - peak_counts
-        cross = [ag.AttentionGroup(int(batch.starts[b]), int(peak_starts[b]), 1,
-                                   int(n_rows[b] * widths[b]), int(peak_counts[b]))
-                 for b in range(len(shapes))]
+        cells = [batch.cells(b) for b in range(len(batch.shapes))]
+        rows = _groups([(grid, grid) for grid in cells], batch.mask)
+        columns = _groups([(grid.T, grid.T) for grid in cells], batch.mask)
+        cross = _groups([(grid.reshape(1, -1), peaks)
+                         for grid, peaks in zip(cells, _peak_rows(peak_counts))])
+        n_rows, widths = batch.shapes[:, 0], batch.shapes[:, 1]
         scores = {"spectrum": int((peak_counts * peak_counts).sum()),
                   "row": int((n_rows * widths * widths).sum()),
                   "col": int((widths * n_rows * n_rows).sum()),
                   "cross": int((n_rows * widths * peak_counts).sum())}
-        return cls(rows, columns, cross, to_columns, from_columns, scores)
+        return cls(rows, columns, cross, scores)
 
 
 # ---------------------------------------------------------------------------

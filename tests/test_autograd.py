@@ -374,7 +374,8 @@ def padded_attention(q, k, v, key_mask, n_heads):
     """``ag.attention`` over a padded batch [batch, n, d]: the sequences
     packed end to end as one group."""
     batch, n_q, d = q.shape
-    group = ag.AttentionGroup(0, 0, batch, n_q, k.shape[1], key_mask)
+    group = ag.AttentionGroup(np.arange(batch * n_q).reshape(batch, n_q),
+                              np.arange(batch * k.shape[1]).reshape(batch, -1), key_mask)
     packed = [ag.reshape(t, (-1, d)) for t in (q, k, v)]
     return ag.reshape(ag.attention(*packed, [group], n_heads), q.shape)
 
@@ -432,10 +433,12 @@ class TestAttention:
         q = leaf(rng, int(q_starts[-1]), 8)
         k, v = leaf(rng, 16, 8), leaf(rng, 16, 8)
         weights = Tensor(rng.normal(size=q.shape))
-        groups = [ag.AttentionGroup(int(q_starts[3]), int(k_starts[3]), 1, 1, 6),
-                  ag.AttentionGroup(0, int(k_starts[0]), 1, 3, 4),
-                  ag.AttentionGroup(int(q_starts[1]), int(k_starts[1]), 1, 3, 4),
-                  ag.AttentionGroup(int(q_starts[2]), int(k_starts[2]), 1, 5, 2)]
+        def rows(i):
+            n_q, n_k = shapes[i]
+            return (np.arange(q_starts[i], q_starts[i] + n_q)[None],
+                    np.arange(k_starts[i], k_starts[i] + n_k)[None])
+
+        groups = [ag.AttentionGroup(*rows(i)) for i in (3, 0, 1, 2)]
         packed = ag.attention(q, k, v, groups, n_heads=2)
         ag.backward(ag.tensor_sum(ag.mul(packed, weights)))
         for i, (n_q, n_k) in enumerate(shapes):
@@ -448,17 +451,42 @@ class TestAttention:
             ag.backward(ag.tensor_sum(ag.mul(alone, Tensor(weights.data[rows][None]))))
             for t, s, ti in ((q, rows, qi), (k, keys, ki), (v, keys, vi)):
                 np.testing.assert_allclose(t.grad[s], ti.grad[0], rtol=0, atol=1e-13)
-        merged = [ag.AttentionGroup(0, 0, 2, 3, 4)]
+        merged = [ag.AttentionGroup(np.arange(6).reshape(2, 3), np.arange(8).reshape(2, 4))]
         q2, k2 = leaf(rng, 6, 8), leaf(rng, 8, 8)
         f = lambda: ag.tensor_sum(ag.mul(ag.attention(q2, k2, k2, merged, n_heads=4),
                                          Tensor(weights.data[:6])))
         assert ag.grad_check(f, [q2, k2]) < 1e-7
 
-    def test_groups_must_cover_every_row(self):
+    def test_strided_groups_match_each_gathered_sequence_alone(self):
+        """Column-style groups over a row-major 3 x 4 grid, with pad keys:
+        each column's output equals attention over its gathered rows alone,
+        bit for bit, and so do its gradients."""
+        rng = np.random.default_rng(27)
+        grid = np.arange(12).reshape(3, 4)
+        mask = np.ones(12, dtype=bool)
+        mask[[3, 7]] = False  # the last column pads two of its three cells
+        q, k, v = leaf(rng, 12, 8), leaf(rng, 12, 8), leaf(rng, 12, 8)
+        weights = Tensor(rng.normal(size=q.shape))
+        packed = ag.attention(q, k, v, [ag.AttentionGroup(grid.T, grid.T, mask[grid.T])],
+                              n_heads=2)
+        ag.backward(ag.tensor_sum(ag.mul(packed, weights)))
+        for column in grid.T:
+            qi, ki, vi = (Tensor(t.data[column][None], requires_grad=True) for t in (q, k, v))
+            alone = padded_attention(qi, ki, vi, mask[column][None], n_heads=2)
+            np.testing.assert_array_equal(packed.data[column], alone.data[0])
+            ag.backward(ag.tensor_sum(ag.mul(alone, Tensor(weights.data[column][None]))))
+            for t, ti in ((q, qi), (k, ki), (v, vi)):
+                np.testing.assert_array_equal(t.grad[column], ti.grad[0])
+
+    @pytest.mark.parametrize("q_rows", [[[0, 1, 2]], [[0, 1, 2, 2]]])
+    def test_groups_must_index_every_row_once(self, q_rows):
+        # one row missing; then one row duplicated and another missing, with
+        # the row count right
         rng = np.random.default_rng(26)
         q, k = leaf(rng, 4, 4), leaf(rng, 4, 4)
-        with pytest.raises(ValueError, match="cover"):
-            ag.attention(q, k, k, [ag.AttentionGroup(0, 0, 1, 3, 4)], n_heads=2)
+        group = ag.AttentionGroup(np.array(q_rows), np.arange(4)[None])
+        with pytest.raises(ValueError, match="exactly once"):
+            ag.attention(q, k, k, [group], n_heads=2)
 
     def test_linear_output_shares_no_buffer_with_a_retained_product(self):
         rng = np.random.default_rng(24)

@@ -203,19 +203,30 @@ class TestBatchedForward:
             np.testing.assert_array_equal(moved_batch.embeddings.data[moved_batch.cells(slot)],
                                           alone.embeddings.data[alone.cells(0)])
 
-    def test_equal_shapes_share_one_attention_group(self, table, deep_model):
+    def test_equal_shapes_share_one_attention_group(self, table, deep_model, monkeypatch):
         # adjacent spectra 0 and 1 have equal widths and candidate counts,
         # spectrum 2 only an equal candidate count: rows form two groups, columns one
         spectra, candidates = self.batch(table, ((5, ("GAVK", "AAV")), (7, ("KPG", "WGTS")),
                                                  (9, ("GAVKPG", "GA"))))
         self.assert_matches_single_calls(deep_model, spectra, candidates)
+        attention, calls = ag.attention, []
+        monkeypatch.setattr(ag, "attention", lambda q, k, v, groups, n_heads: (
+            calls.append(groups) or attention(q, k, v, groups, n_heads)))
         _, batch = deep_model.forward(spectra, candidates)
-        layout = AxialLayout.of(batch, np.array([s.n_peaks for s in spectra]))
-        assert [(g.count, g.n_q) for g in layout.rows] == [(4, 5), (2, 7)]
-        assert [(g.count, g.n_q) for g in layout.columns] == [(17, 2)]
-        cells = np.arange(batch.mask.size)
-        np.testing.assert_array_equal(np.sort(layout.to_columns), cells)
-        np.testing.assert_array_equal(layout.to_columns[layout.from_columns], cells)
+        peak_counts = np.array([s.n_peaks for s in spectra])
+        layout = AxialLayout.of(batch, peak_counts)
+        assert [g.q.shape for g in layout.rows] == [(4, 5), (2, 7)]
+        assert [g.q.shape for g in layout.columns] == [(17, 2)]
+        np.testing.assert_array_equal(layout.columns[0].q,
+                                      np.concatenate([batch.cells(b).T for b in range(3)]))
+        n_cells, n_peaks = batch.mask.size, peak_counts.sum()
+        for groups, n_q, n_k in ((calls[0], n_peaks, n_peaks),  # the first encoder layer
+                                 (layout.rows, n_cells, n_cells),
+                                 (layout.columns, n_cells, n_cells),
+                                 (layout.cross, n_cells, n_peaks)):
+            for rows, n in (([g.q for g in groups], n_q), ([g.k for g in groups], n_k)):
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([r.ravel() for r in rows])), np.arange(n))
 
     def test_attention_counts_cover_each_spectrums_own_grid(self, table, deep_model):
         spectra, candidates = self.batch(table)
