@@ -245,10 +245,18 @@ class RerankModel:
     def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
         """Linear readouts of the packed grid [N, d]: the peptide head over
         ``batch.cls_rows``, the residue head over ``batch.residue_rows``
-        (see :class:`ModelOutput`)."""
+        (see :class:`ModelOutput`).
+
+        The peptide head runs once per spectrum, on its own c_b CLS rows: a
+        [rows, d] @ [d, 1] product's bits depend on how the rows fall into
+        the kernel's blocks, so this keeps each spectrum's scores those of
+        its B=1 forward, whatever its batch-mates.
+        """
         store = self.store
-        pmd_pred = ag.linear(ag.take(grid, batch.cls_rows, axis=0),
-                             store["head/pmd_w"], store["head/pmd_b"])
+        splits = np.cumsum(batch.shapes[:-1, 0])
+        heads = [ag.linear(ag.take(grid, rows, axis=0), store["head/pmd_w"], store["head/pmd_b"])
+                 for rows in np.split(batch.cls_rows, splits)]
+        pmd_pred = heads[0] if len(heads) == 1 else ag.concat(heads)
         rmd_pred = ag.linear(ag.take(grid, batch.residue_rows, axis=0),
                              store["head/rmd_w"], store["head/rmd_b"])
         return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)),

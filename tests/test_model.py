@@ -176,8 +176,8 @@ class TestBatchedForward:
             single, single_batch = model.forward(spectrum, cands)
             c, n = len(cands), sum(len(p) for p in cands)
             np.testing.assert_array_equal(batch.mask[batch.cells(b)].ravel(), single_batch.mask)
-            np.testing.assert_allclose(out.pmd_pred.data[pmd_at : pmd_at + c],
-                                       single.pmd_pred.data, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(out.pmd_pred.data[pmd_at : pmd_at + c],
+                                          single.pmd_pred.data)
             np.testing.assert_allclose(out.rmd_pred.data[rmd_at : rmd_at + n],
                                        single.rmd_pred.data, rtol=0, atol=1e-10)
             pmd_at, rmd_at = pmd_at + c, rmd_at + n
@@ -197,8 +197,9 @@ class TestBatchedForward:
         moved_out, moved_batch = deep_model.forward(*moved)
         before, after = per_spectrum(out, candidates), per_spectrum(moved_out, moved[1])
         for slot, b in enumerate(order):
-            for got, want in zip(after[slot], before[b]):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            (pmd_got, rmd_got), (pmd_want, rmd_want) = after[slot], before[b]
+            np.testing.assert_array_equal(pmd_got, pmd_want)
+            np.testing.assert_allclose(rmd_got, rmd_want, rtol=0, atol=1e-10)
             _, alone = deep_model.forward(spectra[b], candidates[b])
             np.testing.assert_array_equal(moved_batch.embeddings.data[moved_batch.cells(slot)],
                                           alone.embeddings.data[alone.cells(0)])

@@ -24,6 +24,7 @@ from peprank.pipeline import (
     TrainConfig,
     admit_records,
     build_training_set,
+    cell_chunks,
     learning_rate,
     load_candidates,
     load_checkpoint,
@@ -590,6 +591,119 @@ class TestRerankRun:
                 f"b\t{index}\tm1\tGAV\t{scores}\n")
         with pytest.raises(ValueError, match=message):
             read_selections(io.StringIO(text))
+
+
+def b1_scores(model, spectra, candidate_sets):
+    """Each admitted spectrum's scores from a B=1 forward of its own, by id."""
+    admitted, _ = admit_records(spectra, candidate_sets, model.table, model.config.embedding,
+                                labeled=False)
+    with ag.no_grad():
+        return {cs.spectrum_id: model.forward(spectrum, candidates)[0].pmd_pred.data
+                for cs, spectrum, candidates, _ in admitted}
+
+
+def chunk_ids(model, spectra, candidate_sets):
+    """The spectrum ids of each chunk that rerank_run forwards together."""
+    admitted, _ = admit_records(spectra, candidate_sets, model.table, model.config.embedding,
+                                labeled=False)
+    cells = [len(candidates) * (max(map(len, candidates)) + 1) for _, _, candidates, _ in admitted]
+    return [[cs.spectrum_id for cs, *_ in admitted[chunk]] for chunk in cell_chunks(cells)]
+
+
+# c = 3 and c = 7 put spectra at row offsets that a [rows, d] @ [d, 1] product
+# over a whole chunk does not block the way it blocks a spectrum alone
+RERANK_CORPORA = {
+    "desk": SynthConfig(),
+    "wide": SynthConfig(n_candidates=10, min_length=25, max_length=40),
+    "c3": SynthConfig(n_candidates=3),
+    "c7": SynthConfig(n_candidates=7),
+}
+
+
+class TestChunkedRerank:
+    @pytest.fixture(scope="class")
+    def desk_model(self, table):
+        return RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
+
+    @pytest.mark.parametrize("corpus", RERANK_CORPORA)
+    def test_scores_are_the_bits_of_single_spectrum_forwards(self, table, desk_model, corpus):
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=40,
+                                            config=RERANK_CORPORA[corpus])
+        chunks = chunk_ids(desk_model, spectra, cands)
+        assert (max(map(len, chunks)) == 1) == (corpus == "wide")  # wide grids fill a chunk
+        desk_model.reset_attention_counts()
+        selections = rerank_run(desk_model, spectra, cands)
+        chunked_counts = desk_model.attn_counts
+        desk_model.reset_attention_counts()
+        expected = b1_scores(desk_model, spectra, cands)
+        assert chunked_counts == desk_model.attn_counts
+        assert [sel.spectrum_id for sel in selections] == list(expected)
+        for sel in selections:
+            np.testing.assert_array_equal(sel.scores, expected[sel.spectrum_id])
+
+    def test_scores_ignore_chunk_mates(self, table, desk_model):
+        spectra, cands = synthesize_dataset(table, seed=4, n_spectra=24,
+                                            config=RERANK_CORPORA["c3"])
+        others, other_cands = synthesize_dataset(table, seed=5, n_spectra=24,
+                                                 config=RERANK_CORPORA["c7"])
+        for i, (spectrum, cs) in enumerate(zip(others, other_cands)):
+            spectrum.spectrum_id = cs.spectrum_id = f"other_{i}"
+        spectra = spectra + others
+        target = cands[10]
+        rng = np.random.default_rng(0)
+        arrangements = [cands,  # permuted mates, then replaced ones
+                        [cands[i] for i in rng.permutation(len(cands))],
+                        other_cands[:2] + [target] + other_cands[2:],
+                        cands[9:10] + other_cands[:1] + [target] + cands[:3]]
+        expected = b1_scores(desk_model, spectra, cands + other_cands)
+        mates = []
+        for arrangement in arrangements:
+            chunk = next(c for c in chunk_ids(desk_model, spectra, arrangement)
+                         if target.spectrum_id in c)
+            mates.append(sorted(set(chunk) - {target.spectrum_id}))
+            for sel in rerank_run(desk_model, spectra, arrangement):
+                np.testing.assert_array_equal(sel.scores, expected[sel.spectrum_id])
+        assert all(mates) and len(set(map(tuple, mates))) == len(arrangements)
+
+    def test_non_finite_spectrum_is_excluded_alone(self, table, desk_model, monkeypatch):
+        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=12)
+        expected = b1_scores(desk_model, spectra, cands)
+        poisoned = cands[5].spectrum_id
+        assert any(poisoned in c and len(c) > 1 for c in chunk_ids(desk_model, spectra, cands))
+        admit = pipeline.admit_records
+
+        def admit_poisoned(*args, **kwargs):
+            admitted, excluded = admit(*args, **kwargs)
+            for cs, processed, _, _ in admitted:
+                if cs.spectrum_id == poisoned:
+                    processed.intensity[:] = np.nan  # NaN peak embeddings, so NaN scores
+            return admitted, excluded
+
+        monkeypatch.setattr(pipeline, "admit_records", admit_poisoned)
+        selections = rerank_run(desk_model, spectra, cands)
+        assert [sel.spectrum_id for sel in selections] == [i for i in expected if i != poisoned]
+        for sel in selections:
+            np.testing.assert_array_equal(sel.scores, expected[sel.spectrum_id])
+        with pytest.raises(ValueError, match=f"spectrum '{poisoned}' excluded: non_finite_scores"):
+            rerank_run(desk_model, spectra, cands, strict=True)
+
+
+class TestCellChunks:
+    @given(st.lists(st.integers(1, 3 * pipeline.RERANK_CHUNK_CELLS), max_size=40))
+    def test_chunks_cover_in_order_within_budget(self, cells):
+        budget, chunks = pipeline.RERANK_CHUNK_CELLS, cell_chunks(cells)
+        assert [i for chunk in chunks for i in range(len(cells))[chunk]] == list(range(len(cells)))
+        for chunk in chunks:
+            assert sum(cells[chunk]) <= budget or chunk.stop - chunk.start == 1
+        for chunk, after in zip(chunks, chunks[1:]):  # a chunk closes only when full
+            assert sum(cells[chunk]) + cells[after.start] > budget
+
+    def test_oversized_spectrum_gets_a_chunk_alone(self):
+        assert pipeline.RERANK_CHUNK_CELLS == 512
+        assert cell_chunks([100, 200, 600, 100, 300, 50]) == [
+            slice(0, 2), slice(2, 3), slice(3, 6)]
+        assert cell_chunks([600, 10, 20]) == [slice(0, 1), slice(1, 3)]
+        assert cell_chunks([]) == []
 
 
 class TestZeroShotEval:
