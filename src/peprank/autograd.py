@@ -60,6 +60,13 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
+    def release(self) -> None:
+        """Drop a graph node's values, which must have no reader left: it keeps
+        only its shape (as zeros), all that e.g. ``add`` and ``take`` backward
+        read. Leaves and tensors outside a graph are left alone."""
+        if self._backward is not None:
+            self.data = np.broadcast_to(0.0, self.shape)
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -156,7 +163,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
+        # g is this node's own buffer, read by nothing after this call
+        _accumulate(a, _unbroadcast(g, a.shape), fresh=True)
         _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(data, (a, b), backward_fn)
@@ -355,18 +363,19 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a) -> Tensor:
-    """Exact Gaussian error linear unit: x * Phi(x)."""
+    """Exact Gaussian error linear unit: x * Phi(x). A graph keeps its
+    derivative Phi(x) + x * phi(x), not x, so x may be released."""
     a = as_tensor(a)
     cdf = _erf(a.data / _SQRT2)  # _erf may overwrite its fresh argument
     cdf += 1.0
     cdf *= 0.5
-    data = a.data * cdf
-
-    def backward_fn(g):
+    out = _make(a.data * cdf, (a,), None)
+    if out.requires_grad:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        _accumulate(a, g * (cdf + a.data * pdf), fresh=True)
-
-    return _make(data, (a,), backward_fn)
+        pdf *= a.data
+        cdf += pdf
+        out._backward = lambda g: _accumulate(a, g * cdf, fresh=True)
+    return out
 
 
 def exp(a) -> Tensor:
@@ -448,8 +457,7 @@ def linear(x, weight, bias) -> Tensor:
         product.data += as_tensor(bias).data
         return product
     out = add(product, bias)
-    if out.requires_grad:
-        product.data = np.broadcast_to(np.zeros(()), product.shape)
+    product.release()
     return out
 
 
@@ -500,12 +508,11 @@ def _softmax_forward(scores: np.ndarray, mask) -> np.ndarray:
     return scores
 
 
-def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _softmax_backward(g: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gradient of the scores from the gradient ``g`` of the probabilities
-    ``p``, computed in place in ``g``."""
+    ``p``, written to ``out`` (``g`` or ``p``); ``g`` is overwritten."""
     g -= (g * p).sum(axis=-1, keepdims=True)
-    g *= p
-    return g
+    return np.multiply(p, g, out=out)
 
 
 def softmax_masked(logits, mask) -> Tensor:
@@ -517,8 +524,8 @@ def softmax_masked(logits, mask) -> Tensor:
     logits = as_tensor(logits)
     p = _softmax_forward(logits.data.copy(), mask)
 
-    def backward_fn(g):
-        _accumulate(logits, _softmax_backward(g.copy(), p), fresh=True)
+    def backward_fn(g):  # g is this node's own buffer
+        _accumulate(logits, _softmax_backward(g, p, out=g), fresh=True)
 
     return _make(p, (logits,), backward_fn)
 
@@ -580,7 +587,8 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
             gh = heads(g, grp.q)
             if gv is not None:
                 merge(np.matmul(np.swapaxes(p, -1, -2), gh), gv, grp.k)
-            gs = _softmax_backward(np.matmul(gh, np.swapaxes(heads(v.data, grp.k), -1, -2)), p)
+            # p is read for the last time: the score gradient takes its buffer
+            gs = _softmax_backward(np.matmul(gh, np.swapaxes(heads(v.data, grp.k), -1, -2)), p, p)
             gs *= scale
             if gq is not None:
                 merge(np.matmul(gs, heads(k.data, grp.k)), gq, grp.q)
@@ -686,55 +694,6 @@ def backward(loss: Tensor) -> None:
         if node.grad is not None:
             node._backward(node.grad)
         node.grad, node._backward, node._parents = None, None, ()
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    inputs: Sequence[Tensor],
-    h: float = 1e-5,
-    max_coords_per_input: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Compare analytic gradients of a deterministic scalar function against
-    central finite differences.
-
-    ``f`` recomputes the forward pass from the current contents of
-    ``inputs``, whose data is perturbed in place coordinate by coordinate.
-    Returns the maximum relative error |analytic - numeric| / max(1, |numeric|)
-    over the checked coordinates. ``max_coords_per_input`` subsamples
-    coordinates (deterministically) for large inputs.
-    """
-    inputs = list(inputs)
-    for t in inputs:
-        t.data = np.ascontiguousarray(t.data)  # flat views below must alias
-        t.requires_grad = True
-        t.grad = None
-    out = f()
-    if out.size != 1:
-        raise ValueError("grad_check requires a scalar-valued function")
-    backward(out)
-    analytic = [
-        np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs
-    ]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t, grads in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords_per_input is not None and flat.size > max_coords_per_input:
-            coords = rng.choice(flat.size, size=max_coords_per_input, replace=False)
-        for c in coords:
-            saved = flat[c]
-            flat[c] = saved + h
-            up = float(f().data)
-            flat[c] = saved - h
-            down = float(f().data)
-            flat[c] = saved
-            numeric = (up - down) / (2.0 * h)
-            err = abs(grads.reshape(-1)[c] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,9 @@ def assemble_msa(
     sources = ag.concat([cls, residues, ag.reshape(store["embed/pad"], (1, config.d))], axis=0)
     columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes])
     positions = ag.take(store["embed/position"], columns, axis=0)
-    embeddings = ag.add(ag.take(sources, source, axis=0), positions)
+    gathered = ag.take(sources, source, axis=0)
+    embeddings = ag.add(gathered, positions)
+    for dead in (sources, gathered, positions):  # their backward reads only shapes
+        dead.release()
     return MsaBatch(embeddings=embeddings, mask=mask, shapes=shapes, starts=starts,
                     cls_rows=cls_rows, residue_rows=residue_rows)

@@ -183,7 +183,11 @@ def parse_peptide(text: str, table: MassTable) -> Peptide:
 
 def residue_masses(peptide: Peptide, table: MassTable) -> np.ndarray:
     """Per-residue masses of a peptide as a float64 vector."""
-    return np.array([table.mass(t) for t in peptide], dtype=np.float64)
+    masses = table._masses  # one dict lookup per token: this runs for every PMD pair
+    try:
+        return np.array([masses[t] for t in peptide], dtype=np.float64)
+    except KeyError as exc:
+        raise ValueError(f"unknown residue token {exc.args[0]!r}") from None
 
 
 def cumulative_masses(peptide: Peptide, table: MassTable, direction: str = "prefix") -> np.ndarray:

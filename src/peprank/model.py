@@ -200,14 +200,26 @@ class RerankModel:
         v = ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"])
         context = ag.attention(q, k, v, groups, self.config.n_heads)
         out = ag.linear(context, store[f"{prefix}/wo"], store[f"{prefix}/bo"])
-        return ag.add(x, ag.dropout(out, self.config.dropout_rate, dropout_rng))
+        return self._residual(x, out, dropout_rng)
 
     def _ff_sublayer(self, x: Tensor, prefix: str, dropout_rng) -> Tensor:
         store = self.store
         normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
-        hidden = ag.gelu(ag.linear(normed, store[f"{prefix}/w1"], store[f"{prefix}/b1"]))
+        projected = ag.linear(normed, store[f"{prefix}/w1"], store[f"{prefix}/b1"])
+        hidden = ag.gelu(projected)
+        projected.release()  # gelu keeps its derivative, not its input
         out = ag.linear(hidden, store[f"{prefix}/w2"], store[f"{prefix}/b2"])
-        return ag.add(x, ag.dropout(out, self.config.dropout_rate, dropout_rng))
+        return self._residual(x, out, dropout_rng)
+
+    def _residual(self, x: Tensor, out: Tensor, dropout_rng) -> Tensor:
+        """x plus the dropped-out output. No backward reads either (an add reads
+        shapes, a layer norm its own normalized copy), so the output is
+        released here, and the stream x by the caller after the next sublayer."""
+        dropped = ag.dropout(out, self.config.dropout_rate, dropout_rng)
+        summed = ag.add(x, dropped)
+        out.release()
+        dropped.release()
+        return summed
 
     # -- model stages -------------------------------------------------------
 
@@ -218,11 +230,16 @@ class RerankModel:
         order; a peak attends to its own spectrum's peaks only.
         """
         groups = _groups([(rows, rows) for rows in _peak_rows(counts)])
+        stream = [peaks]
         for i in range(self.config.n_layers):
-            peaks = self._attention_sublayer(peaks, f"enc{i}/attn", groups, dropout_rng)
-            peaks = self._ff_sublayer(peaks, f"enc{i}/ff", dropout_rng)
+            stream.append(self._attention_sublayer(stream[-1], f"enc{i}/attn", groups, dropout_rng))
+            stream.append(self._ff_sublayer(stream[-1], f"enc{i}/ff", dropout_rng))
         store = self.store
-        return ag.layer_norm(peaks, store["enc_final_norm/gain"], store["enc_final_norm/bias"])
+        encoded = ag.layer_norm(stream[-1], store["enc_final_norm/gain"],
+                                store["enc_final_norm/bias"])
+        for x in stream[1:]:  # stream[0] is the caller's
+            x.release()
+        return encoded
 
     def axial_block(self, grid: Tensor, layout: "AxialLayout", spectrum: Tensor, index: int,
                     dropout_rng=None) -> Tensor:
@@ -236,11 +253,15 @@ class RerankModel:
         the rows of each sequence (see :class:`AxialLayout`). No attention
         crosses spectra, so only pad cells need masking, as keys.
         """
-        grid = self._attention_sublayer(grid, f"mix{index}/row", layout.rows, dropout_rng)
-        grid = self._attention_sublayer(grid, f"mix{index}/col", layout.columns, dropout_rng)
-        grid = self._attention_sublayer(grid, f"mix{index}/cross", layout.cross, dropout_rng,
-                                        memory=spectrum)
-        return self._ff_sublayer(grid, f"mix{index}/ff", dropout_rng)
+        stream = [grid]
+        for sub, groups, memory in (("row", layout.rows, None), ("col", layout.columns, None),
+                                    ("cross", layout.cross, spectrum)):
+            stream.append(self._attention_sublayer(stream[-1], f"mix{index}/{sub}", groups,
+                                                   dropout_rng, memory))
+        out = self._ff_sublayer(stream[-1], f"mix{index}/ff", dropout_rng)
+        for x in stream[1:]:  # stream[0] is the caller's
+            x.release()
+        return out
 
     def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
         """Linear readouts of the packed grid [N, d]: the peptide head over
@@ -281,19 +302,21 @@ class RerankModel:
             spectra, candidates = [spectra], [candidates]
         config = self.config.embedding
         peaks = collate_peaks(spectra)
-        encoded = self.spectrum_encoder(
-            embed_spectrum(peaks, self.store, config), peaks.counts, dropout_rng
-        )
+        embedded = embed_spectrum(peaks, self.store, config)
+        encoded = self.spectrum_encoder(embedded, peaks.counts, dropout_rng)
         batch = assemble_msa(
             candidates, [s.precursor for s in spectra], self.table, self.store, config
         )
         layout = AxialLayout.of(batch, peaks.counts)
         for key, count in layout.scores.items():
             self.attn_counts[key] += self.config.n_layers * count
-        grid = batch.embeddings
+        grids = [batch.embeddings]
         for i in range(self.config.n_layers):
-            grid = self.axial_block(grid, layout, encoded, i, dropout_rng)
-        return self.predict_heads(grid, batch), batch
+            grids.append(self.axial_block(grids[-1], layout, encoded, i, dropout_rng))
+        output = self.predict_heads(grids[-1], batch)
+        for x in [embedded] + grids[1:]:  # grids[0] is the caller's MsaBatch.embeddings
+            x.release()
+        return output, batch
 
 
 def _groups(blocks, mask: np.ndarray | None = None) -> list[ag.AttentionGroup]:

@@ -492,7 +492,8 @@ def train(
     Deterministic given (config, instances, seed): parameter init, epoch
     shuffling, and dropout all derive from the seed. Each minibatch is one
     forward and one backward (:func:`minibatch_loss`); the backward
-    consumes the step's graph. A non-finite loss aborts.
+    consumes the step's graph. A non-finite loss or gradient norm aborts,
+    before the optimizer step.
     """
     if not instances:
         raise ValueError("training set is empty")
@@ -525,6 +526,13 @@ def train(
                 )
             ag.backward(loss)
             grad_norm = model.store.clip_grad_norm(config.clip_norm)
+            if not math.isfinite(grad_norm):  # before AdamW writes it into the parameters
+                first = next((f"parameter {name!r}" for name, t in model.store.items()
+                              if not np.isfinite(t.grad).all()), "none (their squares overflow)")
+                raise RuntimeError(
+                    f"training diverged: non-finite gradient norm {grad_norm} at step {step} "
+                    f"(lr={lr:.3g}); first non-finite gradient: {first}"
+                )
             optimizer.step(lr)
             record = StepRecord(step=step, lr=lr, loss=loss_value, grad_norm=grad_norm)
             history.append(record)
@@ -731,6 +739,9 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
+    for name, array in checkpoint.params.items():  # checked before the file is opened
+        if not np.isfinite(array).all():
+            raise ValueError(f"refusing to save parameter {name!r}: it holds non-finite values")
     header = {
         "model": checkpoint.config.to_dict(),
         "seed": checkpoint.seed,

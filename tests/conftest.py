@@ -1,6 +1,10 @@
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 
+from peprank import autograd as ag
+from peprank.autograd import Tensor
 from peprank.masses import MassTable, default_mass_table
 
 
@@ -18,3 +22,52 @@ def random_table(rng: np.random.Generator, n_tokens: int = 6) -> MassTable:
     """A table of synthetic tokens with random positive masses."""
     masses = rng.uniform(40.0, 200.0, size=n_tokens)
     return MassTable({f"t{i}": float(m) for i, m in enumerate(masses)})
+
+
+def grad_check(
+    f: Callable[[], Tensor],
+    inputs: Sequence[Tensor],
+    h: float = 1e-5,
+    max_coords_per_input: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Compare analytic gradients of a deterministic scalar function against
+    central finite differences.
+
+    ``f`` recomputes the forward pass from the current contents of
+    ``inputs``, whose data is perturbed in place coordinate by coordinate.
+    Returns the maximum relative error |analytic - numeric| / max(1, |numeric|)
+    over the checked coordinates. ``max_coords_per_input`` subsamples
+    coordinates (deterministically) for large inputs.
+    """
+    inputs = list(inputs)
+    for t in inputs:
+        t.data = np.ascontiguousarray(t.data)  # flat views below must alias
+        t.requires_grad = True
+        t.grad = None
+    out = f()
+    if out.size != 1:
+        raise ValueError("grad_check requires a scalar-valued function")
+    ag.backward(out)
+    analytic = [
+        np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs
+    ]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for t, grads in zip(inputs, analytic):
+        flat = t.data.reshape(-1)
+        coords = np.arange(flat.size)
+        if max_coords_per_input is not None and flat.size > max_coords_per_input:
+            coords = rng.choice(flat.size, size=max_coords_per_input, replace=False)
+        for c in coords:
+            saved = flat[c]
+            flat[c] = saved + h
+            up = float(f().data)
+            flat[c] = saved - h
+            down = float(f().data)
+            flat[c] = saved
+            numeric = (up - down) / (2.0 * h)
+            err = abs(grads.reshape(-1)[c] - numeric) / max(1.0, abs(numeric))
+            if err > worst:
+                worst = err
+    return worst

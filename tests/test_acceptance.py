@@ -39,7 +39,7 @@ from peprank.pipeline import (
 )
 from peprank.spectra import RawSpectrum, preprocess_spectrum, validate_precursor
 
-from conftest import random_table
+from conftest import grad_check, random_table
 
 
 @contextmanager
@@ -240,7 +240,7 @@ def test_05_gradient_checks():
         start = time.perf_counter()
         rng = np.random.default_rng(1005)
         for name, f, inputs in _op_gradient_cases(rng):
-            err = ag.grad_check(f, inputs, h=1e-5)
+            err = grad_check(f, inputs, h=1e-5)
             assert err < 1e-4, f"{name}: max relative error {err:.2e}"
 
         # full joint loss on the tiny configuration: d=16, c=3, L=6, k=8
@@ -260,7 +260,7 @@ def test_05_gradient_checks():
                               (np.zeros(3, dtype=int), np.zeros(rmd_targets.size, dtype=int)))
 
         params = model.store.tensors()
-        err = ag.grad_check(full_loss, params, h=1e-5, max_coords_per_input=2)
+        err = grad_check(full_loss, params, h=1e-5, max_coords_per_input=2)
         assert err < 1e-4, f"full model: max relative error {err:.2e}"
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"gradient checks took {elapsed:.1f} s"

@@ -9,6 +9,8 @@ import peprank
 from peprank import autograd as ag
 from peprank.autograd import ParameterStore, Tensor
 
+from conftest import grad_check
+
 
 def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
@@ -159,6 +161,26 @@ class TestGraphLifetime:
         np.testing.assert_allclose(w.grad, np.einsum("bij,bik->jk", x.data, 2 * hidden.data))
         np.testing.assert_allclose(x.grad, 2 * hidden.data @ w.data.T)
 
+    def test_release_keeps_shapes_and_gradients_and_spares_leaves(self):
+        rng = np.random.default_rng(14)
+        x, b = leaf(rng, 3, 4), leaf(rng, 4)
+        doubled = ag.mul(x, 2.0)
+        summed = ag.add(doubled, b)
+        loss = ag.tensor_sum(ag.mul(summed, summed))
+        expected = 2 * summed.data
+        x.release()
+        with ag.no_grad():
+            outside = ag.mul(x, 2.0)
+        outside.release()
+        doubled.release()  # only add reads it, and add's backward reads only shapes
+        np.testing.assert_array_equal(outside.data, 2 * x.data)
+        assert doubled.shape == (3, 4) and not doubled.data.any()
+        with pytest.raises(ValueError, match="read-only"):
+            doubled.data += 1.0
+        ag.backward(loss)
+        np.testing.assert_array_equal(b.grad, expected.sum(axis=0))
+        np.testing.assert_array_equal(x.grad, expected * 2.0)
+
     def test_no_grad_records_no_graph(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         with ag.no_grad():
@@ -201,7 +223,7 @@ class TestGradientBuffers:
             f = lambda: ag.tensor_sum(ag.mul(ag.linear(weights, w, b1),
                                              ag.linear(ag.mul(weights, 2.0), w, b2)))
         params = store.tensors()
-        assert ag.grad_check(f, params) < 1e-8  # leaves hold their backward gradients
+        assert grad_check(f, params) < 1e-8  # leaves hold their backward gradients
         grads = [p.grad.copy() for p in params]
         for i, p in enumerate(params):
             assert not any(np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
@@ -217,7 +239,7 @@ class TestGradCheck:
         x = leaf(rng, 3, 5)
         w = leaf(rng, 5, 2)
         b = leaf(rng, 2)
-        err = ag.grad_check(lambda: ag.tensor_sum(ag.linear(x, w, b)), [x, w, b])
+        err = grad_check(lambda: ag.tensor_sum(ag.linear(x, w, b)), [x, w, b])
         assert err < 1e-9
 
     @pytest.mark.parametrize(
@@ -341,7 +363,7 @@ class TestGradCheck:
             inputs = [x, w, b]
         else:
             raise AssertionError(name)
-        assert ag.grad_check(f, inputs) < 1e-4
+        assert grad_check(f, inputs) < 1e-4
 
     def test_composed_attention_style_block(self):
         """The composed multi-head block over padded keys passes a gradient
@@ -357,7 +379,7 @@ class TestGradCheck:
         def f():
             return ag.rmse(composed_attention(q, k, v, key_mask, n_heads=2), target)
 
-        assert ag.grad_check(f, [q, k, v]) < 1e-4
+        assert grad_check(f, [q, k, v]) < 1e-4
 
         results = []
         for attention in (composed_attention, padded_attention):
@@ -403,7 +425,7 @@ class TestAttention:
         key_mask = np.array([[True, True, False, True], [False, True, False, False]])
         weights = Tensor(rng.normal(size=(2, 3, 6)))
         f = lambda: ag.tensor_sum(ag.mul(padded_attention(q, k, v, key_mask, n_heads=3), weights))
-        assert ag.grad_check(f, [q, k, v]) < 1e-7
+        assert grad_check(f, [q, k, v]) < 1e-7
 
     def test_all_masked_row_rejected(self):
         rng = np.random.default_rng(22)
@@ -455,7 +477,7 @@ class TestAttention:
         q2, k2 = leaf(rng, 6, 8), leaf(rng, 8, 8)
         f = lambda: ag.tensor_sum(ag.mul(ag.attention(q2, k2, k2, merged, n_heads=4),
                                          Tensor(weights.data[:6])))
-        assert ag.grad_check(f, [q2, k2]) < 1e-7
+        assert grad_check(f, [q2, k2]) < 1e-7
 
     def test_strided_groups_match_each_gathered_sequence_alone(self):
         """Column-style groups over a row-major 3 x 4 grid, with pad keys:

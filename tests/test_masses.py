@@ -14,6 +14,7 @@ from peprank.masses import (
     parse_peptide,
     peptide_neutral_mass,
     precursor_neutral_mass,
+    residue_masses,
 )
 
 
@@ -176,6 +177,15 @@ class TestMassTable:
     def test_unknown_token_error(self, table):
         with pytest.raises(ValueError, match="unknown residue token"):
             table.mass("Z")
+
+    def test_residue_masses_are_the_table_masses(self, table):
+        peptide = Peptide(("G", "M(O)", "K", "G"))
+        masses = residue_masses(peptide, table)
+        assert masses.dtype == np.float64
+        assert masses.tolist() == [table.mass(t) for t in peptide]
+        assert residue_masses(Peptide(()), table).shape == (0,)
+        with pytest.raises(ValueError, match=r"^unknown residue token 'Z'$"):
+            residue_masses(Peptide(("G", "Z")), table)
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -17,6 +17,8 @@ from peprank.model import (
 )
 from peprank.spectra import RawSpectrum, preprocess_spectrum
 
+from conftest import grad_check
+
 
 def tiny_config(table, max_len=8):
     return ModelConfig(
@@ -304,6 +306,31 @@ class TestPredictHeads:
             np.testing.assert_allclose(pred.data, expected, rtol=0, atol=1e-12)
 
 
+class TestReleasedBuffers:
+    def test_a_recorded_forward_spares_what_its_caller_sees(self, table, model):
+        """A forward that records a graph releases the values no backward
+        reads, but not its outputs, the MSA embeddings, or a stage's input
+        and output: they hold the values of a forward that records none."""
+        spectrum, candidates = make_processed(table), make_candidates(table)
+        with ag.no_grad():
+            want, want_batch = model.forward(spectrum, candidates)
+        out, batch = model.forward(spectrum, candidates)
+        assert out.pmd_pred.requires_grad
+        for got, ref in ((out.pmd_pred, want.pmd_pred), (out.rmd_pred, want.rmd_pred),
+                         (batch.embeddings, want_batch.embeddings)):
+            np.testing.assert_array_equal(got.data, ref.data)
+        peaks = collate_peaks([spectrum])
+        embedded = embed_spectrum(peaks, model.store, model.config.embedding)
+        inputs = embedded.data.copy()
+        encoded = model.spectrum_encoder(embedded, peaks.counts)
+        np.testing.assert_array_equal(embedded.data, inputs)
+        encoded_values = encoded.data.copy()
+        grid = model.axial_block(batch.embeddings, AxialLayout.of(batch, peaks.counts), encoded, 0)
+        np.testing.assert_array_equal(encoded.data, encoded_values)
+        np.testing.assert_array_equal(batch.embeddings.data, want_batch.embeddings.data)
+        assert grid.data.flags.writeable and grid.data.any()
+
+
 class TestJointLoss:
     def test_zero_when_predictions_equal_targets(self):
         output = ModelOutput(Tensor(np.array([0.5, 1.5])), Tensor(np.array([1.0, 2.0, 3.0, 4.0])))
@@ -388,7 +415,7 @@ class TestModelGradients:
         names = ["embed/residue", "enc0/attn/wq", "mix0/col/wv", "head/pmd_w",
                  "mix0/ff/w1", "enc_final_norm/gain"]
         params = [model.store[name] for name in names]
-        err = ag.grad_check(f, params, max_coords_per_input=4)
+        err = grad_check(f, params, max_coords_per_input=4)
         assert err < 1e-4
 
 

@@ -1,7 +1,10 @@
 import functools
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -408,6 +411,52 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="diverged"):
             train(small_config(table), instances, table)
 
+    @staticmethod
+    def poison_gelu_backward(monkeypatch):
+        """Make every gelu pass a NaN gradient to its input; forwards and
+        losses stay finite."""
+        gelu = ag.gelu
+
+        def poisoned(a):
+            out = gelu(a)
+            backward = out._backward
+            if backward is not None:
+                out._backward = lambda g: backward(np.full_like(g, np.nan))
+            return out
+
+        monkeypatch.setattr(ag, "gelu", poisoned)
+
+    def test_non_finite_gradient_raises_before_the_optimizer_step(self, table, monkeypatch):
+        spectra, cands = synthesize_dataset(table, seed=12, n_spectra=4)
+        instances, _ = build_training_set(spectra, cands, table)
+        self.poison_gelu_backward(monkeypatch)
+        steps = []
+        monkeypatch.setattr(pipeline.AdamW, "step", lambda self, lr: steps.append(lr))
+        # embed/residue comes first in store order, and every gradient is NaN
+        with pytest.raises(RuntimeError, match=r"non-finite gradient norm nan at step 0 .*"
+                                               r"first non-finite gradient: parameter "
+                                               r"'embed/residue'"):
+            train(small_config(table), instances, table)
+        assert steps == []
+
+    def test_cli_train_with_a_nan_gradient_writes_no_checkpoint(self, table, tmp_path,
+                                                                 monkeypatch, capsys):
+        spectra, cands = synthesize_dataset(table, seed=12, n_spectra=4)
+        with open(tmp_path / "s.mgf", "w") as sink:
+            write_mgf(spectra, sink)
+        with open(tmp_path / "c.jsonl", "w") as sink:
+            write_candidates(cands, sink)
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"d": 16, "n_layers": 1, "n_heads": 2, "ff_dim": 32, "epochs": 1}))
+        self.poison_gelu_backward(monkeypatch)
+        out = tmp_path / "m.ckpt"
+        code = cli_main(["train", "--mgf", str(tmp_path / "s.mgf"),
+                         "--candidates", str(tmp_path / "c.jsonl"),
+                         "--config", str(tmp_path / "config.json"), "--out", str(out)])
+        assert code == 3
+        assert "step 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loss_log_format(self, table):
         spectra, cands = synthesize_dataset(table, seed=13, n_spectra=2)
         instances, _ = build_training_set(spectra, cands, table)
@@ -488,8 +537,19 @@ class TestMinibatchLoss:
 
 def graph_bytes(loss) -> int:
     """Bytes a graph holds: every node's data and every array its backward
-    closure captures, each buffer counted once (by the array that owns it)."""
+    closure captures, also inside lists and tuples (attention's saved
+    probabilities), each buffer counted once (by the array that owns it)."""
     owners, seen, stack = {}, set(), [loss]
+
+    def count(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                count(item)
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
+
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -497,28 +557,37 @@ def graph_bytes(loss) -> int:
         seen.add(id(node))
         stack.extend(node._parents)
         cells = (node._backward.__closure__ if node._backward else None) or ()
-        arrays = [node.data] + [c.cell_contents for c in cells
-                                if isinstance(c.cell_contents, np.ndarray)]
-        for array in arrays:
-            while isinstance(array.base, np.ndarray):
-                array = array.base
-            owners[id(array)] = array.nbytes
+        count([node.data] + [c.cell_contents for c in cells])
     return sum(owners.values())
 
 
 class TestGraphMemory:
-    def test_desk_minibatch_graph_keeps_only_what_backward_reads(self, table):
-        """A 16-instance desk minibatch (synth seed 1) holds ~45.3 MiB packed
-        with no padding across spectra; copying the grid into column-major
-        order and back around each column sublayer made it ~47.2 MiB,
-        padding every spectrum to the batch's largest grid and peak count
-        ~86 MiB, and keeping each attention's raw and scaled scores and each
-        linear's pre-bias product, which no backward reads, ~148 MiB."""
-        spectra, cands = synthesize_dataset(table, seed=1, n_spectra=24)
+    @staticmethod
+    def minibatch_graph_bytes(table, synth: SynthConfig, n_instances: int) -> int:
+        spectra, cands = synthesize_dataset(table, seed=1, n_spectra=24, config=synth)
         instances, _ = build_training_set(spectra, cands, table)
         model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
-        loss = pipeline.minibatch_loss(model, instances[:16])
-        assert graph_bytes(loss) <= 46 * 2**20
+        return graph_bytes(pipeline.minibatch_loss(model, instances[:n_instances]))
+
+    def test_desk_minibatch_graph_keeps_only_what_backward_reads(self, table):
+        """A 16-instance desk minibatch (synth seed 1) holds ~39.7 MiB. It
+        held ~53.4 MiB (~45.3 MiB without attention's probabilities, which
+        the count once missed) while residual adds kept their operands, the
+        MSA embedding its gathers, and gelu its input; copying the grid into
+        column-major order and back around each column sublayer cost ~1.9
+        MiB more, padding every spectrum to the batch's largest grid and
+        peak count ~41 MiB more, and keeping each attention's raw and scaled
+        scores and each linear's pre-bias product ~103 MiB more."""
+        assert self.minibatch_graph_bytes(table, SynthConfig(), 16) <= 40 * 2**20
+
+    def test_wide_minibatch_graph_keeps_only_what_backward_reads(self, table):
+        """An 8-instance minibatch of the wide shape (10 candidates of 25-40
+        residues, ~150 peaks; synth seed 1) holds ~179.7 MiB, of which the
+        attention probabilities are ~91 MiB; it held ~219.6 MiB while
+        residual adds kept their operands, the MSA embedding its gathers,
+        and gelu its input."""
+        wide = SynthConfig(n_candidates=10, min_length=25, max_length=40, noise_peaks=90)
+        assert self.minibatch_graph_bytes(table, wide, 8) <= 180 * 2**20
 
 
 class TestRerankRun:
@@ -776,6 +845,16 @@ class TestCheckpointIo:
         for name, array in checkpoint.params.items():
             np.testing.assert_array_equal(loaded.params[name], array)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_refused_before_writing(self, table, tmp_path, value):
+        config = small_config(table)
+        params = RerankModel(config.model, table, seed=0).store.export_arrays()
+        params["head/rmd_b"][0] = value
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="refusing to save parameter 'head/rmd_b'"):
+            save_checkpoint(Checkpoint(config.model, params, 0, 0), str(path))
+        assert not path.exists()
+
     def test_corrupted_magic(self, table, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -955,3 +1034,68 @@ class TestCheckpointIo:
         selections = rerank_run(checkpoint.build_model(table), spectra, cands)
         scores = {s.spectrum_id: [repr(v) for v in s.scores] for s in selections}
         assert scores == expected["scores"]
+
+
+# Digests of training runs and gradients recorded before the graph stopped
+# holding the buffers that no backward reads; the arithmetic is unchanged, so
+# every bit is. BLAS is pinned to one thread in a child process, because a
+# GEMM's last bits may depend on how many threads split it.
+EXACT_BITS_SCRIPT = """
+import hashlib
+from dataclasses import replace
+import numpy as np
+from peprank import default_mass_table, pipeline
+from peprank.model import ModelConfig, RerankModel
+from peprank.pipeline import SynthConfig, TrainConfig, build_training_set, synthesize_dataset
+
+def digest(arrays):
+    hasher = hashlib.sha256()
+    for array in arrays:
+        hasher.update(np.ascontiguousarray(array).tobytes())
+    return hasher.hexdigest()
+
+table = default_mass_table()
+spectra, cands = synthesize_dataset(table, seed=1, n_spectra=24)
+instances, _ = build_training_set(spectra, cands, table)
+for rate in (0.0, 0.3):
+    config = TrainConfig.desk(table.tokens, epochs=2, batch_size=8)
+    config = replace(config, model=replace(config.model, dropout_rate=rate))
+    checkpoint, history = pipeline.train(config, instances, table, seed=5)
+    print("desk", rate, *(repr(r.loss) for r in history), digest(checkpoint.params.values()))
+wide = SynthConfig(n_candidates=10, min_length=25, max_length=40, noise_peaks=90)
+spectra, cands = synthesize_dataset(table, seed=3, n_spectra=10, config=wide)
+instances, _ = build_training_set(spectra, cands, table)
+for rate in (0.0, 0.3):
+    model = RerankModel(replace(ModelConfig.desk(table.tokens), dropout_rate=rate), table, seed=2)
+    model.store.zero_grad()
+    rng = np.random.default_rng(4) if rate else None
+    loss = pipeline.minibatch_loss(model, instances[:8], rng)
+    value = repr(float(loss.data))
+    loss.backward()
+    print("wide", rate, value, digest(t.grad for t in model.store.tensors()))
+"""
+
+EXACT_BITS = [
+    "desk 0.0 15.884744167622014 15.227772274035708 15.672124560220535 17.017464233370596 "
+    "15.405343150038483 14.718625346522224 "
+    "df5bd15b2ae5181f46f1d86874f80ab5405a3560ee403da9fc00b60202aa87d5",
+    "desk 0.3 16.129901769899952 15.45499605959144 15.945259765484515 16.81445604443244 "
+    "14.689298060104168 14.653758330403551 "
+    "dd34cb99ae2c08299a4113f2f19f29134ae58fedc9726e6213e0cfd7a62bf936",
+    "wide 0.0 12.179775632607292 "
+    "7c273bc20ec2f601ed81484f1a92fc3513e47f85e33af4382287f8e629252938",
+    "wide 0.3 12.499965595269899 "
+    "ba6363eed53545e2c0f9232420082a90d0e375ba96e44ddd5de9ebdf194f7b5f",
+]
+
+
+def test_training_losses_and_gradients_keep_their_recorded_bits():
+    """Per-step losses and final parameters of a 6-step desk run, and one
+    wide 8-instance minibatch's loss and parameter gradients, at dropout 0
+    and 0.3, bit for bit."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", EXACT_BITS_SCRIPT], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.splitlines() == EXACT_BITS
