@@ -1039,7 +1039,9 @@ class TestCheckpointIo:
 # Digests of training runs and gradients recorded before the graph stopped
 # holding the buffers that no backward reads; the arithmetic is unchanged, so
 # every bit is. BLAS is pinned to one thread in a child process, because a
-# GEMM's last bits may depend on how many threads split it.
+# GEMM's last bits may depend on how many threads split it. The values were
+# recorded with scipy-openblas 0.3.31 on an AVX-512 Xeon; another BLAS kernel
+# may round differently, as it may for the v1 fixture's scores.
 EXACT_BITS_SCRIPT = """
 import hashlib
 from dataclasses import replace
