@@ -10,6 +10,14 @@ final grid: a peptide-level mass-deviation score per candidate from its
 CLS vector, and a residue-level deviation per token. Reranking selects
 the candidate with the smallest predicted peptide-level deviation.
 
+Scoring reads only CLS cells, so a forward without residues keeps, in its
+last mixer block, each grid's first two columns: they query their whole
+candidate row, then run the other sublayers alone. Two, because a one-row
+product takes another BLAS path; from two rows up a row's bits match a
+taller product's. The scores keep the full forward's bits, except past
+256 peaks, where OpenBLAS blocks cross-attention's [n_q, 8] @ [8, K] by
+n_q and they move by ~1e-14 relative.
+
 The forward pass takes B spectra at once, packed with no padding across
 spectra: the peaks as [sum of K_b, d] and each spectrum's own c_b x w_b
 candidate grid as rows of one [N, d] array. Token-wise ops run once over
@@ -121,10 +129,11 @@ EMBEDDING_KEYS = tuple(f.name for f in fields(EmbeddingConfig) if f.name != "d")
 @dataclass
 class ModelOutput:
     """Peptide-level scores and residue deviations, one per entry of
-    ``MsaBatch.cls_rows`` and ``residue_rows``, in that order; pad cells get none."""
+    ``MsaBatch.cls_rows`` and ``residue_rows``, in that order; pad cells get
+    none. A forward without residues leaves ``rmd_pred`` None."""
 
     pmd_pred: Tensor  # [sum of c_b]
-    rmd_pred: Tensor  # [total residues of all candidates]
+    rmd_pred: Tensor | None  # [total residues of all candidates]
 
 
 class RerankModel:
@@ -188,13 +197,18 @@ class RerankModel:
     # -- building blocks ----------------------------------------------------
 
     def _attention_sublayer(self, x: Tensor, prefix: str, groups: Sequence[ag.AttentionGroup],
-                            dropout_rng, memory: Tensor | None = None) -> Tensor:
+                            dropout_rng, memory: Tensor | None = None,
+                            queries: np.ndarray | None = None) -> Tensor:
         """Pre-norm residual multi-head attention of packed rows x [n, d] over
         the packed rows [m, d] of ``memory`` (cross attention), or over their
-        own normed values when it is None; one sequence per group entry."""
+        own normed values when it is None; one sequence per group entry.
+        With ``queries``, only those rows of x query, and only they are
+        returned, in that order."""
         store = self.store
         normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
         key_value = normed if memory is None else memory
+        if queries is not None:  # a layer norm is row-wise: the kept rows keep their bits
+            x, normed = ag.take(x, queries, axis=0), ag.take(normed, queries, axis=0)
         q = ag.linear(normed, store[f"{prefix}/wq"], store[f"{prefix}/bq"])
         k = ag.linear(key_value, store[f"{prefix}/wk"], store[f"{prefix}/bk"])
         v = ag.linear(key_value, store[f"{prefix}/wv"], store[f"{prefix}/bv"])
@@ -232,6 +246,7 @@ class RerankModel:
         groups = _groups([(rows, rows) for rows in _peak_rows(counts)])
         stream = [peaks]
         for i in range(self.config.n_layers):
+            self.attn_counts["spectrum"] += _score_count(groups)
             stream.append(self._attention_sublayer(stream[-1], f"enc{i}/attn", groups, dropout_rng))
             stream.append(self._ff_sublayer(stream[-1], f"enc{i}/ff", dropout_rng))
         store = self.store
@@ -244,29 +259,33 @@ class RerankModel:
     def axial_block(self, grid: Tensor, layout: "AxialLayout", spectrum: Tensor, index: int,
                     dropout_rng=None) -> Tensor:
         """One mixer block over the packed grid [N, d]: row, column and cross
-        attention, then feed-forward.
+        attention, then feed-forward, on the cells that ``layout`` keeps.
 
         Row attention runs over each candidate row of its spectrum's own
         grid, column attention over each column of it, and cross attention
         lets each spectrum's cells query its own encoded peaks; every
         sublayer runs on the grid as it is packed, its attention gathering
         the rows of each sequence (see :class:`AxialLayout`). No attention
-        crosses spectra, so only pad cells need masking, as keys.
+        crosses spectra, so only pad cells need masking, as keys. Each
+        sublayer adds the scores it computes to ``attn_counts``.
         """
         stream = [grid]
-        for sub, groups, memory in (("row", layout.rows, None), ("col", layout.columns, None),
-                                    ("cross", layout.cross, spectrum)):
+        for sub, groups, memory, queries in (("row", layout.rows, None, layout.keep),
+                                             ("col", layout.columns, None, None),
+                                             ("cross", layout.cross, spectrum, None)):
+            self.attn_counts[sub] += _score_count(groups)
             stream.append(self._attention_sublayer(stream[-1], f"mix{index}/{sub}", groups,
-                                                   dropout_rng, memory))
+                                                   dropout_rng, memory, queries))
         out = self._ff_sublayer(stream[-1], f"mix{index}/ff", dropout_rng)
         for x in stream[1:]:  # stream[0] is the caller's
             x.release()
         return out
 
-    def predict_heads(self, grid: Tensor, batch: MsaBatch) -> ModelOutput:
-        """Linear readouts of the packed grid [N, d]: the peptide head over
-        ``batch.cls_rows``, the residue head over ``batch.residue_rows``
-        (see :class:`ModelOutput`).
+    def predict_heads(self, grid: Tensor, layout: "AxialLayout",
+                      residue_rows: np.ndarray | None) -> ModelOutput:
+        """Linear readouts of the last mixer block's output ``grid``: the
+        peptide head over ``layout.cls_rows``, the residue head over
+        ``residue_rows`` when given (see :class:`ModelOutput`).
 
         The peptide head runs once per spectrum, on its own c_b CLS rows: a
         [rows, d] @ [d, 1] product's bits depend on how the rows fall into
@@ -274,18 +293,16 @@ class RerankModel:
         its B=1 forward, whatever its batch-mates.
         """
         store = self.store
-        splits = np.cumsum(batch.shapes[:-1, 0])
-        heads = [ag.linear(ag.take(grid, rows, axis=0), store["head/pmd_w"], store["head/pmd_b"])
-                 for rows in np.split(batch.cls_rows, splits)]
-        pmd_pred = heads[0] if len(heads) == 1 else ag.concat(heads)
-        rmd_pred = ag.linear(ag.take(grid, batch.residue_rows, axis=0),
-                             store["head/rmd_w"], store["head/rmd_b"])
-        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)),
-                           rmd_pred=ag.reshape(rmd_pred, (-1,)))
+        pmd_pred = ag.concat([ag.linear(ag.take(grid, rows, axis=0), store["head/pmd_w"],
+                                        store["head/pmd_b"]) for rows in layout.cls_rows])
+        rmd_pred = None if residue_rows is None else ag.reshape(ag.linear(
+            ag.take(grid, residue_rows, axis=0), store["head/rmd_w"], store["head/rmd_b"]), (-1,))
+        return ModelOutput(pmd_pred=ag.reshape(pmd_pred, (-1,)), rmd_pred=rmd_pred)
 
     def forward(self, spectra: ProcessedSpectrum | Sequence[ProcessedSpectrum],
                 candidates: Sequence[Peptide] | Sequence[Sequence[Peptide]],
-                dropout_rng: np.random.Generator | None = None) -> tuple[ModelOutput, MsaBatch]:
+                dropout_rng: np.random.Generator | None = None,
+                residues: bool = True) -> tuple[ModelOutput, MsaBatch]:
         """Score the candidates of B spectra in one packed batch.
 
         ``spectra`` is a sequence of B processed spectra and ``candidates``
@@ -296,7 +313,10 @@ class RerankModel:
 
         Dropout follows the generator: each sublayer draws its mask from
         ``dropout_rng`` (training), and without one nothing is dropped
-        (scoring). Each call adds its attention score counts to ``attn_counts``.
+        (scoring). Without ``residues``, ``rmd_pred`` is None and the last
+        mixer block updates only the ``SCORED_COLUMNS`` that the peptide head
+        needs (see the module docstring). Each call adds its attention score
+        counts to ``attn_counts``.
         """
         if isinstance(spectra, ProcessedSpectrum):
             spectra, candidates = [spectra], [candidates]
@@ -308,15 +328,20 @@ class RerankModel:
             candidates, [s.precursor for s in spectra], self.table, self.store, config
         )
         layout = AxialLayout.of(batch, peaks.counts)
-        for key, count in layout.scores.items():
-            self.attn_counts[key] += self.config.n_layers * count
+        last = layout if residues else AxialLayout.of(batch, peaks.counts, SCORED_COLUMNS)
         grids = [batch.embeddings]
         for i in range(self.config.n_layers):
-            grids.append(self.axial_block(grids[-1], layout, encoded, i, dropout_rng))
-        output = self.predict_heads(grids[-1], batch)
+            grids.append(self.axial_block(grids[-1], last if i == self.config.n_layers - 1
+                                          else layout, encoded, i, dropout_rng))
+        output = self.predict_heads(grids[-1], last, batch.residue_rows if residues else None)
         for x in [embedded] + grids[1:]:  # grids[0] is the caller's MsaBatch.embeddings
             x.release()
         return output, batch
+
+
+def _score_count(groups: Sequence[ag.AttentionGroup]) -> int:
+    """Attention scores the groups compute: one per query and key pair."""
+    return sum(g.q.size * g.k.shape[1] for g in groups)
 
 
 def _groups(blocks, mask: np.ndarray | None = None) -> list[ag.AttentionGroup]:
@@ -338,37 +363,44 @@ def _peak_rows(counts: np.ndarray) -> list[np.ndarray]:
     return [rows[None] for rows in np.split(np.arange(counts.sum()), np.cumsum(counts)[:-1])]
 
 
+SCORED_COLUMNS = 2  # the last block's when scoring: CLS and a second, see above
+
+
 @dataclass
 class AxialLayout:
-    """How the attention of a packed grid splits into groups, built once per
-    forward and shared by every mixer block.
+    """How a mixer block over a packed grid splits its attention into groups,
+    built once per forward and shared by the blocks that update the same cells.
 
-    Each group indexes the packed rows of its sequences: ``rows`` the rows
-    of ``MsaBatch.cells(b)``, ``columns`` the rows of its transpose, and
-    ``cross`` all of spectrum b's cells against its own peaks. ``scores``
-    counts the attention scores of one layer: its encoder layer's over each
-    spectrum's own peaks, and its mixer block's over each spectrum's own
-    c x w grid.
+    The block updates, and returns packed in spectrum, row, then column
+    order, the first ``kept`` columns of each spectrum's grid (all of them
+    by default); ``keep`` holds their rows in the block's input, None when
+    the block keeps every cell in place. Each group indexes packed rows:
+    ``rows`` each candidate row's kept cells querying all of that row's
+    cells (the rows of ``MsaBatch.cells(b)``), ``columns`` each kept column
+    over itself, and ``cross`` all of spectrum b's kept cells against its
+    own peaks. ``cls_rows`` holds each spectrum's CLS rows in the output.
     """
 
     rows: list[ag.AttentionGroup]
     columns: list[ag.AttentionGroup]
     cross: list[ag.AttentionGroup]
-    scores: dict[str, int]
+    keep: np.ndarray | None
+    cls_rows: list[np.ndarray]
 
     @classmethod
-    def of(cls, batch: MsaBatch, peak_counts: np.ndarray) -> "AxialLayout":
+    def of(cls, batch: MsaBatch, peak_counts: np.ndarray, kept: int | None = None) -> "AxialLayout":
         cells = [batch.cells(b) for b in range(len(batch.shapes))]
-        rows = _groups([(grid, grid) for grid in cells], batch.mask)
-        columns = _groups([(grid.T, grid.T) for grid in cells], batch.mask)
+        inputs = [grid[:, :kept] for grid in cells]
+        sizes = np.array([grid.size for grid in inputs])
+        outputs = [start + np.arange(grid.size).reshape(grid.shape)
+                   for start, grid in zip(np.cumsum(sizes) - sizes, inputs)]
+        keep = None if kept is None else np.concatenate([grid.ravel() for grid in inputs])
+        rows = _groups(list(zip(outputs, cells)), batch.mask)
+        columns = _groups([(grid.T, grid.T) for grid in outputs],
+                          batch.mask if keep is None else batch.mask[keep])
         cross = _groups([(grid.reshape(1, -1), peaks)
-                         for grid, peaks in zip(cells, _peak_rows(peak_counts))])
-        n_rows, widths = batch.shapes[:, 0], batch.shapes[:, 1]
-        scores = {"spectrum": int((peak_counts * peak_counts).sum()),
-                  "row": int((n_rows * widths * widths).sum()),
-                  "col": int((widths * n_rows * n_rows).sum()),
-                  "cross": int((n_rows * widths * peak_counts).sum())}
-        return cls(rows, columns, cross, scores)
+                         for grid, peaks in zip(outputs, _peak_rows(peak_counts))])
+        return cls(rows, columns, cross, keep, [grid[:, 0] for grid in outputs])
 
 
 # ---------------------------------------------------------------------------

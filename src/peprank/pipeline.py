@@ -493,7 +493,9 @@ def train(
     shuffling, and dropout all derive from the seed. Each minibatch is one
     forward and one backward (:func:`minibatch_loss`); the backward
     consumes the step's graph. A non-finite loss or gradient norm aborts,
-    before the optimizer step.
+    before the optimizer step, and so does a trained model that gives the
+    first instance a non-finite score (its parameters can be finite, yet
+    large enough to overflow a forward).
     """
     if not instances:
         raise ValueError("training set is empty")
@@ -539,6 +541,14 @@ def train(
             if log_sink is not None:
                 log_sink.write(f"{step}\t{lr!r}\t{loss_value!r}\t{grad_norm!r}\n")
             step += 1
+    first = instances[0]
+    with ag.no_grad(), np.errstate(all="ignore"):  # non-finite scores are checked below
+        scores = model.forward(first.spectrum, first.candidates, residues=False)[0].pmd_pred.data
+    if not np.isfinite(scores).all():
+        raise RuntimeError(
+            f"training diverged: the trained model scores spectrum "
+            f"{first.spectrum.spectrum_id!r} {scores.tolist()} (lr={config.lr:.3g})"
+        )
     checkpoint = Checkpoint(
         config=config.model,
         params=model.store.export_arrays(),
@@ -608,7 +618,7 @@ def rerank_run(
     with ag.no_grad(), np.errstate(all="ignore"):  # non-finite scores are checked below
         for chunk in cell_chunks(cells):
             sets, processed, candidates, _ = zip(*admitted[chunk])
-            output, batch = model.forward(processed, candidates)
+            output, batch = model.forward(processed, candidates, residues=False)
             splits = np.cumsum(batch.shapes[:-1, 0])
             for cs, scores in zip(sets, np.split(output.pmd_pred.data, splits)):
                 if not np.isfinite(scores).all():

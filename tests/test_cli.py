@@ -281,6 +281,25 @@ class TestTrainRerankEvaluateChain:
         assert code == 3
         assert "diverged" in err
 
+    def test_train_with_finite_parameters_that_score_nan_writes_no_checkpoint(self, tmp_path,
+                                                                              capsys):
+        """One step at the largest float leaves every parameter finite and
+        every gradient too, yet a forward overflows: train names the
+        spectrum it scored and saves nothing."""
+        mgf, cands, out = (tmp_path / name for name in ("s.mgf", "c.jsonl", "m.ckpt"))
+        assert main(["synth", "--n-spectra", "24", "--out-mgf", str(mgf),
+                     "--out-candidates", str(cands)]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lr": 1.79e308, "epochs": 1, "batch_size": 64,
+                                      "warmup_epochs": 0, "d": 16, "n_heads": 2,
+                                      "ff_dim": 32, "n_layers": 1}))
+        code, _, err = run(capsys, "train", "--mgf", str(mgf), "--candidates", str(cands),
+                           "--config", str(config), "--out", str(out))
+        assert code == 3
+        assert "error: training diverged: the trained model scores spectrum 'synth_00000' [nan" \
+            in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, synth_files, capsys):
         mgf, cands = synth_files
         config = tmp_path / "config.json"

@@ -8,6 +8,7 @@ from peprank.autograd import Tensor
 from peprank.encoders import EmbeddingConfig, collate_peaks, embed_spectrum
 from peprank.masses import MassTable, Precursor, parse_peptide
 from peprank.model import (
+    SCORED_COLUMNS,
     AxialLayout,
     ModelConfig,
     ModelOutput,
@@ -137,6 +138,21 @@ class TestAxialBlock:
         assert model.attn_counts["cross"] == layers * c * width * k
         assert model.attn_counts["spectrum"] == layers * k * k
 
+    def test_scoring_attention_score_counts(self, table, model):
+        """Without residues, the last block's queries are the two leading columns."""
+        spectrum = make_processed(table, k=8)
+        candidates = make_candidates(table)
+        model.reset_attention_counts()
+        out, batch = model.forward(spectrum, candidates, residues=False)
+        assert out.rmd_pred is None
+        c, width, k = len(candidates), batch.width, spectrum.n_peaks
+        layers = model.config.n_layers
+        full = layers - 1
+        assert model.attn_counts == {"spectrum": layers * k * k,
+                                     "row": full * c * width * width + 2 * c * width,
+                                     "col": full * width * c * c + 2 * c * c,
+                                     "cross": full * c * width * k + 2 * c * k}
+
     def test_padding_isolation(self, table, model):
         spectrum = make_processed(table)
         candidates = make_candidates(table)  # ragged: lengths 6, 4, 3
@@ -231,6 +247,24 @@ class TestBatchedForward:
                 np.testing.assert_array_equal(
                     np.sort(np.concatenate([r.ravel() for r in rows])), np.arange(n))
 
+    def test_scoring_layout_keeps_each_grids_two_leading_columns(self, table, deep_model):
+        spectra, candidates = self.batch(table)
+        _, batch = deep_model.forward(spectra, candidates)
+        peak_counts = np.array([s.n_peaks for s in spectra])
+        layout, scored = (AxialLayout.of(batch, peak_counts, kept) for kept in (None, SCORED_COLUMNS))
+        assert layout.keep is None
+        np.testing.assert_array_equal(np.concatenate(layout.cls_rows), batch.cls_rows)
+        np.testing.assert_array_equal(
+            scored.keep, np.concatenate([batch.cells(b)[:, :2].ravel() for b in range(3)]))
+        n_kept = scored.keep.size  # packed in spectrum, row, then column order
+        np.testing.assert_array_equal(np.concatenate(scored.cls_rows), np.arange(0, n_kept, 2))
+        for groups, n_q, n_k in ((scored.rows, n_kept, batch.mask.size),
+                                 (scored.columns, n_kept, n_kept),
+                                 (scored.cross, n_kept, peak_counts.sum())):
+            for rows, n in (([g.q for g in groups], n_q), ([g.k for g in groups], n_k)):
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([r.ravel() for r in rows])), np.arange(n))
+
     def test_attention_counts_cover_each_spectrums_own_grid(self, table, deep_model):
         spectra, candidates = self.batch(table)
         deep_model.reset_attention_counts()
@@ -242,6 +276,28 @@ class TestBatchedForward:
                                ("col", w * c * c), ("cross", c * w * k)):
                 expected[key] += 2 * count
         assert deep_model.attn_counts == expected
+
+    def test_scoring_counts_two_columns_in_the_last_block(self, table, deep_model):
+        spectra, candidates = self.batch(table)
+        deep_model.reset_attention_counts()
+        deep_model.forward(spectra, candidates, residues=False)
+        expected = {"spectrum": 0, "row": 0, "col": 0, "cross": 0}
+        for spectrum, cands in zip(spectra, candidates):
+            c, w, k = len(cands), max(len(p) for p in cands) + 1, spectrum.n_peaks
+            for key, count in (("spectrum", 2 * k * k), ("row", c * w * w + 2 * c * w),
+                               ("col", w * c * c + 2 * c * c), ("cross", c * w * k + 2 * c * k)):
+                expected[key] += count
+        assert deep_model.attn_counts == expected
+
+    def test_scoring_forward_keeps_the_peptide_scores_bits(self, table, deep_model):
+        spectra, candidates = self.batch(table)  # spectrum 0 has a single candidate
+        full, _ = deep_model.forward(spectra, candidates)
+        scored, _ = deep_model.forward(spectra, candidates, residues=False)
+        assert scored.rmd_pred is None
+        np.testing.assert_array_equal(scored.pmd_pred.data, full.pmd_pred.data)
+        for b, (spectrum, cands) in enumerate(zip(spectra, candidates)):
+            alone, _ = deep_model.forward(spectrum, cands, residues=False)
+            np.testing.assert_array_equal(alone.pmd_pred.data, per_spectrum(full, candidates)[b][0])
 
 
 class TestPredictHeads:

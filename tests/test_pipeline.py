@@ -19,7 +19,7 @@ from peprank.cli import main as cli_main
 from peprank.encoders import EmbeddingConfig
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
 from peprank.metrics import pmd, rmd
-from peprank.model import ModelConfig, RerankModel
+from peprank.model import ModelConfig, RerankModel, rerank_select
 from peprank.pipeline import (
     CandidateSet,
     Checkpoint,
@@ -662,13 +662,13 @@ class TestRerankRun:
             read_selections(io.StringIO(text))
 
 
-def b1_scores(model, spectra, candidate_sets):
+def b1_scores(model, spectra, candidate_sets, residues=True):
     """Each admitted spectrum's scores from a B=1 forward of its own, by id."""
     admitted, _ = admit_records(spectra, candidate_sets, model.table, model.config.embedding,
                                 labeled=False)
     with ag.no_grad():
-        return {cs.spectrum_id: model.forward(spectrum, candidates)[0].pmd_pred.data
-                for cs, spectrum, candidates, _ in admitted}
+        return {cs.spectrum_id: model.forward(spectrum, candidates, residues=residues)[0]
+                .pmd_pred.data for cs, spectrum, candidates, _ in admitted}
 
 
 def chunk_ids(model, spectra, candidate_sets):
@@ -680,9 +680,11 @@ def chunk_ids(model, spectra, candidate_sets):
 
 
 # c = 3 and c = 7 put spectra at row offsets that a [rows, d] @ [d, 1] product
-# over a whole chunk does not block the way it blocks a spectrum alone
+# over a whole chunk does not block the way it blocks a spectrum alone; c = 1
+# leaves rerank's last mixer block two cells per spectrum
 RERANK_CORPORA = {
     "desk": SynthConfig(),
+    "c1": SynthConfig(n_candidates=1),
     "wide": SynthConfig(n_candidates=10, min_length=25, max_length=40),
     "c3": SynthConfig(n_candidates=3),
     "c7": SynthConfig(n_candidates=7),
@@ -704,11 +706,30 @@ class TestChunkedRerank:
         selections = rerank_run(desk_model, spectra, cands)
         chunked_counts = desk_model.attn_counts
         desk_model.reset_attention_counts()
-        expected = b1_scores(desk_model, spectra, cands)
+        b1_scores(desk_model, spectra, cands, residues=False)
         assert chunked_counts == desk_model.attn_counts
+        expected = b1_scores(desk_model, spectra, cands)
         assert [sel.spectrum_id for sel in selections] == list(expected)
         for sel in selections:
             np.testing.assert_array_equal(sel.scores, expected[sel.spectrum_id])
+
+    def test_300_peak_scores_are_within_1e_12_of_full_forwards(self, table, desk_model):
+        """Past 256 peaks OpenBLAS blocks cross-attention's [n_q, 8] @ [8, K]
+        by the query count, so rerank keeps the bits of the B=1 forwards
+        without residues and only nears the full ones."""
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=24,
+                                            config=SynthConfig(noise_peaks=290))
+        assert min(s.mz.size for s in spectra) > 256
+        assert max(map(len, chunk_ids(desk_model, spectra, cands))) > 1
+        selections = rerank_run(desk_model, spectra, cands)
+        scored = b1_scores(desk_model, spectra, cands, residues=False)
+        full = b1_scores(desk_model, spectra, cands)
+        assert [sel.spectrum_id for sel in selections] == list(full)
+        for sel in selections:
+            want = full[sel.spectrum_id]
+            np.testing.assert_array_equal(sel.scores, scored[sel.spectrum_id])
+            assert (np.abs(sel.scores - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+            assert sel.index == rerank_select(want)
 
     def test_scores_ignore_chunk_mates(self, table, desk_model):
         spectra, cands = synthesize_dataset(table, seed=4, n_spectra=24,
