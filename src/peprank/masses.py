@@ -181,8 +181,8 @@ def parse_peptide(text: str, table: MassTable) -> Peptide:
     return Peptide(tuple(tokens))
 
 
-def residue_masses(peptide: Peptide, table: MassTable) -> np.ndarray:
-    """Per-residue masses of a peptide as a float64 vector."""
+def residue_masses(peptide: Peptide | Iterable[str], table: MassTable) -> np.ndarray:
+    """Per-residue masses of a peptide (or any run of tokens) as a float64 vector."""
     masses = table._masses  # one dict lookup per token: this runs for every PMD pair
     try:
         return np.array([masses[t] for t in peptide], dtype=np.float64)

@@ -13,7 +13,8 @@ Two complementary supervision signals:
 
 :func:`pmd` scores one pair; :func:`pmd_many` scores many pairs at once,
 bit for bit the same values, by filling the alignment tables of pairs of
-similar length together one anti-diagonal at a time.
+similar length together one anti-diagonal at a time. :func:`rmd_many`
+likewise scores many queries against one target in one array pass.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def _length_runs(n: list[int], m: list[int]):
     within twice the sum of its pairs' own (n + 1) x (m + 1), and while
     count x (max(N, M) + 1) stays within :data:`RUN_CELLS`. So one long
     pair does not pad many short ones, and a run of several pairs needs
-    about 10 MB of scratch at most (five 1 MB arrays and the temporaries
-    of one step).
+    about 10 MB of scratch at most (seven 1 MB arrays and the index
+    vectors that fill them).
     """
     start = own = big_m = 0
     for p, (n_p, m_p) in enumerate(zip(n, m)):  # sorted, so n_p is the run's N
@@ -129,36 +130,58 @@ def _wavefront(
     """Unnormalized alignment corners D[n_p, m_p] of all pairs, filled together.
 
     All P tables are filled along anti-diagonals s = i + j over
-    zero-padded [P, N] query and [P, M] target masses. Each cell does the
-    float ops of :func:`pmd` in its order: diagonal + |q_i - k_j|, then the
-    up and left gap moves, then the three-way minimum. Only three
-    diagonals of length N + 1 per pair are kept (cell (i, s - i) lives at
-    index i). Padded cells never feed a real corner, because a cell reads
-    only smaller i and j; pair p's corner (n_p, m_p) is read on the step
-    s = n_p + m_p.
+    zero-padded [N, P] query and [M, P] target masses. Only three
+    diagonals are kept, each [N + 1, P]: cell (i, s - i) of pair p lives
+    at [i, p], so one step reads and writes contiguous rows of all pairs.
+    Each cell does the float ops of :func:`pmd` in its order: diagonal +
+    |q_i - k_j|, then the up and left gap moves (one shared d1 + g), then
+    the three-way minimum. Padded cells never feed a real corner, because
+    a cell reads only smaller i and j; pair p's corner (n_p, m_p) is read
+    on the step s = n_p + m_p.
     """
-    big_n, big_m = int(n.max()), int(m.max())
-    q = np.zeros((len(pairs), big_n))
-    k = np.zeros((len(pairs), big_m))  # reversed, so k_j sits at column big_m - j
-    for p, (query, target) in enumerate(pairs):
-        q[p, : n[p]] = residue_masses(query, table)
-        k[p, big_m - m[p] :] = residue_masses(target, table)[::-1]
-    corner = np.zeros(len(pairs))  # D[0, 0] = 0
-    total, rows = n + m, np.arange(len(pairs))
-    d2, d1, d0 = (np.zeros((len(pairs), big_n + 1)) for _ in range(3))
+    count, big_n, big_m = len(pairs), int(n.max()), int(m.max())
+    columns = np.arange(count)
+    q = np.zeros((big_n, count))
+    q[_ranks(n), columns.repeat(n)] = _joined_masses([query for query, _ in pairs], table)
+    k = np.zeros((big_m, count))  # reversed, so k_j sits at row big_m - j
+    k[big_m - 1 - _ranks(m), columns.repeat(m)] = _joined_masses([t for _, t in pairs], table)
+    corner = np.zeros(count)  # D[0, 0] = 0
+    finish: dict[int, list[int]] = {}  # step s -> pairs whose corner it fills
+    for p, s in enumerate((n + m).tolist()):
+        finish.setdefault(s, []).append(p)
+    d2, d1, d0 = (np.zeros((big_n + 1, count)) for _ in range(3))
+    sub_buf, gap_buf = np.empty((big_n, count)), np.empty((big_n + 1, count))
     for s in range(1, big_n + big_m + 1):
         lo, hi = max(1, s - big_m), min(big_n, s - 1)  # interior cells (i, s - i), maybe none
-        prev, cells = slice(lo - 1, hi), slice(lo, hi + 1)
-        sub = d2[:, prev] + np.abs(q[:, prev] - k[:, big_m - s + lo : big_m - s + hi + 1])
-        d0[:, cells] = np.minimum(np.minimum(sub, d1[:, prev] + g), d1[:, cells] + g)
+        if lo <= hi:
+            sub = np.subtract(q[lo - 1 : hi], k[big_m - s + lo : big_m - s + hi + 1],
+                              out=sub_buf[: hi - lo + 1])
+            np.abs(sub, out=sub)
+            sub += d2[lo - 1 : hi]
+            gap = np.add(d1[lo - 1 : hi + 1], g, out=gap_buf[: hi - lo + 2])
+            cells = d0[lo : hi + 1]
+            np.minimum(sub, gap[:-1], out=cells)
+            np.minimum(cells, gap[1:], out=cells)
         if s <= big_m:
-            d0[:, 0] = g * s
+            d0[0] = g * s
         if s <= big_n:
-            d0[:, s] = g * s
-        done = total == s
-        corner[done] = d0[rows[done], n[done]]
+            d0[s] = g * s
+        if s in finish:
+            done = finish[s]
+            corner[done] = d0[n[done], done]
         d2, d1, d0 = d1, d0, d2
     return corner
+
+
+def _ranks(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., length - 1 for each length in turn, as one vector."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) - starts.repeat(lengths)
+
+
+def _joined_masses(peptides: Sequence[Peptide], table: MassTable) -> np.ndarray:
+    """Residue masses of all peptides, one after another, as one vector."""
+    return residue_masses(itertools.chain.from_iterable(peptides), table)
 
 
 def pmd_bruteforce(query: Peptide, target: Peptide, table: MassTable) -> float:
@@ -196,12 +219,30 @@ def rmd(query: Peptide, target: Peptide, table: MassTable) -> np.ndarray:
     prefix mass; ties between equidistant target prefixes resolve to the
     smaller target index.
     """
+    return rmd_many([query], target, table)[0]
+
+
+def rmd_many(queries: Sequence[Peptide], target: Peptide, table: MassTable) -> list[np.ndarray]:
+    """:func:`rmd` of each query against one target, bit for bit.
+
+    One [c, N, M] pass: the queries' prefix masses are zero-padded to the
+    longest, N, and the target's M prefix masses are computed once. A
+    single query (``rmd``, once per ``metrics --pairs`` line) skips the
+    padding.
+    """
     if len(target) == 0:
         raise ValueError("rmd requires a non-empty target peptide")
-    if len(query) == 0:
+    if not all(queries):
         raise ValueError("rmd requires a non-empty query peptide")
-    qp = cumulative_masses(query, table, "prefix")
+    if len(queries) == 1:
+        qp = cumulative_masses(queries[0], table, "prefix")[None]
+    else:
+        lengths = np.array([len(query) for query in queries], dtype=np.int64)
+        qp = np.zeros((len(queries), max(lengths, default=0)))
+        qp[np.arange(len(queries)).repeat(lengths), _ranks(lengths)] = _joined_masses(queries, table)
+        np.cumsum(qp, axis=1, out=qp)  # row by row, the sums of cumulative_masses
     kp = cumulative_masses(target, table, "prefix")
-    diffs = qp[:, None] - kp[None, :]
-    nearest = np.argmin(np.abs(diffs), axis=1)  # first minimum = smaller index
-    return diffs[np.arange(len(qp)), nearest]
+    diffs = (qp[:, :, None] - kp).reshape(qp.size, kp.size)  # a row per query prefix
+    nearest = np.abs(diffs).argmin(axis=1)  # first minimum = smaller index
+    picked = diffs[np.arange(qp.size), nearest].reshape(qp.shape)
+    return [row[: len(query)] for row, query in zip(picked, queries)]

@@ -33,8 +33,8 @@ from .masses import (
     parse_peptide,
     peptide_neutral_mass,
 )
-from .metrics import pmd_many, rmd
-from .metrics import pmd  # noqa: F401  (perfbench's tracer wraps pipeline.pmd)
+from .metrics import pmd_many, rmd_many
+from .metrics import pmd, rmd  # noqa: F401  (perfbench's tracer wraps pipeline.pmd and .rmd)
 from .model import ModelConfig, RerankModel, joint_loss, rerank_select
 from .spectra import (
     ProcessedSpectrum,
@@ -179,9 +179,10 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
 
     Joins each set to its spectrum by id, resolves the label (the set's,
     else the spectrum's) when ``labeled``, parses every peptide, applies
-    the model's ``limits`` and then :func:`gate_spectrum`. An unjoinable
-    id, a missing label and an empty or unparseable peptide are hard
-    errors. Admitted: ``(candidate_set, processed, candidates, label)``.
+    the model's ``limits`` and then :func:`gate_spectrum`. Each distinct
+    peptide text is parsed once, the label's first. An unjoinable id, a
+    missing label and an empty or unparseable peptide are hard errors.
+    Admitted: ``(candidate_set, processed, candidates, label)``.
     """
     by_id = {s.spectrum_id: s for s in spectra}
     admitted: list[tuple] = []
@@ -194,8 +195,10 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
         label_text = (cs.label if cs.label is not None else raw.label) if labeled else None
         if labeled and label_text is None:
             raise ValueError(f"spectrum {spectrum_id!r} has no label peptide")
-        label = None if label_text is None else parse_peptides(spectrum_id, [label_text], table)[0]
-        candidates = parse_peptides(spectrum_id, cs.peptides, table)
+        texts = list(dict.fromkeys(([] if label_text is None else [label_text]) + cs.peptides))
+        parsed = dict(zip(texts, parse_peptides(spectrum_id, texts, table)))  # label first
+        label = None if label_text is None else parsed[label_text]
+        candidates = [parsed[text] for text in cs.peptides]
         peptides = candidates + ([] if label is None else [label])
         if not all(peptides):
             raise ValueError(f"spectrum {spectrum_id!r} has an empty label or candidate")
@@ -254,7 +257,7 @@ def build_training_set(
             spectrum=spectrum,
             candidates=candidates,
             pmd_targets=pmd_targets,
-            rmd_targets=[rmd(c, label, table) for c in candidates],
+            rmd_targets=rmd_many(candidates, label, table),
         )
         for (spectrum, candidates, label), pmd_targets in zip(kept, np.split(targets, splits))
     ]

@@ -118,9 +118,11 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
 
     for lineno, line in enumerate(source, start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if in_block and text[:1].isdigit():
+            pass  # a peak line, even with a '=' in it: parsed below, past the other checks
+        elif not text or text.startswith("#"):
             continue
-        if text == "BEGIN IONS":
+        elif text == "BEGIN IONS":
             if in_block:
                 raise ValueError(f"line {lineno}: nested BEGIN IONS")
             in_block = True
@@ -129,7 +131,7 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
             mzs = []
             intensities = []
             continue
-        if text == "END IONS":
+        elif text == "END IONS":
             if not in_block:
                 raise ValueError(f"line {lineno}: END IONS without BEGIN IONS")
             context = f"block at line {block_line}"
@@ -164,9 +166,9 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
             spectra.append(spectrum)
             in_block = False
             continue
-        if not in_block:
+        elif not in_block:
             continue
-        if "=" in text and not text[0].isdigit():
+        elif "=" in text:
             key, _, value = text.partition("=")
             headers[key.strip().upper()] = value.strip()
             continue

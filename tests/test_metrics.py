@@ -15,6 +15,7 @@ from peprank.metrics import (
     pmd_bruteforce,
     pmd_many,
     rmd,
+    rmd_many,
 )
 
 from conftest import random_table
@@ -205,6 +206,21 @@ class TestPmdMany:
                 assert len(ns) * (max(ns) + 1) * (max(ms) + 1) <= 2 * own
                 assert len(ns) * (max(ns + ms) + 1) <= RUN_CELLS
 
+    def test_ragged_run_with_shared_finishing_steps(self, table):
+        # One run: a pair of two empty peptides (corner D[0, 0] = 0, never
+        # written by a step), five pairs that finish on step 8 and two on step 7.
+        rng = np.random.default_rng(10)
+        lengths = [(0, 0), (3, 5), (5, 3), (4, 4), (4, 4), (4, 4), (3, 4), (4, 3)]
+        pairs = [
+            (random_peptide(rng, table, a, a), random_peptide(rng, table, b, b))
+            for a, b in lengths
+        ]
+        n, m = map(list, zip(*sorted(lengths)))
+        assert [(run.start, run.stop) for run in _length_runs(n, m)] == [(0, len(pairs))]
+        got = pmd_many(pairs, table)
+        np.testing.assert_array_equal(got, [pmd(q, k, table) for q, k in pairs])
+        assert got[0] == 0.0 and (got[1:] > 0).all()
+
 
 def traced_peak(fn, *args):
     """fn(*args) and the peak bytes tracemalloc saw while it ran."""
@@ -295,3 +311,57 @@ class TestRmd:
             Peptide(("q",)), Peptide(("a", "b")), table
         )
         np.testing.assert_allclose(values, [10.0])  # 20 - 10, not 20 - 30
+
+
+def scanned_rmd(query: Peptide, target: Peptide, table: MassTable) -> np.ndarray:
+    """RMD by a direct scan of prefix masses: the first nearest target prefix wins."""
+    qp = cumulative_masses(query, table, "prefix")
+    kp = cumulative_masses(target, table, "prefix")
+    values = []
+    for q in qp:
+        best = 0
+        for j in range(1, len(kp)):
+            if abs(q - kp[j]) < abs(q - kp[best]):
+                best = j
+        values.append(q - kp[best])
+    return np.array(values)
+
+
+TIE_TABLE = MassTable({"q": 20.0, "a": 10.0, "b": 20.0})  # prefixes 10 and 30 tie around 20
+
+
+@st.composite
+def rmd_records(draw):
+    """A random mass table, one target of 1-10 residues and 1-6 queries of
+    1-14 residues, so that queries are often longer than the target."""
+    masses = draw(st.lists(st.floats(40.0, 200.0), min_size=1, max_size=5))
+    table = MassTable({f"t{i}": m for i, m in enumerate(masses)})
+    residues = st.sampled_from(table.tokens)
+    target = Peptide(tuple(draw(st.lists(residues, min_size=1, max_size=10))))
+    queries = draw(st.lists(
+        st.lists(residues, min_size=1, max_size=14).map(lambda r: Peptide(tuple(r))),
+        min_size=1, max_size=6,
+    ))
+    return table, queries, target
+
+
+class TestRmdMany:
+    @settings(max_examples=200, deadline=None)
+    @given(record=rmd_records())
+    @example(record=(TIE_TABLE, [Peptide(("q",)), Peptide(("q", "q"))], Peptide(("a", "b"))))
+    @example(record=(TIE_TABLE, [Peptide(("a",) * 9), Peptide(("b",))], Peptide(("a",))))
+    def test_each_row_is_a_direct_scan_bit_for_bit(self, record):
+        table, queries, target = record
+        rows = rmd_many(queries, target, table)
+        assert len(rows) == len(queries)
+        for row, query in zip(rows, queries):
+            np.testing.assert_array_equal(row, scanned_rmd(query, target, table))
+            np.testing.assert_array_equal(row, rmd(query, target, table))
+
+    def test_empty_peptides_rejected(self, table):
+        g = parse_peptide("G", table)
+        with pytest.raises(ValueError, match="rmd requires a non-empty target peptide"):
+            rmd_many([g, Peptide(())], Peptide(()), table)
+        with pytest.raises(ValueError, match="rmd requires a non-empty query peptide"):
+            rmd_many([g, Peptide(())], g, table)
+        assert rmd_many([], g, table) == []

@@ -246,7 +246,7 @@ class TestBuildTrainingSet:
                 inst.pmd_targets, [pmd(c, label, table) for c in inst.candidates]
             )
             for got, candidate in zip(inst.rmd_targets, inst.candidates):
-                np.testing.assert_allclose(got, rmd(candidate, label, table))
+                np.testing.assert_array_equal(got, rmd(candidate, label, table))
 
     def test_label_candidate_has_zero_targets(self, table):
         spectra, cands = synthesize_dataset(table, seed=6, n_spectra=4)
@@ -338,6 +338,28 @@ class TestAdmitRecords:
         spectra, _ = synthesize_dataset(table, seed=24, n_spectra=1)
         with pytest.raises(ValueError, match=message):
             admit_records(spectra, [cs], table, self.LIMITS, labeled=False)
+
+    def test_each_distinct_text_is_parsed_once_label_first(self, table, monkeypatch):
+        spectra, cands = synthesize_dataset(table, seed=24, n_spectra=1)
+        label = cands[0].label
+        mutants = [text for text in cands[0].peptides if text != label][:2]
+        cs = CandidateSet(cands[0].spectrum_id, [
+            ("m1", mutants[0]), ("m2", label), ("m3", mutants[0]), ("m4", mutants[1]),
+        ], label)
+        parsed = []
+        monkeypatch.setattr(pipeline, "parse_peptide",
+                            lambda text, t: parsed.append(text) or parse_peptide(text, t))
+        ((_, _, candidates, got_label),), _ = admit_records(
+            spectra, [cs], table, self.LIMITS, labeled=True)
+        assert parsed == [label, mutants[0], mutants[1]]
+        assert candidates == [parse_peptide(text, table) for text in cs.peptides]
+        assert got_label == parse_peptide(label, table)
+
+    def test_a_bad_label_is_the_first_error(self, table):
+        spectra, cands = synthesize_dataset(table, seed=24, n_spectra=1)
+        cs = CandidateSet(cands[0].spectrum_id, [("m1", "GXV"), ("m2", "PEPZIDE")], "PEPZIDE")
+        with pytest.raises(ValueError, match="unknown residue token 'Z' in 'PEPZIDE'"):
+            admit_records(spectra, [cs], table, self.LIMITS, labeled=True)
 
 
 class TestSchedule:

@@ -38,7 +38,41 @@ def make_spectrum(mz, intensity, spectrum_id="s", charge=2, pepmass=500.0, label
     )
 
 
+# Peak-line edge cases, one per line after a 150.0 1.0 peak; each outcome
+# is the (m/z, intensity) lists parsed or the exact error message.
+PEAK_LINE_CASES = [
+    ("100.0\t1.0", ([100.0, 150.0], [1.0, 1.0])),
+    (" 100.0 \t 1.0\t", ([100.0, 150.0], [1.0, 1.0])),
+    ("100.0 1.0 2.0", ([100.0, 150.0], [1.0, 1.0])),
+    ("100.0 1.0 b2 x", ([100.0, 150.0], [1.0, 1.0])),
+    ("100.0 1.0 a=b", ([100.0, 150.0], [1.0, 1.0])),  # digit-led: a peak line
+    ("-100.0 1.0 a=b", ([150.0], [1.0])),  # not digit-led, with '=': a header
+    (".5 1", ([0.5, 150.0], [1.0, 1.0])),
+    ("1e2 4E-1", ([100.0, 150.0], [0.4, 1.0])),
+    ("1_0 2", ([10.0, 150.0], [2.0, 1.0])),
+    ("inf 1.0", "block at line 1: spectrum 'spectrum_0' has non-finite m/z or intensity values"),
+    ("100.0 nan", "block at line 1: spectrum 'spectrum_0' has non-finite m/z or intensity values"),
+    ("100.0 abc", "line 5: malformed peak line '100.0 abc'"),
+    ("100.0", "line 5: malformed peak line '100.0'"),
+    ("1=2 3", "line 5: malformed peak line '1=2 3'"),
+    ("\u0661\u0660\u0660 1.0", ([100.0, 150.0], [1.0, 1.0])),  # Arabic-Indic 100
+    ("\u00b2 1.0", "line 5: malformed peak line '\u00b2 1.0'"),  # superscript two
+    ("\uff11=2 3", "line 5: malformed peak line '\uff11=2 3'"),  # fullwidth digit one
+]
+
+
 class TestParseMgf:
+    @pytest.mark.parametrize("line,outcome", PEAK_LINE_CASES)
+    def test_peak_line_edge_cases(self, line, outcome):
+        text = f"BEGIN IONS\nPEPMASS=500.0\nCHARGE=2+\n150.0 1.0\n{line}\nEND IONS\n"
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as caught:
+                parse_mgf(io.StringIO(text))
+            assert str(caught.value) == outcome
+        else:
+            (spectrum,) = parse_mgf(io.StringIO(text))
+            assert (spectrum.mz.tolist(), spectrum.intensity.tolist()) == outcome
+
     def test_minimal_block(self):
         spectra = parse_mgf(io.StringIO(MINIMAL_MGF))
         assert len(spectra) == 1
