@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
-from typing import Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from . import pipeline
 from .evaluation import (
@@ -24,7 +25,8 @@ from .evaluation import (
     length_binned_recall,
     residue_confusion,
 )
-from .masses import MassTable, default_mass_table, load_mass_table, parse_peptide
+from .masses import (MassTable, default_mass_table, load_mass_table, parse_lines,
+                     parse_peptide, tab_fields)
 from .metrics import pmd_many, rmd
 from .model import MODEL_KEYS, ModelConfig
 from .spectra import RawSpectrum, parse_mgf, write_mgf
@@ -55,8 +57,15 @@ def _echo(args: argparse.Namespace, resolved: dict) -> None:
 
 
 def _read(path: str, reader: Callable[[TextIO], T]) -> T:
+    """``reader`` of the file at ``path``; its ValueError ``line N: reason``
+    becomes ``path:N: reason``, and any other ``path: reason``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return reader(handle)
+        try:
+            return reader(handle)
+        except ValueError as exc:
+            line, _, reason = str(exc).partition(": ")
+            raise ValueError(f"{path}:{line[5:]}: {reason}" if line[:5] == "line " and
+                             line[5:].isdigit() else f"{path}: {exc}") from None
 
 
 def _load_table(args: argparse.Namespace) -> MassTable:
@@ -68,6 +77,26 @@ def _load_table(args: argparse.Namespace) -> MassTable:
 def _read_corpus(args) -> tuple[list[RawSpectrum], list[pipeline.CandidateSet]]:
     """The --mgf spectra and the --candidates sets."""
     return _read(args.mgf, parse_mgf), _read(args.candidates, pipeline.load_candidates)
+
+
+def _read_pairs(source: TextIO, table: MassTable) -> list[tuple]:
+    """Each ``query<TAB>target`` line and its two peptides, after an optional header."""
+    rows = itertools.count()  # numbers the data lines: only the first may be the header
+
+    def pair(text: str) -> tuple | None:
+        fields = tab_fields(text, 2, "expected 'query<TAB>target'")
+        if next(rows) > 0 or fields != ["query", "target"]:
+            return fields, *(parse_peptide(field, table) for field in fields)
+
+    return [row for row in parse_lines(source, pair, comments=True, strip=False) if row]
+
+
+def _write_report(path: str | None, header: str, rows: Iterable[Sequence]) -> None:
+    """A TSV report: the header row, then each row's cells as ``str`` (a float's repr)."""
+    with _output(path) as sink:
+        sink.write(header + "\n")
+        for row in rows:
+            sink.write("\t".join(map(str, row)) + "\n")
 
 
 @contextlib.contextmanager
@@ -87,37 +116,12 @@ def _output(path: str | None) -> Iterator[TextIO]:
 def _cmd_metrics(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "metrics", "pairs": args.pairs})
-    pairs = []  # every pair parses before the output is opened
-    with open(args.pairs, "r", encoding="utf-8") as handle:
-        header_allowed = True  # only the first non-blank, non-comment line
-        for lineno, line in enumerate(handle, start=1):
-            text = line.rstrip("\n")
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{args.pairs}:{lineno}: expected 'query<TAB>target'"
-                )
-            if header_allowed and parts == ["query", "target"]:
-                header_allowed = False
-                continue
-            header_allowed = False
-            try:
-                pairs.append((parts, *(parse_peptide(part, table) for part in parts)))
-            except ValueError as exc:
-                raise ValueError(f"{args.pairs}:{lineno}: {exc}") from None
+    pairs = _read(args.pairs, lambda handle: _read_pairs(handle, table))  # before any output
     scores = pmd_many([(query, target) for _, query, target in pairs], table).tolist()
-    with _output(args.out) as sink:
-        sink.write("query\ttarget\tpmd\trmd\n")
-        for (parts, query, target), score in zip(pairs, scores):
-            if len(query) and len(target):
-                deviations = ",".join(
-                    repr(float(v)) for v in rmd(query, target, table)
-                )
-            else:
-                deviations = ""  # rmd is defined only for non-empty pairs
-            sink.write(f"{parts[0]}\t{parts[1]}\t{score!r}\t{deviations}\n")
+    _write_report(args.out, "query\ttarget\tpmd\trmd", (
+        (*fields, score, ",".join(map(repr, rmd(query, target, table).tolist()))
+         if len(query) and len(target) else "")  # rmd needs two non-empty peptides
+        for (fields, query, target), score in zip(pairs, scores)))
     return 0
 
 
@@ -137,10 +141,7 @@ def _cmd_preprocess(args) -> int:
     with open(args.out, "w", encoding="utf-8") as sink:
         write_mgf((spec.to_raw() for spec in kept), sink)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as sink:
-            sink.write("spectrum_id\treason\n")
-            for spectrum_id, reason in exclusions:
-                sink.write(f"{spectrum_id}\t{reason}\n")
+        _write_report(args.report, "spectrum_id\treason", exclusions)
     print(f"# kept {len(kept)} of {len(spectra)} spectra", file=sys.stderr)
     return 0
 
@@ -160,15 +161,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _config_object(source: TextIO) -> dict:
+    if not isinstance(value := json.load(source), dict):
+        raise ValueError("config must be a JSON object")
+    return value
+
+
 def _train_config(args, vocab: Sequence[str]) -> pipeline.TrainConfig:
     if args.profile == "desk":
         config = pipeline.TrainConfig.desk(vocab)
     else:
         config = pipeline.TrainConfig.paper_scale(vocab)
     if args.config:
-        overrides = _read(args.config, json.load)
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+        overrides = _read(args.config, _config_object)
         unknown = set(overrides) - set(CONFIG_MODEL_KEYS) - set(CONFIG_TRAIN_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -219,54 +224,56 @@ def _cmd_rerank(args) -> int:
     return 0
 
 
-def _selected_records(args) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
-    """Each --selections row with its --candidates record, which must carry a
-    label, one candidate per score and the selected candidate at its index."""
-    selections = _read(args.selections, pipeline.read_selections)
+def _corpus(records: list[T]) -> list[T]:
+    if not records:
+        raise ValueError("corpus is empty")
+    return records
+
+
+def _matched(sel: pipeline.Selection, cs: pipeline.CandidateSet | None) -> pipeline.CandidateSet:
+    """A selection's record: labeled, one candidate per score, the selected one at its index."""
+    if cs is None:
+        raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
+    if cs.label is None:
+        raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
+    if (len(sel.scores) != len(cs.candidates)  # so that the selected index is in range
+            or cs.candidates[sel.index] != (sel.model_name, sel.peptide)):
+        raise ValueError(f"spectrum {sel.spectrum_id!r}: selection {sel.index} "
+                         f"({sel.model_name} {sel.peptide}, {len(sel.scores)} scores) "
+                         f"does not match its {len(cs.candidates)} candidates")
+    return cs
+
+
+def _selected_records(args, check=list) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
+    """Each --selections row with its --candidates record, matched, and the
+    list passed to ``check``, while the selections file is read: errors name it."""
     by_id = {cs.spectrum_id: cs for cs in _read(args.candidates, pipeline.load_candidates)}
-    joined = []
-    for sel in selections:
-        cs = by_id.get(sel.spectrum_id)
-        if cs is None:
-            raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
-        if cs.label is None:
-            raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
-        if (len(sel.scores) != len(cs.candidates)  # so that the selected index is in range
-                or cs.candidates[sel.index] != (sel.model_name, sel.peptide)):
-            raise ValueError(f"spectrum {sel.spectrum_id!r}: selection {sel.index} "
-                             f"({sel.model_name} {sel.peptide}, {len(sel.scores)} scores) "
-                             f"does not match its {len(cs.candidates)} candidates")
-        joined.append((sel, cs))
-    return joined
+    return _read(args.selections, lambda handle: check([
+        (sel, _matched(sel, by_id.get(sel.spectrum_id)))
+        for sel in pipeline.read_selections(handle)]))
 
 
 def _evaluation_pairs(args, table: MassTable):
     """(pred, truth) peptide pairs from either input layout."""
     if args.predictions:
-        records = _read(args.predictions, pipeline.load_predictions)
-        return [pipeline.parse_peptides(r["spectrum_id"], [r["pred"], r["truth"]], table)
-                for r in records]
+        return _read(args.predictions, lambda handle: _corpus([
+            pipeline.parse_peptides(r["spectrum_id"], [r["pred"], r["truth"]], table)
+            for r in pipeline.load_predictions(handle)]))
     if not (args.selections and args.candidates):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
         )
     return [pipeline.parse_peptides(sel.spectrum_id, [sel.peptide, cs.label], table)
-            for sel, cs in _selected_records(args)]
+            for sel, cs in _selected_records(args, _corpus)]
 
 
 def _cmd_evaluate(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "evaluate"})
-    pairs = _evaluation_pairs(args, table)
-    stats = corpus_stats(pairs, table)
-    with _output(args.out) as sink:
-        sink.write("metric\tvalue\n")
-        sink.write(f"n_match_pep\t{stats.n_match_pep}\n")
-        sink.write(f"n_all_pep\t{stats.n_all_pep}\n")
-        sink.write(f"n_match_aa\t{stats.n_match_aa}\n")
-        sink.write(f"n_all_aa\t{stats.n_all_aa}\n")
-        sink.write(f"aa_precision\t{stats.aa_precision!r}\n")
-        sink.write(f"peptide_recall\t{stats.peptide_recall!r}\n")
+    stats = corpus_stats(_evaluation_pairs(args, table), table)
+    _write_report(args.out, "metric\tvalue", [
+        (name, getattr(stats, name)) for name in ("n_match_pep", "n_all_pep", "n_match_aa",
+                                                  "n_all_aa", "aa_precision", "peptide_recall")])
     return 0
 
 
@@ -291,57 +298,47 @@ def _parse_bins(text: str) -> list[tuple[int, int]]:
 def _cmd_analyze(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "analyze", "analysis": args.analysis})
-    with _output(args.out) as sink:
-        if args.analysis == "length":
-            if not (args.predictions and args.bins):
-                raise ValueError("length analysis needs --predictions and --bins")
-            pairs = _evaluation_pairs(args, table)
-            recalls = length_binned_recall(pairs, table, _parse_bins(args.bins))
-            sink.write("bin_lo\tbin_hi\tpeptide_recall\n")
-            for (lo, hi), recall in sorted(recalls.items()):
-                sink.write(f"{lo}\t{hi}\t{recall!r}\n")
-        elif args.analysis == "confusion":
-            if not args.predictions:
-                raise ValueError("confusion analysis needs --predictions")
-            pairs = _evaluation_pairs(args, table)
-            recalls = residue_confusion(pairs, table)
-            sink.write("token\trecall\n")
-            for token in sorted(recalls):
-                sink.write(f"{token}\t{recalls[token]!r}\n")
-        elif args.analysis == "contribution":
-            if not (args.selections and args.candidates):
-                raise ValueError("contribution analysis needs --selections and --candidates")
-            records = []
-            for sel, cs in _selected_records(args):
-                *candidates, selected, truth = pipeline.parse_peptides(
-                    sel.spectrum_id, [*cs.peptides, sel.peptide, cs.label], table)
-                models = [model for model, _ in cs.candidates]
-                records.append((list(zip(models, candidates)), selected, truth))
-            shares = contribution_analysis(records, table)
-            sink.write("model\tshare\n")
-            for model in sorted(shares):
-                sink.write(f"{model}\t{shares[model]!r}\n")
-        elif args.analysis == "zeroshot":
-            if not (args.checkpoint and args.mgf and args.candidates and args.subsets):
-                raise ValueError(
-                    "zeroshot analysis needs --checkpoint, --mgf, --candidates, --subsets"
-                )
-            checkpoint = pipeline.load_checkpoint(args.checkpoint)
-            model = checkpoint.build_model(table)
-            spectra, candidate_sets = _read_corpus(args)
-            subsets = [
-                [name.strip() for name in chunk.split(",") if name.strip()]
-                for chunk in args.subsets.split(";")
-                if chunk.strip()
-            ]
-            reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets)
-            sink.write("subset\tn_spectra\tpeptide_recall\n")
-            for report in reports:
-                sink.write(
-                    f"{','.join(report.models)}\t{report.n_spectra}\t{report.peptide_recall!r}\n"
-                )
-        else:  # unreachable behind argparse choices
-            raise ValueError(f"unknown analysis {args.analysis!r}")
+    if args.analysis == "length":
+        if not (args.predictions and args.bins):
+            raise ValueError("length analysis needs --predictions and --bins")
+        pairs = _evaluation_pairs(args, table)
+        recalls = length_binned_recall(pairs, table, _parse_bins(args.bins))
+        header, rows = "bin_lo\tbin_hi\tpeptide_recall", [
+            (lo, hi, recall) for (lo, hi), recall in sorted(recalls.items())]
+    elif args.analysis == "confusion":
+        if not args.predictions:
+            raise ValueError("confusion analysis needs --predictions")
+        recalls = residue_confusion(_evaluation_pairs(args, table), table)
+        header, rows = "token\trecall", [(token, recalls[token]) for token in sorted(recalls)]
+    elif args.analysis == "contribution":
+        if not (args.selections and args.candidates):
+            raise ValueError("contribution analysis needs --selections and --candidates")
+        records = []
+        for sel, cs in _selected_records(args):
+            *candidates, selected, truth = pipeline.parse_peptides(
+                sel.spectrum_id, [*cs.peptides, sel.peptide, cs.label], table)
+            models = [model for model, _ in cs.candidates]
+            records.append((list(zip(models, candidates)), selected, truth))
+        shares = contribution_analysis(records, table)
+        header, rows = "model\tshare", [(model, shares[model]) for model in sorted(shares)]
+    else:  # zeroshot, the last of argparse's choices
+        if not (args.checkpoint and args.mgf and args.candidates and args.subsets):
+            raise ValueError(
+                "zeroshot analysis needs --checkpoint, --mgf, --candidates, --subsets"
+            )
+        checkpoint = pipeline.load_checkpoint(args.checkpoint)
+        model = checkpoint.build_model(table)
+        spectra, candidate_sets = _read_corpus(args)
+        subsets = [
+            [name.strip() for name in chunk.split(",") if name.strip()]
+            for chunk in args.subsets.split(";")
+            if chunk.strip()
+        ]
+        reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets)
+        header, rows = "subset\tn_spectra\tpeptide_recall", [
+            (",".join(report.models), report.n_spectra, report.peptide_recall)
+            for report in reports]
+    _write_report(args.out, header, rows)  # once every input has been read
     return 0
 
 

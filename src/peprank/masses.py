@@ -2,7 +2,8 @@
 
 Every other module builds on the primitives here: residue tokens of the
 form ``X`` or ``X(mod)``, monoisotopic mass lookups, cumulative prefix /
-suffix masses, and the neutral-mass / m-z relations for precursor ions.
+suffix masses, the neutral-mass / m-z relations for precursor ions, and
+:func:`parse_lines`, the line-numbered reader that every text format shares.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class MassTable:
                 raise ValueError(f"duplicate residue token {token!r}")
             mass = float(mass)
             if not math.isfinite(mass) or mass <= 0.0:
-                raise ValueError(f"mass for {token!r} must be a positive number, got {mass}")
+                raise ValueError(f"mass for {token!r} must be positive, got {mass}")
             masses[token] = mass
         self._masses = masses
         self._tokens = tuple(masses)
@@ -116,33 +117,53 @@ class Precursor:
         return cls(mz=mz, charge=charge, neutral_mass=precursor_neutral_mass(mz, charge))
 
 
-def load_mass_table(source: TextIO | Iterable[str]) -> MassTable:
-    """Parse a line-oriented ``token<TAB>mass`` stream into a MassTable.
-
-    Blank lines and ``#`` comments are skipped. Duplicate tokens and
-    non-positive or unparseable masses raise ValueError.
-    """
-    entries: list[tuple[str, float]] = []
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+def parse_lines(source: Iterable[str], parse: Callable[[str], object], *, comments: bool = False,
+                strip: bool = True, first: int = 1, unique: Callable | None = None) -> list:
+    """``parse`` of each line, numbered from ``first``: stripped (without ``strip``, only of
+    its newline) and skipped when empty or, with ``comments``, a ``#`` line. A ValueError, or
+    a ``unique`` name seen before, is raised again as ``line N: reason``."""
+    parsed, first_seen = [], {}  # first_seen: the line of each unique name
+    for lineno, line in enumerate(source, start=first):
+        text = line.strip() if strip else line.rstrip("\n")
+        if not text or comments and text[0] == "#":
             continue
-        parts = text.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'token<TAB>mass', got {text!r}")
-        token, raw_mass = parts[0].strip(), parts[1].strip()
         try:
-            mass = float(raw_mass)
-        except ValueError:
-            raise ValueError(f"line {lineno}: unparseable mass {raw_mass!r}") from None
-        if not math.isfinite(mass) or mass <= 0.0:
-            raise ValueError(f"line {lineno}: mass for {token!r} must be positive, got {mass}")
-        if any(token == t for t, _ in entries):
-            raise ValueError(f"line {lineno}: duplicate residue token {token!r}")
-        entries.append((token, mass))
-    if not entries:
-        raise ValueError("mass table is empty")
-    return MassTable(entries)
+            parsed.append(item := parse(text))
+            if unique and first_seen.setdefault(name := unique(item), lineno) != lineno:
+                raise ValueError(f"duplicate {name}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return parsed
+
+
+def tab_fields(text: str, count: int, message: str) -> list[str]:
+    """``text`` split at tabs into exactly ``count`` fields, else ValueError(message)."""
+    if len(fields := text.split("\t")) != count:
+        raise ValueError(message)
+    return fields
+
+
+def _mass_entry(text: str) -> tuple[str, float]:
+    token, raw = map(str.strip, tab_fields(text, 2, f"expected 'token<TAB>mass', got {text!r}"))
+    try:
+        mass = float(raw)
+    except ValueError:
+        raise ValueError(f"unparseable mass {raw!r}") from None
+    alone = MassTable({token: mass})  # checks the mass
+    try:
+        parse_peptide(token, alone)
+    except ValueError:
+        raise ValueError(f"residue token {token!r} is not one character with an "
+                         "optional (modification)") from None
+    return token, mass
+
+
+def load_mass_table(source: TextIO | Iterable[str]) -> MassTable:
+    """Parse a ``token<TAB>mass`` stream, skipping blank lines and ``#`` comments.
+    A token must tokenize back to itself (a character plus an optional
+    parenthesized modification), be new, and have a positive mass."""
+    return MassTable(parse_lines(source, _mass_entry, comments=True,
+                                 unique=lambda entry: f"residue token {entry[0]!r}"))
 
 
 def default_mass_table() -> MassTable:

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -30,8 +30,10 @@ from .masses import (
     Peptide,
     Precursor,
     cumulative_masses,
+    parse_lines,
     parse_peptide,
     peptide_neutral_mass,
+    tab_fields,
 )
 from .metrics import pmd_many, rmd_many
 from .metrics import pmd, rmd  # noqa: F401  (perfbench's tracer wraps pipeline.pmd and .rmd)
@@ -66,55 +68,50 @@ class CandidateSet:
         return [peptide for _, peptide in self.candidates]
 
 
-def _read_json_lines(source: TextIO | Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) per non-blank line; each record must be an object."""
-    for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise ValueError(f"line {lineno}: record must be a JSON object")
-        yield lineno, record
+def _json_object(text: str) -> dict:
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise ValueError("record must be a JSON object")
+    return record
 
 
-def _require_strings(lineno: int, record: dict, keys: Sequence[str]) -> None:
+def _require_strings(record: dict, keys: Sequence[str]) -> None:
     for key in keys:
         if key not in record:
-            raise ValueError(f"line {lineno}: missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
         if not isinstance(record[key], str):
-            raise ValueError(f"line {lineno}: {key!r} must be a string, got {record[key]!r}")
+            raise ValueError(f"{key!r} must be a string, got {record[key]!r}")
+
+
+def _spectrum_id(record: CandidateSet | Selection) -> str:
+    return f"spectrum_id {record.spectrum_id!r}"
+
+
+def _candidate_set(text: str) -> CandidateSet:
+    record = _json_object(text)
+    _require_strings(record, ("spectrum_id",))
+    spectrum_id, raw_candidates = record["spectrum_id"], record.get("candidates")
+    if not spectrum_id:
+        raise ValueError("spectrum_id must be a non-empty string")
+    if not isinstance(raw_candidates, list) or not raw_candidates:
+        raise ValueError("candidates must be a non-empty list")
+    for entry in raw_candidates:
+        if not isinstance(entry, dict):
+            raise ValueError("each candidate must be a JSON object")
+        _require_strings(entry, ("model", "peptide"))
+    label = record.get("label")
+    if label is not None:
+        _require_strings(record, ("label",))
+    return CandidateSet(spectrum_id, [(c["model"], c["peptide"]) for c in raw_candidates], label)
 
 
 def load_candidates(source: TextIO | Iterable[str]) -> list[CandidateSet]:
     """Parse a JSON Lines candidate file, in file order; a duplicate
     ``spectrum_id`` is an error that names its line."""
-    sets: list[CandidateSet] = []
-    seen: set[str] = set()
-    for lineno, record in _read_json_lines(source):
-        _require_strings(lineno, record, ("spectrum_id",))
-        spectrum_id, raw_candidates = record["spectrum_id"], record.get("candidates")
-        if not spectrum_id:
-            raise ValueError(f"line {lineno}: spectrum_id must be a non-empty string")
-        if spectrum_id in seen:
-            raise ValueError(f"line {lineno}: duplicate spectrum_id {spectrum_id!r}")
-        seen.add(spectrum_id)
-        if not isinstance(raw_candidates, list) or not raw_candidates:
-            raise ValueError(f"line {lineno}: candidates must be a non-empty list")
-        candidates: list[tuple[str, str]] = []
-        for entry in raw_candidates:
-            if not isinstance(entry, dict):
-                raise ValueError(f"line {lineno}: each candidate must be a JSON object")
-            _require_strings(lineno, entry, ("model", "peptide"))
-            candidates.append((entry["model"], entry["peptide"]))
-        label = record.get("label")
-        if label is not None:
-            _require_strings(lineno, record, ("label",))
-        sets.append(CandidateSet(spectrum_id=spectrum_id, candidates=candidates, label=label))
-    return sets
+    return parse_lines(source, _candidate_set, unique=_spectrum_id)
 
 
 def write_candidates(sets: Iterable[CandidateSet], sink: TextIO) -> None:
@@ -128,16 +125,19 @@ def write_candidates(sets: Iterable[CandidateSet], sink: TextIO) -> None:
         sink.write(json.dumps(record) + "\n")
 
 
+def _prediction(text: str) -> dict:
+    record = _json_object(text)
+    _require_strings(record, ("spectrum_id", "pred", "truth"))
+    for key in ("pred", "truth"):
+        if not record[key]:
+            raise ValueError(f"{key!r} must be a non-empty peptide")
+    return record
+
+
 def load_predictions(source: TextIO | Iterable[str]) -> list[dict]:
     """Parse a prediction corpus: JSON Lines of spectrum_id / pred / truth."""
-    records: list[dict] = []
-    for lineno, record in _read_json_lines(source):
-        _require_strings(lineno, record, ("spectrum_id", "pred", "truth"))
-        for key in ("pred", "truth"):
-            if not record[key]:
-                raise ValueError(f"line {lineno}: {key!r} must be a non-empty peptide")
-        records.append(record)
-    return records
+    return parse_lines(source, _prediction,
+                       unique=lambda record: f"spectrum_id {record['spectrum_id']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -643,40 +643,22 @@ def write_selections(selections: Iterable[Selection], sink: TextIO) -> None:
         )
 
 
+def _selection(text: str) -> Selection:
+    spectrum_id, raw_index, model_name, peptide, raw_scores = tab_fields(
+        text, 5, "expected 5 tab-separated fields")
+    index, scores = int(raw_index), [float(v) for v in raw_scores.split(",")]
+    if not all(math.isfinite(v) for v in scores):
+        raise ValueError(f"non-finite score in {raw_scores!r}")
+    if not 0 <= index < len(scores):
+        raise ValueError(f"selected_index {index} outside its {len(scores)} scores")
+    return Selection(spectrum_id, index, model_name, peptide, scores)
+
+
 def read_selections(source: TextIO | Iterable[str]) -> list[Selection]:
     lines = iter(source)
-    header = next(lines, None)
-    if header is None or not header.startswith("spectrum_id\t"):
+    if not next(lines, "").startswith("spectrum_id\t"):
         raise ValueError("selections file missing header row")
-    selections = []
-    for lineno, line in enumerate(lines, start=2):
-        text = line.rstrip("\n")
-        if not text:
-            continue
-        parts = text.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 tab-separated fields")
-        try:
-            index = int(parts[1])
-            scores = [float(v) for v in parts[4].split(",")]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in scores):
-            raise ValueError(f"line {lineno}: non-finite score in {parts[4]!r}")
-        if not 0 <= index < len(scores):
-            raise ValueError(
-                f"line {lineno}: selected_index {index} outside its {len(scores)} scores"
-            )
-        selections.append(
-            Selection(
-                spectrum_id=parts[0],
-                index=index,
-                model_name=parts[2],
-                peptide=parts[3],
-                scores=scores,
-            )
-        )
-    return selections
+    return parse_lines(lines, _selection, strip=False, first=2, unique=_spectrum_id)
 
 
 @dataclass

@@ -413,7 +413,7 @@ class TestAnalyzeCommands:
         preds.write_text("5\n")
         code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
         assert code == 2
-        assert "line 1: record must be a JSON object" in err
+        assert f"error: {preds}:1: record must be a JSON object" in err
 
     def test_bad_selected_peptide_names_its_spectrum(self, tmp_path, capsys):
         selections = tmp_path / "selections.tsv"
@@ -468,7 +468,7 @@ class TestAnalyzeCommands:
         code, _, err = run(capsys, "analyze", "--analysis", "contribution",
                            "--selections", str(selections), "--candidates", str(cands))
         assert code == 2
-        assert "line 2: selected_index 7 outside its 2 scores" in err
+        assert f"error: {selections}:2: selected_index 7 outside its 2 scores" in err
 
     @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
     @pytest.mark.parametrize("records, code, message", [
@@ -634,7 +634,7 @@ class TestRecordAdmission:
         code, _, err = run(capsys, "rerank", "--checkpoint", str(V1_CHECKPOINT),
                            "--mgf", str(mgf), "--candidates", str(cands))
         assert code == 2
-        assert f"line 1: '{field}' must be a string" in err
+        assert f"error: {cands}:1: '{field}' must be a string" in err
 
     @pytest.mark.parametrize("field,value,message", [
         pytest.param("spectrum_id", 5, "must be a string", id="spectrum_id"),
@@ -651,4 +651,4 @@ class TestRecordAdmission:
             {"spectrum_id": "b", "pred": "GAV", "truth": "GAV", field: value}) + "\n")
         code, _, err = run(capsys, "evaluate", "--predictions", str(preds))
         assert code == 2
-        assert f"line 3: '{field}' {message}" in err
+        assert f"error: {preds}:3: '{field}' {message}" in err
