@@ -68,6 +68,14 @@ def _read(path: str, reader: Callable[[TextIO], T]) -> T:
                              line[5:].isdigit() else f"{path}: {exc}") from None
 
 
+def _load_checkpoint(path: str) -> pipeline.Checkpoint:
+    """``pipeline.load_checkpoint`` of ``path``; its ValueError becomes ``path: reason``."""
+    try:
+        return pipeline.load_checkpoint(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_table(args: argparse.Namespace) -> MassTable:
     if getattr(args, "mass_table", None):
         return _read(args.mass_table, load_mass_table)
@@ -211,7 +219,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_rerank(args) -> int:
     table = _load_table(args)
-    checkpoint = pipeline.load_checkpoint(args.checkpoint)
+    checkpoint = _load_checkpoint(args.checkpoint)
     _echo(args, {"subcommand": "rerank", "checkpoint": args.checkpoint,
                  "model": checkpoint.config.to_dict(), "seed": checkpoint.seed})
     model = checkpoint.build_model(table)
@@ -326,7 +334,7 @@ def _cmd_analyze(args) -> int:
             raise ValueError(
                 "zeroshot analysis needs --checkpoint, --mgf, --candidates, --subsets"
             )
-        checkpoint = pipeline.load_checkpoint(args.checkpoint)
+        checkpoint = _load_checkpoint(args.checkpoint)
         model = checkpoint.build_model(table)
         spectra, candidate_sets = _read_corpus(args)
         subsets = [

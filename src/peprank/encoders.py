@@ -13,6 +13,7 @@ across rows, so row order carries no information).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterStore, Tensor
-from .masses import MassTable, Peptide, Precursor, cumulative_masses
+from .masses import MassTable, Peptide, Precursor, pack_residues
 from .spectra import MZ_MAX, MZ_MIN, ProcessedSpectrum
 
 # Types accepted per declared scalar field type: an int is a valid float, a bool neither.
@@ -139,14 +140,9 @@ def mz_sinusoid(mu, config: EmbeddingConfig) -> np.ndarray:
             f"m/z {mu[~inside].flat[0]} outside embedding range "
             f"[{config.mu_min}, {config.mu_max}]"
         )
-    d = config.d
-    k = np.arange(d // 2, dtype=np.float64)
-    scale = (config.mu_max / config.mu_min) ** (k / d)
-    angle = (2.0 * np.pi * mu[..., None] / config.mu_min) / scale
-    out = np.empty(mu.shape + (d,), dtype=np.float64)
-    out[..., 0::2] = np.sin(angle)
-    out[..., 1::2] = np.cos(angle)
-    return out
+    k = np.arange(config.d // 2, dtype=np.float64)
+    scale = (config.mu_max / config.mu_min) ** (k / config.d)
+    return _sin_cos((2.0 * np.pi * mu[..., None] / config.mu_min) / scale)
 
 
 def mass_sinusoid(m, dim: int) -> np.ndarray:
@@ -157,11 +153,12 @@ def mass_sinusoid(m, dim: int) -> np.ndarray:
     if (m < 0).any():
         raise ValueError(f"mass must be non-negative, got {m[m < 0].flat[0]}")
     k = np.arange(dim // 2, dtype=np.float64)
-    angle = 2.0 * np.pi * m[..., None] / (10000.0 ** (k / dim))
-    out = np.empty(m.shape + (dim,), dtype=np.float64)
-    out[..., 0::2] = np.sin(angle)
-    out[..., 1::2] = np.cos(angle)
-    return out
+    return _sin_cos(2.0 * np.pi * m[..., None] / (10000.0 ** (k / dim)))
+
+
+def _sin_cos(angle: np.ndarray) -> np.ndarray:
+    """[..., 2k]: the sin of ``angle`` [..., k] at even columns, its cos at odd ones."""
+    return np.stack([np.sin(angle), np.cos(angle)], axis=-1).reshape(angle.shape[:-1] + (-1,))
 
 
 def create_embedding_params(store: ParameterStore, config: EmbeddingConfig, vocab_size: int) -> None:
@@ -188,6 +185,12 @@ def embed_spectrum(peaks, store: ParameterStore, config: EmbeddingConfig) -> Ten
     return ag.add(Tensor(mz_sinusoid(peaks.mz, config)), projected)
 
 
+def grid_shapes(candidates: Sequence[Sequence[Peptide]]) -> np.ndarray:
+    """[B, 2]: each grid's (c_b, w_b), its candidates and its longest one + 1 (the CLS cell)."""
+    return np.array([(len(peptides), max(map(len, peptides)) + 1) for peptides in candidates],
+                    dtype=np.int64).reshape(-1, 2)
+
+
 def assemble_msa(
     candidates: Sequence[Sequence[Peptide]],
     precursors: Sequence[Precursor],
@@ -209,50 +212,42 @@ def assemble_msa(
     """
     if not candidates or not all(candidates):
         raise ValueError("assemble_msa requires at least one candidate per spectrum")
-    for peptide in (p for peptides in candidates for p in peptides):
-        if len(peptide) == 0:
+    peptides = list(itertools.chain.from_iterable(candidates))
+    lengths = np.array(list(map(len, peptides)))
+    if (bad := np.flatnonzero((lengths == 0) | (lengths > config.max_len))).size:
+        if not (peptide := peptides[bad[0]]):
             raise ValueError("cannot embed an empty peptide")
-        if len(peptide) > config.max_len:
-            raise ValueError(
-                f"candidate {peptide.render()!r} has {len(peptide)} residues, "
-                f"exceeding max_len={config.max_len}"
-            )
+        raise ValueError(f"candidate {peptide.render()!r} has {len(peptide)} residues, "
+                         f"exceeding max_len={config.max_len}")
     charges = np.array([precursor.charge for precursor in precursors])
     if not ((1 <= charges) & (charges <= config.max_charge)).all():
         raise ValueError(
             f"precursor charge {charges.tolist()} outside the learned range 1..{config.max_charge}"
         )
+    n_spectra, shapes = len(candidates), grid_shapes(candidates)
+    widths = shapes[:, 1].repeat(shapes[:, 0])  # each candidate row's w_b
+    cls_rows = np.cumsum(widths) - widths
+    starts = cls_rows[np.cumsum(shapes[:, 0]) - shapes[:, 0]]
+    masses, row, position = pack_residues(peptides, table)
+    residue_rows = cls_rows[row] + 1 + position
     index = {token: i for i, token in enumerate(table.tokens)}
-    n_spectra = len(candidates)
-    shapes = np.array([(len(peptides), max(len(p) for p in peptides) + 1)
-                       for peptides in candidates])
-    sizes = shapes[:, 0] * shapes[:, 1]
-    starts = np.cumsum(sizes) - sizes
-
-    cls_rows, residue_rows, token_ids, prefixes, suffixes = [], [], [], [], []
-    for b, peptides in enumerate(candidates):
-        for row, peptide in enumerate(peptides):
-            cls_rows.append(starts[b] + row * shapes[b, 1])
-            residue_rows.extend(range(cls_rows[-1] + 1, cls_rows[-1] + len(peptide) + 1))
-            try:
-                token_ids.extend(index[token] for token in peptide)
-            except KeyError as exc:
-                raise ValueError(f"unknown residue token {exc.args[0]!r}") from None
-            prefixes.append(cumulative_masses(peptide, table, "prefix"))
-            suffixes.append(cumulative_masses(peptide, table, "suffix"))
-    cls_rows, residue_rows = np.array(cls_rows, np.intp), np.array(residue_rows, np.intp)
+    token_ids = list(map(index.__getitem__, itertools.chain.from_iterable(peptides)))
+    grid = np.zeros((len(peptides), int(lengths.max())))
+    grid[row, position] = masses  # a row-wise cumsum adds as cumulative_masses does
+    prefixes = np.cumsum(grid, axis=1)[row, position]
+    suffixes = np.cumsum(grid[:, ::-1], axis=1)[row, grid.shape[1] - 1 - position]
     # each cell's source row: its spectrum's CLS row (0..B-1), its residue's
     # row (B..), or for a pad cell the pad row after them
-    pad_row = n_spectra + len(token_ids)
-    source = np.full(int(sizes.sum()), pad_row, dtype=np.intp)
+    pad_row = n_spectra + masses.size
+    source = np.full(int(widths.sum()), pad_row, dtype=np.intp)
     source[cls_rows] = np.repeat(np.arange(n_spectra), shapes[:, 0])
     source[residue_rows] = np.arange(n_spectra, pad_row)
     mask = source != pad_row
 
     residues = ag.concat([
         ag.take(store["embed/residue"], token_ids, axis=0),
-        Tensor(mass_sinusoid(np.concatenate(prefixes), config.d_prefix)),
-        Tensor(mass_sinusoid(np.concatenate(suffixes), config.d_suffix)),
+        Tensor(mass_sinusoid(prefixes, config.d_prefix)),
+        Tensor(mass_sinusoid(suffixes, config.d_suffix)),
     ], axis=1)
     precursor_part = ag.add(
         Tensor(mass_sinusoid(np.array([p.neutral_mass for p in precursors]), config.d_prec)),
@@ -262,7 +257,7 @@ def assemble_msa(
         [ag.add(np.zeros((n_spectra, config.d_res)), store["embed/cls"]), precursor_part], axis=1
     )
     sources = ag.concat([cls, residues, ag.reshape(store["embed/pad"], (1, config.d))], axis=0)
-    columns = np.concatenate([np.tile(np.arange(w), c) for c, w in shapes])
+    columns = np.arange(source.size) - cls_rows.repeat(widths)
     positions = ag.take(store["embed/position"], columns, axis=0)
     gathered = ag.take(sources, source, axis=0)
     embeddings = ag.add(gathered, positions)

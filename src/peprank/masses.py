@@ -2,16 +2,18 @@
 
 Every other module builds on the primitives here: residue tokens of the
 form ``X`` or ``X(mod)``, monoisotopic mass lookups, cumulative prefix /
-suffix masses, the neutral-mass / m-z relations for precursor ions, and
+suffix masses, :func:`pack_residues`, which lays a peptide list's residues
+out for padded grids, the neutral-mass / m-z relations for precursor ions, and
 :func:`parse_lines`, the line-numbered reader that every text format shares.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -209,6 +211,16 @@ def residue_masses(peptide: Peptide | Iterable[str], table: MassTable) -> np.nda
         return np.array([masses[t] for t in peptide], dtype=np.float64)
     except KeyError as exc:
         raise ValueError(f"unknown residue token {exc.args[0]!r}") from None
+
+
+def pack_residues(peptides: Sequence[Peptide], table: MassTable) -> tuple[np.ndarray, ...]:
+    """Every residue mass of ``peptides``, one after another, with its peptide and position:
+    ``grid[peptide, position] = masses`` fills a zero-padded [P, longest] grid, whose row-wise
+    cumsum, or that of its reversed rows, adds as :func:`cumulative_masses` does."""
+    lengths = np.array(list(map(len, peptides)), dtype=np.int64)
+    masses = residue_masses(itertools.chain.from_iterable(peptides), table)
+    starts = (np.cumsum(lengths) - lengths).repeat(lengths)
+    return masses, np.arange(len(peptides)).repeat(lengths), np.arange(masses.size) - starts
 
 
 def cumulative_masses(peptide: Peptide, table: MassTable, direction: str = "prefix") -> np.ndarray:

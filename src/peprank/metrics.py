@@ -14,7 +14,8 @@ Two complementary supervision signals:
 :func:`pmd` scores one pair; :func:`pmd_many` scores many pairs at once,
 bit for bit the same values, by filling the alignment tables of pairs of
 similar length together one anti-diagonal at a time. :func:`rmd_many`
-likewise scores many queries against one target in one array pass.
+likewise scores many queries against one target in one array pass;
+:func:`rmd` is its one-query case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masses import MassTable, Peptide, cumulative_masses, residue_masses
+from .masses import MassTable, Peptide, cumulative_masses, pack_residues, residue_masses
 
 BRUTEFORCE_MAX_TOTAL_LEN = 12
 RUN_CELLS = 1 << 17  # bound on pairs x (longest peptide + 1) in one pmd_many run
@@ -140,11 +141,11 @@ def _wavefront(
     on the step s = n_p + m_p.
     """
     count, big_n, big_m = len(pairs), int(n.max()), int(m.max())
-    columns = np.arange(count)
-    q = np.zeros((big_n, count))
-    q[_ranks(n), columns.repeat(n)] = _joined_masses([query for query, _ in pairs], table)
-    k = np.zeros((big_m, count))  # reversed, so k_j sits at row big_m - j
-    k[big_m - 1 - _ranks(m), columns.repeat(m)] = _joined_masses([t for _, t in pairs], table)
+    q, k = np.zeros((big_n, count)), np.zeros((big_m, count))
+    masses, pair, position = pack_residues([query for query, _ in pairs], table)
+    q[position, pair] = masses
+    masses, pair, position = pack_residues([target for _, target in pairs], table)
+    k[big_m - 1 - position, pair] = masses  # reversed, so k_j sits at row big_m - j
     corner = np.zeros(count)  # D[0, 0] = 0
     finish: dict[int, list[int]] = {}  # step s -> pairs whose corner it fills
     for p, s in enumerate((n + m).tolist()):
@@ -171,17 +172,6 @@ def _wavefront(
             corner[done] = d0[n[done], done]
         d2, d1, d0 = d1, d0, d2
     return corner
-
-
-def _ranks(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., length - 1 for each length in turn, as one vector."""
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) - starts.repeat(lengths)
-
-
-def _joined_masses(peptides: Sequence[Peptide], table: MassTable) -> np.ndarray:
-    """Residue masses of all peptides, one after another, as one vector."""
-    return residue_masses(itertools.chain.from_iterable(peptides), table)
 
 
 def pmd_bruteforce(query: Peptide, target: Peptide, table: MassTable) -> float:
@@ -225,22 +215,18 @@ def rmd(query: Peptide, target: Peptide, table: MassTable) -> np.ndarray:
 def rmd_many(queries: Sequence[Peptide], target: Peptide, table: MassTable) -> list[np.ndarray]:
     """:func:`rmd` of each query against one target, bit for bit.
 
-    One [c, N, M] pass: the queries' prefix masses are zero-padded to the
-    longest, N, and the target's M prefix masses are computed once. A
-    single query (``rmd``, once per ``metrics --pairs`` line) skips the
-    padding.
+    One [c, N, M] pass: the queries' prefix masses are the row-wise sums of
+    their masses zero-padded to the longest, N, and the target's M prefix
+    masses are computed once.
     """
     if len(target) == 0:
         raise ValueError("rmd requires a non-empty target peptide")
     if not all(queries):
         raise ValueError("rmd requires a non-empty query peptide")
-    if len(queries) == 1:
-        qp = cumulative_masses(queries[0], table, "prefix")[None]
-    else:
-        lengths = np.array([len(query) for query in queries], dtype=np.int64)
-        qp = np.zeros((len(queries), max(lengths, default=0)))
-        qp[np.arange(len(queries)).repeat(lengths), _ranks(lengths)] = _joined_masses(queries, table)
-        np.cumsum(qp, axis=1, out=qp)  # row by row, the sums of cumulative_masses
+    masses, row, position = pack_residues(queries, table)
+    qp = np.zeros((len(queries), max(map(len, queries), default=0)))
+    qp[row, position] = masses
+    np.cumsum(qp, axis=1, out=qp)  # row by row, the sums of cumulative_masses
     kp = cumulative_masses(target, table, "prefix")
     diffs = (qp[:, :, None] - kp).reshape(qp.size, kp.size)  # a row per query prefix
     nearest = np.abs(diffs).argmin(axis=1)  # first minimum = smaller index

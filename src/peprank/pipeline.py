@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ParameterStore, Tensor
-from .encoders import EmbeddingConfig, check_field_types
+from .encoders import EmbeddingConfig, check_field_types, grid_shapes
 from .evaluation import aa_match, corpus_stats
 from .masses import (
     PROTON_MASS,
@@ -605,18 +605,17 @@ def rerank_run(
     limits (see :func:`admit_records`) and pick per spectrum.
 
     The admitted spectra are cut, in file order, into chunks of at most
-    ``RERANK_CHUNK_CELLS`` grid cells, c_b x (longest candidate + 1) per
-    spectrum (see :func:`cell_chunks`), and each chunk is one forward that
-    records no graph. No attention crosses spectra and the peptide head
-    runs per spectrum, so each spectrum's scores are the bits of its B=1
-    forward. Rows keep candidate-file order; exact score ties resolve to
+    ``RERANK_CHUNK_CELLS`` grid cells, c_b x w_b per spectrum (see
+    :func:`~peprank.encoders.grid_shapes` and :func:`cell_chunks`), and each
+    chunk is one forward that records no graph. No attention crosses spectra
+    and the peptide head runs per spectrum, so each spectrum's scores are the
+    bits of its B=1 forward. Rows keep candidate-file order; exact score ties resolve to
     the lowest index. A spectrum with a non-finite score is excluded as
     ``non_finite_scores``.
     """
     admitted, excluded = admit_records(spectra, candidate_sets, model.table,
                                        model.config.embedding, labeled=False, strict=strict)
-    cells = [len(candidates) * (max(map(len, candidates)) + 1)
-             for _, _, candidates, _ in admitted]
+    cells = grid_shapes([candidates for _, _, candidates, _ in admitted]).prod(axis=1).tolist()
     selections: list[Selection] = []
     with ag.no_grad(), np.errstate(all="ignore"):  # non-finite scores are checked below
         for chunk in cell_chunks(cells):

@@ -559,6 +559,16 @@ class TestAnalyzeCommands:
         assert tables["candidates"] == tables["mgf"]
         assert len(tables["mgf"].splitlines()) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["rerank"], ["analyze", "--analysis", "zeroshot", "--subsets", "model_1"]])
+    def test_a_bad_checkpoint_is_named(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"xxxx")
+        code, _, err = run(capsys, *command, "--checkpoint", str(bad),
+                           "--mgf", "unused.mgf", "--candidates", "unused.jsonl")
+        assert code == 2
+        assert f"error: {bad}: not a checkpoint: expected magic b'RNKV', got b'xxxx'" in err
+
     def test_missing_inputs_are_usage_like_data_errors(self, capsys):
         code, _, err = run(capsys, "analyze", "--analysis", "length")
         assert code == 2

@@ -151,30 +151,36 @@ class TestEmbedCandidate:
     """The cell layout of one candidate, embedded by :func:`assemble_msa`."""
 
     def test_row_layout(self, table, config, store):
-        peptide = parse_peptide("GAV", table)
-        precursor = Precursor.from_mz(peptide_mz(peptide, table, 2), 2)
-        out = embed_candidate(peptide, precursor, table, store, config)
-        assert out.shape == (4, config.d)
-
-        # segment boundaries: residue embedding, then prefix/suffix sinusoids
+        """Residue embedding, then prefix and suffix sinusoids, in each
+        candidate's row of a 3-spectrum batch of mixed widths."""
         from peprank.masses import cumulative_masses
 
-        prefixes = cumulative_masses(peptide, table, "prefix")
-        suffixes = cumulative_masses(peptide, table, "suffix")
+        candidates = [[parse_peptide(text, table) for text in texts]
+                      for texts in (["GAV", "PEPTIDEK"], ["K"], ["MKAV", "GG", "SAMPLER"])]
+        precursors = [Precursor.from_mz(peptide_mz(peptides[0], table, 2), 2)
+                      for peptides in candidates]
+        store["embed/position"].data[:] = 0.0
+        batch = assemble_msa(candidates, precursors, table, store, config)
+        assert batch.shapes.tolist() == [[2, 9], [1, 2], [3, 8]]
         vocab_index = {t: i for i, t in enumerate(table.tokens)}
-        for i, token in enumerate(peptide):
-            row = out.data[i + 1]
-            np.testing.assert_array_equal(
-                row[: config.d_res], store["embed/residue"].data[vocab_index[token]]
-            )
-            np.testing.assert_allclose(
-                row[config.d_res : config.d_res + config.d_prefix],
-                mass_sinusoid(prefixes[i], config.d_prefix),
-            )
-            np.testing.assert_allclose(
-                row[config.d_res + config.d_prefix :],
-                mass_sinusoid(suffixes[i], config.d_suffix),
-            )
+        for b, peptides in enumerate(candidates):
+            for r, peptide in enumerate(peptides):
+                out = batch.embeddings.data[batch.cells(b)[r]]
+                prefixes = cumulative_masses(peptide, table, "prefix")
+                suffixes = cumulative_masses(peptide, table, "suffix")
+                for i, token in enumerate(peptide):
+                    row = out[i + 1]
+                    np.testing.assert_array_equal(
+                        row[: config.d_res], store["embed/residue"].data[vocab_index[token]]
+                    )
+                    np.testing.assert_allclose(
+                        row[config.d_res : config.d_res + config.d_prefix],
+                        mass_sinusoid(prefixes[i], config.d_prefix),
+                    )
+                    np.testing.assert_allclose(
+                        row[config.d_res + config.d_prefix :],
+                        mass_sinusoid(suffixes[i], config.d_suffix),
+                    )
 
     def test_zero_residue_embeddings_leave_sinusoids(self, table, config, store):
         store["embed/residue"].data[:] = 0.0

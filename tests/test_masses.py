@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peprank.masses import (
     PROTON_MASS,
@@ -11,6 +13,7 @@ from peprank.masses import (
     Precursor,
     cumulative_masses,
     load_mass_table,
+    pack_residues,
     parse_peptide,
     peptide_neutral_mass,
     precursor_neutral_mass,
@@ -128,6 +131,42 @@ class TestCumulativeMasses:
     def test_bad_direction(self, table):
         with pytest.raises(ValueError, match="direction"):
             cumulative_masses(parse_peptide("G", table), table, "sideways")
+
+
+@st.composite
+def peptide_lists(draw):
+    """A random mass table and 1-12 peptides of 1-40 residues."""
+    masses = draw(st.lists(st.floats(40.0, 200.0), min_size=1, max_size=5))
+    table = MassTable({f"t{i}": m for i, m in enumerate(masses)})
+    residues = st.lists(st.sampled_from(table.tokens), min_size=1, max_size=40)
+    peptides = draw(st.lists(residues.map(lambda r: Peptide(tuple(r))), min_size=1, max_size=12))
+    return table, peptides
+
+
+class TestPackResidues:
+    @settings(max_examples=200, deadline=None)
+    @given(record=peptide_lists())
+    @example(record=(MassTable({"a": 57.02146, "b": 71.03711}), [Peptide(("a", "b", "b"))]))
+    def test_padded_grid_matches_the_one_peptide_helpers_bit_for_bit(self, record):
+        """Each peptide's row of the padded grid is its residue masses, and the
+        row-wise cumsums of the grid and of its reversed rows are its prefix and
+        suffix masses."""
+        table, peptides = record
+        masses, peptide, position = pack_residues(peptides, table)
+        grid = np.zeros((len(peptides), max(map(len, peptides))))
+        grid[peptide, position] = masses
+        prefixes = np.cumsum(grid, axis=1)
+        suffixes = np.cumsum(grid[:, ::-1], axis=1)[:, ::-1]  # back in residue order
+        for p, one in enumerate(peptides):
+            n = len(one)
+            np.testing.assert_array_equal(grid[p, :n], residue_masses(one, table))
+            assert not grid[p, n:].any()
+            np.testing.assert_array_equal(prefixes[p, :n], cumulative_masses(one, table, "prefix"))
+            np.testing.assert_array_equal(suffixes[p, :n], cumulative_masses(one, table, "suffix"))
+
+    def test_unknown_token_rejected(self, table):
+        with pytest.raises(ValueError, match="unknown residue token 'Z'"):
+            pack_residues([parse_peptide("G", table), Peptide(("Z",))], table)
 
 
 class TestNeutralMass:
