@@ -13,7 +13,7 @@ import numpy as np
 
 from peprank import default_mass_table, parse_peptide
 from peprank.encoders import EmbeddingConfig
-from peprank.evaluation import aa_match, contribution_analysis, corpus_stats
+from peprank.evaluation import contribution_analysis, corpus_stats
 from peprank.model import ModelConfig
 from peprank.pipeline import (
     TrainConfig,

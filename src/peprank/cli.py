@@ -27,9 +27,9 @@ from .evaluation import (
 )
 from .masses import (MassTable, default_mass_table, load_mass_table, parse_lines,
                      parse_peptide, tab_fields)
-from .metrics import pmd_many, rmd
+from .metrics import gap_penalty, pmd_many, rmd
 from .model import MODEL_KEYS, ModelConfig
-from .spectra import RawSpectrum, parse_mgf, write_mgf
+from .spectra import parse_mgf, write_mgf
 
 T = TypeVar("T")
 
@@ -56,12 +56,16 @@ def _echo(args: argparse.Namespace, resolved: dict) -> None:
     print(f"# resolved: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
 
 
-def _read(path: str, reader: Callable[[TextIO], T]) -> T:
-    """``reader`` of the file at ``path``; its ValueError ``line N: reason``
-    becomes ``path:N: reason``, and any other ``path: reason``."""
+def _read(path: str, reader: Callable[[TextIO], T],
+          check: Callable[[T], object] | None = None) -> T:
+    """``reader`` of the file at ``path``, passed to ``check`` if given; their ValueError
+    ``line N: reason`` becomes ``path:N: reason``, and any other ``path: reason``."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return reader(handle)
+            result = reader(handle)
+            if check is not None:
+                check(result)
+            return result
         except ValueError as exc:
             line, _, reason = str(exc).partition(": ")
             raise ValueError(f"{path}:{line[5:]}: {reason}" if line[:5] == "line " and
@@ -76,15 +80,19 @@ def _load_checkpoint(path: str) -> pipeline.Checkpoint:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_table(args: argparse.Namespace) -> MassTable:
+def _load_table(args: argparse.Namespace, scores_pmd: bool = False) -> MassTable:
+    """The --mass-table, else the default table; with ``scores_pmd``, one that
+    has a PMD gap penalty, checked while the file is read."""
     if getattr(args, "mass_table", None):
-        return _read(args.mass_table, load_mass_table)
+        return _read(args.mass_table, load_mass_table, gap_penalty if scores_pmd else None)
     return default_mass_table()
 
 
-def _read_corpus(args) -> tuple[list[RawSpectrum], list[pipeline.CandidateSet]]:
-    """The --mgf spectra and the --candidates sets."""
-    return _read(args.mgf, parse_mgf), _read(args.candidates, pipeline.load_candidates)
+def _read_candidates(path: str, table: MassTable) -> list[pipeline.CandidateSet]:
+    """The candidate sets at ``path``, each candidate and label peptide parsed
+    with ``table`` while the file is read, so that errors name it."""
+    return _read(path, pipeline.load_candidates, lambda sets: [pipeline.parse_peptides(
+        cs.spectrum_id, cs.peptides + [cs.label or ""], table) for cs in sets])
 
 
 def _read_pairs(source: TextIO, table: MassTable) -> list[tuple]:
@@ -122,7 +130,7 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 
 def _cmd_metrics(args) -> int:
-    table = _load_table(args)
+    table = _load_table(args, scores_pmd=True)
     _echo(args, {"subcommand": "metrics", "pairs": args.pairs})
     pairs = _read(args.pairs, lambda handle: _read_pairs(handle, table))  # before any output
     scores = pmd_many([(query, target) for _, query, target in pairs], table).tolist()
@@ -197,12 +205,13 @@ def _train_config(args, vocab: Sequence[str]) -> pipeline.TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    table = _load_table(args)
+    table = _load_table(args, scores_pmd=True)
     config = _train_config(args, table.tokens)
     _echo(args, {"subcommand": "train", "profile": args.profile,
                  "model": config.model.to_dict(),
                  "train": {k: getattr(config, k) for k in CONFIG_TRAIN_KEYS}})
-    spectra, candidate_sets = _read_corpus(args)
+    spectra = _read(args.mgf, parse_mgf)
+    candidate_sets = _read_candidates(args.candidates, table)
     instances, excluded = pipeline.build_training_set(
         spectra, candidate_sets, table, config.model.embedding
     )
@@ -223,7 +232,8 @@ def _cmd_rerank(args) -> int:
     _echo(args, {"subcommand": "rerank", "checkpoint": args.checkpoint,
                  "model": checkpoint.config.to_dict(), "seed": checkpoint.seed})
     model = checkpoint.build_model(table)
-    spectra, candidate_sets = _read_corpus(args)
+    spectra = _read(args.mgf, parse_mgf)
+    candidate_sets = _read_candidates(args.candidates, table)
     selections = pipeline.rerank_run(model, spectra, candidate_sets, strict=args.strict)
     print(f"# reranked {len(selections)} of {len(candidate_sets)} spectra "
           f"({len(candidate_sets) - len(selections)} excluded)", file=sys.stderr)
@@ -232,10 +242,9 @@ def _cmd_rerank(args) -> int:
     return 0
 
 
-def _corpus(records: list[T]) -> list[T]:
+def _corpus(records: list) -> None:
     if not records:
         raise ValueError("corpus is empty")
-    return records
 
 
 def _matched(sel: pipeline.Selection, cs: pipeline.CandidateSet | None) -> pipeline.CandidateSet:
@@ -252,27 +261,28 @@ def _matched(sel: pipeline.Selection, cs: pipeline.CandidateSet | None) -> pipel
     return cs
 
 
-def _selected_records(args, check=list) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
+def _selected_records(args, table: MassTable,
+                      check=None) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
     """Each --selections row with its --candidates record, matched, and the
     list passed to ``check``, while the selections file is read: errors name it."""
-    by_id = {cs.spectrum_id: cs for cs in _read(args.candidates, pipeline.load_candidates)}
-    return _read(args.selections, lambda handle: check([
+    by_id = {cs.spectrum_id: cs for cs in _read_candidates(args.candidates, table)}
+    return _read(args.selections, lambda handle: [
         (sel, _matched(sel, by_id.get(sel.spectrum_id)))
-        for sel in pipeline.read_selections(handle)]))
+        for sel in pipeline.read_selections(handle)], check)
 
 
 def _evaluation_pairs(args, table: MassTable):
     """(pred, truth) peptide pairs from either input layout."""
     if args.predictions:
-        return _read(args.predictions, lambda handle: _corpus([
+        return _read(args.predictions, lambda handle: [
             pipeline.parse_peptides(r["spectrum_id"], [r["pred"], r["truth"]], table)
-            for r in pipeline.load_predictions(handle)]))
+            for r in pipeline.load_predictions(handle)], _corpus)
     if not (args.selections and args.candidates):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
         )
     return [pipeline.parse_peptides(sel.spectrum_id, [sel.peptide, cs.label], table)
-            for sel, cs in _selected_records(args, _corpus)]
+            for sel, cs in _selected_records(args, table, _corpus)]
 
 
 def _cmd_evaluate(args) -> int:
@@ -322,7 +332,7 @@ def _cmd_analyze(args) -> int:
         if not (args.selections and args.candidates):
             raise ValueError("contribution analysis needs --selections and --candidates")
         records = []
-        for sel, cs in _selected_records(args):
+        for sel, cs in _selected_records(args, table):
             *candidates, selected, truth = pipeline.parse_peptides(
                 sel.spectrum_id, [*cs.peptides, sel.peptide, cs.label], table)
             models = [model for model, _ in cs.candidates]
@@ -336,7 +346,8 @@ def _cmd_analyze(args) -> int:
             )
         checkpoint = _load_checkpoint(args.checkpoint)
         model = checkpoint.build_model(table)
-        spectra, candidate_sets = _read_corpus(args)
+        spectra = _read(args.mgf, parse_mgf)
+        candidate_sets = _read_candidates(args.candidates, table)
         subsets = [
             [name.strip() for name in chunk.split(",") if name.strip()]
             for chunk in args.subsets.split(";")

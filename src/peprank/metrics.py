@@ -11,11 +11,11 @@ Two complementary supervision signals:
 * residue mass deviation (RMD): for each query prefix mass, the signed
   difference to the nearest target prefix mass.
 
-:func:`pmd` scores one pair; :func:`pmd_many` scores many pairs at once,
-bit for bit the same values, by filling the alignment tables of pairs of
-similar length together one anti-diagonal at a time. :func:`rmd_many`
-likewise scores many queries against one target in one array pass;
-:func:`rmd` is its one-query case.
+:func:`pmd_many` scores many pairs at once, by filling the alignment
+tables of pairs of similar length together one anti-diagonal at a time;
+:func:`pmd` is its one-pair case. :func:`rmd_many` likewise scores many
+queries against one target in one array pass; :func:`rmd` is its
+one-query case.
 """
 
 from __future__ import annotations
@@ -60,31 +60,14 @@ def gap_penalty(table: MassTable) -> float:
 
 
 def pmd(query: Peptide, target: Peptide, table: MassTable, gap: float | None = None) -> float:
-    """Peptide mass deviation between query and target.
-
-    Fills the (|query|+1) x (|target|+1) alignment matrix with gap
-    multiples on the first row and column and the three-way minimum of
-    diagonal substitution, up-gap, and left-gap in the interior, then
-    normalizes the corner value by the gap penalty. ``gap`` may be passed
-    to reuse a precomputed penalty for the same table.
-    """
+    """:func:`pmd_many` of one pair; ``gap`` may reuse a precomputed penalty for the table."""
     g = gap_penalty(table) if gap is None else gap
-    qm = residue_masses(query, table).tolist()  # Python floats: same bits, faster loop
-    km = residue_masses(target, table).tolist()
-    n, m = len(qm), len(km)
-    prev = [g * j for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [g * i] + [0.0] * m
-        qi = qm[i - 1]
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + abs(qi - km[j - 1])
-            cur[j] = min(sub, prev[j] + g, cur[j - 1] + g)
-        prev = cur
-    return float(prev[m] / g)
+    n, m = np.array([len(query)]), np.array([len(target)])
+    return float(_wavefront([(query, target)], n, m, table, g)[0] / g)
 
 
 def pmd_many(pairs: Sequence[tuple[Peptide, Peptide]], table: MassTable) -> np.ndarray:
-    """:func:`pmd` of every (query, target) pair, bit for bit, as one vector.
+    """Peptide mass deviation of every (query, target) pair, as one vector.
 
     Pairs are sorted by (|query|, |target|) and cut by :func:`_length_runs`
     into runs of similar length, whose tables :func:`_wavefront` fills
@@ -134,11 +117,11 @@ def _wavefront(
     zero-padded [N, P] query and [M, P] target masses. Only three
     diagonals are kept, each [N + 1, P]: cell (i, s - i) of pair p lives
     at [i, p], so one step reads and writes contiguous rows of all pairs.
-    Each cell does the float ops of :func:`pmd` in its order: diagonal +
-    |q_i - k_j|, then the up and left gap moves (one shared d1 + g), then
-    the three-way minimum. Padded cells never feed a real corner, because
-    a cell reads only smaller i and j; pair p's corner (n_p, m_p) is read
-    on the step s = n_p + m_p.
+    Each cell takes the diagonal + |q_i - k_j|, then the up and left gap
+    moves (one shared d1 + g), then the three-way minimum: the float ops of a
+    cell-by-cell program, in its order. Padded cells never feed a real corner,
+    because a cell reads only smaller i and j; pair p's corner (n_p, m_p) is
+    read on the step s = n_p + m_p.
     """
     count, big_n, big_m = len(pairs), int(n.max()), int(m.max())
     q, k = np.zeros((big_n, count)), np.zeros((big_m, count))

@@ -22,7 +22,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ParameterStore, Tensor
 from .encoders import EmbeddingConfig, check_field_types, grid_shapes
-from .evaluation import aa_match, corpus_stats
+from .evaluation import corpus_stats, pair_matches
+from .evaluation import aa_match  # noqa: F401  (perfbench's tracer wraps pipeline.aa_match)
 from .masses import (
     PROTON_MASS,
     WATER_MASS,
@@ -241,12 +242,17 @@ def build_training_set(
     """Admit labeled records under the model's ``limits`` and compute their
     supervision targets. Admitted records whose candidates all match the
     label carry no ranking signal; they are excluded last, as
-    ``all_candidates_correct``.
+    ``all_candidates_correct``. A peptide match needs the label's length, so
+    only records whose candidates all have it are matched, in one walk.
     """
     admitted, excluded = admit_records(spectra, candidate_sets, table, limits, labeled=True)
+    gated = [(k, c, label) for k, (_, _, candidates, label) in enumerate(admitted)
+             if all(len(c) == len(label) for c in candidates) for c in candidates]
+    _, matched = pair_matches([(c, label) for _, c, label in gated], table)
+    all_correct = {k for k, _, _ in gated} - {k for (k, _, _), ok in zip(gated, matched) if not ok}
     kept = []
-    for cs, spectrum, candidates, label in admitted:
-        if all(aa_match(c, label, table).peptide_matched for c in candidates):
+    for k, (cs, spectrum, candidates, label) in enumerate(admitted):
+        if k in all_correct:
             excluded.append((cs.spectrum_id, "all_candidates_correct"))
         else:
             kept.append((spectrum, candidates, label))

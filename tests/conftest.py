@@ -5,7 +5,9 @@ import pytest
 
 from peprank import autograd as ag
 from peprank.autograd import Tensor
-from peprank.masses import MassTable, default_mass_table
+from peprank.evaluation import AA_TOLERANCE, CUM_TOLERANCE
+from peprank.masses import MassTable, Peptide, default_mass_table, residue_masses
+from peprank.metrics import gap_penalty
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +73,43 @@ def grad_check(
             if err > worst:
                 worst = err
     return worst
+
+
+def reference_pmd(query: Peptide, target: Peptide, table: MassTable) -> float:
+    """PMD by the textbook dynamic program, one Python cell at a time: the
+    reference that ``pmd_many`` (and its one-pair case ``pmd``) must equal
+    bit for bit. The first row and column hold gap multiples; each interior
+    cell is the minimum of diagonal + |q_i - k_j|, up + g and left + g."""
+    g = gap_penalty(table)
+    qm = residue_masses(query, table).tolist()
+    km = residue_masses(target, table).tolist()
+    prev = [g * j for j in range(len(km) + 1)]
+    for i, qi in enumerate(qm, start=1):
+        cur = [g * i] + [0.0] * len(km)
+        for j in range(1, len(km) + 1):
+            cur[j] = min(prev[j - 1] + abs(qi - km[j - 1]), prev[j] + g, cur[j - 1] + g)
+        prev = cur
+    return float(prev[-1] / g)
+
+
+def reference_walk(pred: Peptide, truth: Peptide,
+                   table: MassTable) -> list[tuple[int, int, bool]]:
+    """The residue-match rule as a two-pointer walk over one pair: the
+    reference that ``evaluation.align`` must equal. Yields (pred_index,
+    truth_index, matched) wherever the cumulative-through masses agree
+    within CUM_TOLERANCE."""
+    pm, tm = residue_masses(pred, table), residue_masses(truth, table)
+    aligned: list[tuple[int, int, bool]] = []
+    i = j = 0
+    cp = ct = 0.0  # cumulative mass before the current residue
+    while i < len(pm) and j < len(tm):
+        cpi, ctj = cp + pm[i], ct + tm[j]
+        if abs(cpi - ctj) < CUM_TOLERANCE:
+            matched = abs(pm[i] - tm[j]) < AA_TOLERANCE and abs(cp - ct) < CUM_TOLERANCE
+            aligned.append((i, j, bool(matched)))
+            i, j, cp, ct = i + 1, j + 1, cpi, ctj
+        elif cpi < ctj:
+            i, cp = i + 1, cpi
+        else:
+            j, ct = j + 1, ctj
+    return aligned

@@ -575,6 +575,53 @@ class TestAnalyzeCommands:
         assert "--predictions" in err
 
 
+class TestErrorsFoundAfterAReadNameTheFile:
+    @pytest.mark.parametrize("entries, reason", [
+        ("G\t57.02146\n", "gap penalty needs a table with at least 2 tokens"),
+        ("G\t57.02146\nA\t57.02146\n", "degenerate mass table: all residue masses identical"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["metrics", "--pairs", "unused.tsv"],
+        ["train", "--mgf", "unused.mgf", "--candidates", "unused.jsonl", "--out", "unused.ckpt"]])
+    def test_a_table_without_a_gap_penalty(self, tmp_path, capsys, command, entries, reason):
+        table = tmp_path / "one.tsv"
+        table.write_text(entries)
+        code, _, err = run(capsys, *command, "--mass-table", str(table))
+        assert code == 2
+        assert err.endswith(f"error: {table}: {reason}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["rerank", "--checkpoint", str(V1_CHECKPOINT)],
+        ["train", "--out", "unused.ckpt"],
+        ["analyze", "--analysis", "zeroshot", "--checkpoint", str(V1_CHECKPOINT),
+         "--subsets", "model_1"]])
+    def test_a_candidate_that_does_not_parse_in_admission(self, tmp_path, capsys, command):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        cands[1].candidates[0] = (cands[1].candidates[0][0], "GZ")
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        code, _, err = run(capsys, *command, "--mgf", str(mgf), "--candidates", str(cands_path))
+        assert code == 2
+        assert err.endswith(f"error: {cands_path}: spectrum 'synth_00001': "
+                            "unknown residue token 'Z' in 'GZ'\n")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    def test_a_candidate_that_does_not_parse_in_a_selection(self, tmp_path, capsys, command):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+            "s1\t0\tm1\tGZ\t0.1,0.2\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        cands.write_text(json.dumps({"spectrum_id": "s1", "label": "PEPTIDE",
+                                     "candidates": [{"model": "m1", "peptide": "GZ"},
+                                                    {"model": "m2", "peptide": "PEPTIDE"}]})
+                         + "\n")
+        code, _, err = run(capsys, *command, "--selections", str(selections),
+                           "--candidates", str(cands))
+        assert code == 2
+        assert err.endswith(f"error: {cands}: spectrum 's1': unknown residue token 'Z' in 'GZ'\n")
+
+
 class TestRecordAdmission:
     def test_rerank_skips_a_charge_above_the_model_limit(self, tmp_path, capsys):
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=8)

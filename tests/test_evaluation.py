@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peprank.evaluation import (
     aa_match,
+    align,
     contribution_analysis,
     corpus_stats,
     length_binned_recall,
     residue_confusion,
 )
-from peprank.masses import Peptide, parse_peptide, peptide_neutral_mass
+from peprank.masses import (MassTable, Peptide, default_mass_table, parse_peptide,
+                            peptide_neutral_mass)
+
+from conftest import reference_walk
 
 
 def pairs_of(table, *texts):
@@ -84,6 +90,95 @@ class TestAaMatch:
                 )
                 assert diff < 0.1 * len(pred)
         assert checked > 50
+
+
+# Offsets from one base mass whose differences, alone or summed over a few
+# residues, fall on the 0.1 Da residue rule and the 0.5 Da cumulative rule.
+EDGE_OFFSETS = (0.0, 0.05, 0.1, 0.125, 0.15, 0.2, 0.25, 0.35, 0.4, 0.5, 0.6)
+SUB_DALTON = MassTable({"a": 0.3, "b": 0.2, "c": 0.25})
+
+
+@st.composite
+def walk_batches(draw):
+    """A mass table (the default one, one of residues within tenths of a
+    dalton of each other, or one of sub-1-Da residues, where several
+    prefixes sit within tolerance of one) and 1-8 pairs of 1-14 residues,
+    each prediction drawn on its own or edited from its truth."""
+    kind = draw(st.sampled_from(("default", "edges", "sub-dalton")))
+    if kind == "default":
+        table = default_mass_table()
+    elif kind == "edges":
+        base = draw(st.floats(50.0, 150.0))
+        offsets = draw(st.lists(st.sampled_from(EDGE_OFFSETS), min_size=2, max_size=5,
+                                unique=True))
+        table = MassTable({f"t{k}": base + offset for k, offset in enumerate(offsets)})
+    else:
+        masses = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5, unique=True))
+        table = MassTable({f"t{k}": mass for k, mass in enumerate(masses)})
+    tokens = st.sampled_from(table.tokens)
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        truth = draw(st.lists(tokens, min_size=1, max_size=14))
+        pred = list(truth)
+        for kind, at, token in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 13),
+                                                       tokens), max_size=3)):
+            if kind == 0:
+                pred[at % len(pred)] = token
+            elif kind == 1:
+                pred.insert(at % (len(pred) + 1), token)
+            elif len(pred) > 1:
+                del pred[at % len(pred)]
+        if draw(st.booleans()):
+            pred = draw(st.lists(tokens, min_size=1, max_size=14))
+        pairs.append((Peptide(tuple(pred)), Peptide(tuple(truth))))
+    return table, pairs
+
+
+class TestAlign:
+    @settings(max_examples=400, deadline=None)
+    @given(batch=walk_batches())
+    @example(batch=(SUB_DALTON, [(Peptide(("a",) * 3), Peptide(("b",) * 5)),
+                                 (Peptide(("c", "a", "b")), Peptide(("b", "c", "a", "c")))]))
+    @example(batch=(MassTable({"x": 100.0, "y": 100.1, "z": 100.25}),
+                    [(Peptide(("x", "x", "y")), Peptide(("z", "z", "y"))),
+                     (Peptide(("y", "x")), Peptide(("x", "y")))]))
+    def test_equals_the_scalar_walk(self, batch):
+        table, pairs = batch
+        pair, i, j, matched = align(pairs, table)
+        assert (np.diff(pair) >= 0).all()
+        walks = [[] for _ in pairs]
+        for p, a, b, ok in zip(pair.tolist(), i.tolist(), j.tolist(), matched.tolist()):
+            walks[p].append((a, b, ok))
+        assert walks == [reference_walk(pred, truth, table) for pred, truth in pairs]
+
+    def test_no_pairs(self, table):
+        assert [column.size for column in align([], table)] == [0, 0, 0, 0]
+
+    def test_empty_peptide_names_its_pair(self, table):
+        pairs = pairs_of(table, ("GAV", "GAV")) + [(Peptide(()), parse_peptide("G", table))]
+        with pytest.raises(ValueError, match="pair 1: .*non-empty"):
+            align(pairs, table)
+
+
+class TestEmptyPeptides:
+    """Every analysis rejects an empty predicted or true peptide, through align."""
+
+    @pytest.mark.parametrize("empty_side", [0, 1])
+    @pytest.mark.parametrize("analysis", [
+        pytest.param(lambda pairs, table: corpus_stats(pairs, table), id="corpus_stats"),
+        pytest.param(lambda pairs, table: length_binned_recall(pairs, table, [(0, 10)]),
+                     id="length_binned_recall"),
+        pytest.param(lambda pairs, table: residue_confusion(pairs, table),
+                     id="residue_confusion"),
+        pytest.param(lambda pairs, table: contribution_analysis(
+            [([("m1", pred)], pred, truth) for pred, truth in pairs], table),
+            id="contribution_analysis"),
+    ])
+    def test_rejected(self, table, analysis, empty_side):
+        pair = [parse_peptide("GAV", table)] * 2
+        pair[empty_side] = Peptide(())
+        with pytest.raises(ValueError, match="non-empty"):
+            analysis(pairs_of(table, ("KK", "KK")) + [tuple(pair)], table)
 
 
 class TestCorpusStats:

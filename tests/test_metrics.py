@@ -18,7 +18,7 @@ from peprank.metrics import (
     rmd_many,
 )
 
-from conftest import random_table
+from conftest import random_table, reference_pmd
 
 
 def random_peptide(rng, table, min_len=0, max_len=5) -> Peptide:
@@ -163,10 +163,11 @@ class TestPmdMany:
     def test_equals_scalar_pmd_bit_for_bit(self, batch):
         table, pairs, shuffled = batch
         for order in (pairs, shuffled):
-            expected = np.array([pmd(q, k, table) for q, k in order])
+            expected = np.array([reference_pmd(q, k, table) for q, k in order])
             got = pmd_many(order, table)
             assert got.shape == (len(order),)
             np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal([pmd(q, k, table) for q, k in order], expected)
 
     def test_memory_is_linear_in_pairs(self, table):
         # A full [P, 31, 31] float64 table alone takes 4000 * 31 * 31 * 8 B = 31 MB.
@@ -190,7 +191,7 @@ class TestPmdMany:
         pairs.insert(1234, (random_peptide(rng, table, 600, 600), random_peptide(rng, table, 600, 600)))
         got, peak = traced_peak(pmd_many, pairs, table)
         assert peak < 16 * 2**20
-        np.testing.assert_array_equal(got, [pmd(q, k, table) for q, k in pairs])
+        np.testing.assert_array_equal(got, [reference_pmd(q, k, table) for q, k in pairs])
 
     @settings(max_examples=200, deadline=None)
     @example(lengths=[(2000, 2000)] * 100)  # 100 x 2001 cells > RUN_CELLS
@@ -218,7 +219,7 @@ class TestPmdMany:
         n, m = map(list, zip(*sorted(lengths)))
         assert [(run.start, run.stop) for run in _length_runs(n, m)] == [(0, len(pairs))]
         got = pmd_many(pairs, table)
-        np.testing.assert_array_equal(got, [pmd(q, k, table) for q, k in pairs])
+        np.testing.assert_array_equal(got, [reference_pmd(q, k, table) for q, k in pairs])
         assert got[0] == 0.0 and (got[1:] > 0).all()
 
 
