@@ -25,7 +25,7 @@ from .evaluation import (
     length_binned_recall,
     residue_confusion,
 )
-from .masses import (MassTable, default_mass_table, load_mass_table, parse_lines,
+from .masses import (MassTable, Peptide, default_mass_table, load_mass_table, parse_lines,
                      parse_peptide, tab_fields)
 from .metrics import gap_penalty, pmd_many, rmd
 from .model import MODEL_KEYS, ModelConfig
@@ -88,11 +88,17 @@ def _load_table(args: argparse.Namespace, scores_pmd: bool = False) -> MassTable
     return default_mass_table()
 
 
-def _read_candidates(path: str, table: MassTable) -> list[pipeline.CandidateSet]:
-    """The candidate sets at ``path``, each candidate and label peptide parsed
-    with ``table`` while the file is read, so that errors name it."""
-    return _read(path, pipeline.load_candidates, lambda sets: [pipeline.parse_peptides(
-        cs.spectrum_id, cs.peptides + [cs.label or ""], table) for cs in sets])
+def _label(spectrum_id: str, text: str | None, table: MassTable) -> Peptide | None:
+    """The label peptide of ``text``, or None without one; an error names the spectrum."""
+    return None if text is None else pipeline.parse_peptides(spectrum_id, [text], table)[0]
+
+
+def _read_candidates(path: str, table: MassTable) -> list[tuple]:
+    """Each candidate set at ``path`` with its candidate peptides and its :func:`_label`,
+    parsed with ``table`` as the file is read, so that errors name it."""
+    return _read(path, lambda handle: [
+        (cs, pipeline.parse_peptides(cs.spectrum_id, cs.peptides, table),
+         _label(cs.spectrum_id, cs.label, table)) for cs in pipeline.load_candidates(handle)])
 
 
 def _read_pairs(source: TextIO, table: MassTable) -> list[tuple]:
@@ -144,11 +150,10 @@ def _cmd_metrics(args) -> int:
 def _cmd_preprocess(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "preprocess", "mgf": args.mgf, "strict": args.strict})
-    spectra = _read(args.mgf, parse_mgf)
+    spectra = _read(args.mgf, lambda handle: [(raw, _label(raw.spectrum_id, raw.label, table))
+                                              for raw in parse_mgf(handle)])
     kept, exclusions = [], []
-    for raw in spectra:
-        label = (None if raw.label is None
-                 else pipeline.parse_peptides(raw.spectrum_id, [raw.label], table)[0])
+    for raw, label in spectra:
         processed, reason = pipeline.gate_spectrum(raw, label, table)
         if reason is None:
             kept.append(processed)
@@ -211,7 +216,7 @@ def _cmd_train(args) -> int:
                  "model": config.model.to_dict(),
                  "train": {k: getattr(config, k) for k in CONFIG_TRAIN_KEYS}})
     spectra = _read(args.mgf, parse_mgf)
-    candidate_sets = _read_candidates(args.candidates, table)
+    candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
     instances, excluded = pipeline.build_training_set(
         spectra, candidate_sets, table, config.model.embedding
     )
@@ -233,7 +238,7 @@ def _cmd_rerank(args) -> int:
                  "model": checkpoint.config.to_dict(), "seed": checkpoint.seed})
     model = checkpoint.build_model(table)
     spectra = _read(args.mgf, parse_mgf)
-    candidate_sets = _read_candidates(args.candidates, table)
+    candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
     selections = pipeline.rerank_run(model, spectra, candidate_sets, strict=args.strict)
     print(f"# reranked {len(selections)} of {len(candidate_sets)} spectra "
           f"({len(candidate_sets) - len(selections)} excluded)", file=sys.stderr)
@@ -247,27 +252,28 @@ def _corpus(records: list) -> None:
         raise ValueError("corpus is empty")
 
 
-def _matched(sel: pipeline.Selection, cs: pipeline.CandidateSet | None) -> pipeline.CandidateSet:
-    """A selection's record: labeled, one candidate per score, the selected one at its index."""
-    if cs is None:
+def _matched(sel: pipeline.Selection, record: tuple | None) -> tuple:
+    """A selection's parsed record, checked: labeled, one candidate per score, the selected
+    one at its index. Returns what :func:`contribution_analysis` takes of a record."""
+    if record is None:
         raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
-    if cs.label is None:
+    cs, candidates, label = record
+    if label is None:
         raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
     if (len(sel.scores) != len(cs.candidates)  # so that the selected index is in range
             or cs.candidates[sel.index] != (sel.model_name, sel.peptide)):
         raise ValueError(f"spectrum {sel.spectrum_id!r}: selection {sel.index} "
                          f"({sel.model_name} {sel.peptide}, {len(sel.scores)} scores) "
                          f"does not match its {len(cs.candidates)} candidates")
-    return cs
+    return [(m, c) for (m, _), c in zip(cs.candidates, candidates)], candidates[sel.index], label
 
 
-def _selected_records(args, table: MassTable,
-                      check=None) -> list[tuple[pipeline.Selection, pipeline.CandidateSet]]:
-    """Each --selections row with its --candidates record, matched, and the
-    list passed to ``check``, while the selections file is read: errors name it."""
-    by_id = {cs.spectrum_id: cs for cs in _read_candidates(args.candidates, table)}
+def _selected_records(args, table: MassTable, check=None) -> list[tuple]:
+    """Each --selections row's :func:`_matched` --candidates record, the list passed
+    to ``check``, while the selections file is read: errors name it."""
+    by_id = {record[0].spectrum_id: record for record in _read_candidates(args.candidates, table)}
     return _read(args.selections, lambda handle: [
-        (sel, _matched(sel, by_id.get(sel.spectrum_id)))
+        _matched(sel, by_id.get(sel.spectrum_id))
         for sel in pipeline.read_selections(handle)], check)
 
 
@@ -281,8 +287,7 @@ def _evaluation_pairs(args, table: MassTable):
         raise ValueError(
             "provide either --predictions or both --selections and --candidates"
         )
-    return [pipeline.parse_peptides(sel.spectrum_id, [sel.peptide, cs.label], table)
-            for sel, cs in _selected_records(args, table, _corpus)]
+    return [(selected, label) for _, selected, label in _selected_records(args, table, _corpus)]
 
 
 def _cmd_evaluate(args) -> int:
@@ -331,13 +336,7 @@ def _cmd_analyze(args) -> int:
     elif args.analysis == "contribution":
         if not (args.selections and args.candidates):
             raise ValueError("contribution analysis needs --selections and --candidates")
-        records = []
-        for sel, cs in _selected_records(args, table):
-            *candidates, selected, truth = pipeline.parse_peptides(
-                sel.spectrum_id, [*cs.peptides, sel.peptide, cs.label], table)
-            models = [model for model, _ in cs.candidates]
-            records.append((list(zip(models, candidates)), selected, truth))
-        shares = contribution_analysis(records, table)
+        shares = contribution_analysis(_selected_records(args, table), table)
         header, rows = "model\tshare", [(model, shares[model]) for model in sorted(shares)]
     else:  # zeroshot, the last of argparse's choices
         if not (args.checkpoint and args.mgf and args.candidates and args.subsets):
@@ -347,7 +346,7 @@ def _cmd_analyze(args) -> int:
         checkpoint = _load_checkpoint(args.checkpoint)
         model = checkpoint.build_model(table)
         spectra = _read(args.mgf, parse_mgf)
-        candidate_sets = _read_candidates(args.candidates, table)
+        candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
         subsets = [
             [name.strip() for name in chunk.split(",") if name.strip()]
             for chunk in args.subsets.split(";")

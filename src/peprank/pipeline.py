@@ -79,12 +79,16 @@ def _json_object(text: str) -> dict:
     return record
 
 
-def _require_strings(record: dict, keys: Sequence[str]) -> None:
-    for key in keys:
+def _require_strings(record: dict, keys: tuple[str, ...], peptides: tuple[str, ...] = ()) -> None:
+    """Each of ``keys`` and ``peptides`` is a string field, and each peptide non-empty."""
+    for key in keys + peptides:
         if key not in record:
             raise ValueError(f"missing field {key!r}")
         if not isinstance(record[key], str):
             raise ValueError(f"{key!r} must be a string, got {record[key]!r}")
+    for key in peptides:
+        if not record[key]:
+            raise ValueError(f"{key!r} must be a non-empty peptide")
 
 
 def _spectrum_id(record: CandidateSet | Selection) -> str:
@@ -102,10 +106,10 @@ def _candidate_set(text: str) -> CandidateSet:
     for entry in raw_candidates:
         if not isinstance(entry, dict):
             raise ValueError("each candidate must be a JSON object")
-        _require_strings(entry, ("model", "peptide"))
+        _require_strings(entry, ("model",), ("peptide",))
     label = record.get("label")
     if label is not None:
-        _require_strings(record, ("label",))
+        _require_strings(record, (), ("label",))
     return CandidateSet(spectrum_id, [(c["model"], c["peptide"]) for c in raw_candidates], label)
 
 
@@ -128,10 +132,7 @@ def write_candidates(sets: Iterable[CandidateSet], sink: TextIO) -> None:
 
 def _prediction(text: str) -> dict:
     record = _json_object(text)
-    _require_strings(record, ("spectrum_id", "pred", "truth"))
-    for key in ("pred", "truth"):
-        if not record[key]:
-            raise ValueError(f"{key!r} must be a non-empty peptide")
+    _require_strings(record, ("spectrum_id",), ("pred", "truth"))
     return record
 
 
@@ -703,6 +704,8 @@ def zero_shot_eval(
                 )
             filtered.append(CandidateSet(cs.spectrum_id, kept))
         selections = rerank_run(model, spectra, filtered)
+        if not selections:
+            raise ValueError(f"subset {sorted(allowed)}: every spectrum was excluded")
         pairs = [
             parse_peptides(sel.spectrum_id, [sel.peptide, labels[sel.spectrum_id]], model.table)
             for sel in selections

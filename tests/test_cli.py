@@ -6,16 +6,19 @@ from pathlib import Path
 
 import pytest
 
+from peprank import pipeline
 from peprank.cli import CONFIG_MODEL_KEYS, CONFIG_TRAIN_KEYS, _train_config, main
 from peprank.encoders import EmbeddingConfig
-from peprank.masses import Precursor, default_mass_table
+from peprank.masses import Precursor, default_mass_table, parse_peptide
 from peprank.model import ModelConfig
 from peprank.pipeline import (
+    Selection,
     SynthConfig,
     load_checkpoint,
     save_checkpoint,
     synthesize_dataset,
     write_candidates,
+    write_selections,
 )
 from peprank.spectra import write_mgf
 
@@ -36,6 +39,13 @@ def write_corpus(directory, spectra, candidate_sets):
     with open(cands, "w", encoding="utf-8") as sink:
         write_candidates(candidate_sets, sink)
     return mgf, cands
+
+
+def write_first_selections(path, candidate_sets):
+    """A selections file that picks each set's first candidate."""
+    with open(path, "w", encoding="utf-8") as sink:
+        write_selections([Selection(cs.spectrum_id, 0, *cs.candidates[0],
+                                    [0.0] * len(cs.candidates)) for cs in candidate_sets], sink)
 
 
 @pytest.fixture()
@@ -197,7 +207,7 @@ class TestPreprocessCommand:
         code, _, err = run(capsys, "preprocess", "--mgf", str(mgf),
                            "--out", str(tmp_path / "out.mgf"))
         assert code == 2
-        assert "spectrum 'bad': unknown residue token 'Z'" in err
+        assert err.endswith(f"error: {mgf}: spectrum 'bad': unknown residue token 'Z' in 'GZV'\n")
 
     def test_malformed_mgf_is_data_error(self, tmp_path, capsys):
         mgf = tmp_path / "in.mgf"
@@ -536,6 +546,22 @@ class TestAnalyzeCommands:
         assert code == 2
         assert "spectrum 's1': unknown residue token 'Z' in 'GAVZK'" in err
 
+    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    def test_each_candidate_and_label_text_is_parsed_once(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=6)
+        cands[-1].label = None  # an unselected record needs no label
+        _, cands_path = write_corpus(tmp_path, spectra, cands)
+        selections = tmp_path / "selections.tsv"
+        write_first_selections(selections, cands[:-1])
+        parsed = []
+        monkeypatch.setattr(pipeline, "parse_peptide",
+                            lambda text, t: parsed.append(text) or parse_peptide(text, t))
+        code, _, err = run(capsys, *command, "--selections", str(selections),
+                           "--candidates", str(cands_path))
+        assert code == 0, err
+        assert parsed == [text for cs in cands for text in cs.peptides + [cs.label] if text]
+
     def test_zeroshot_takes_the_label_from_either_file(self, tmp_path, capsys):
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
         tables = {}
@@ -620,6 +646,28 @@ class TestErrorsFoundAfterAReadNameTheFile:
                            "--candidates", str(cands))
         assert code == 2
         assert err.endswith(f"error: {cands}: spectrum 's1': unknown residue token 'Z' in 'GZ'\n")
+
+    @pytest.mark.parametrize("field", ["label", "peptide"])
+    @pytest.mark.parametrize("command", [
+        ["rerank", "--checkpoint", str(V1_CHECKPOINT), "--mgf", "{mgf}"],
+        ["train", "--mgf", "{mgf}", "--out", "unused.ckpt"],
+        ["evaluate", "--selections", "{selections}"],
+        ["analyze", "--analysis", "contribution", "--selections", "{selections}"],
+        ["analyze", "--analysis", "zeroshot", "--checkpoint", str(V1_CHECKPOINT),
+         "--mgf", "{mgf}", "--subsets", "model_1"]])
+    def test_an_empty_peptide_fails_at_read(self, tmp_path, capsys, command, field):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        if field == "label":
+            cands[0].label = ""
+        else:
+            cands[0].candidates[0] = (cands[0].candidates[0][0], "")
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        selections = tmp_path / "selections.tsv"
+        write_first_selections(selections, cands)  # it selects the empty candidate too
+        code, _, err = run(capsys, *(arg.format(mgf=mgf, selections=selections) for arg in command),
+                           "--candidates", str(cands_path))
+        assert code == 2
+        assert err.endswith(f"error: {cands_path}:1: '{field}' must be a non-empty peptide\n")
 
 
 class TestRecordAdmission:

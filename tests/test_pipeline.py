@@ -121,6 +121,15 @@ class TestLoadCandidates:
         with pytest.raises(ValueError, match=f"line 2: '{field}' must be a string"):
             load_candidates(io.StringIO(candidate_line() + "\n" + json.dumps(record)))
 
+    @pytest.mark.parametrize("record,field", [
+        ({"spectrum_id": "x", "candidates": [{"model": "m1", "peptide": ""}]}, "peptide"),
+        ({"spectrum_id": "x", "candidates": [{"model": "m1", "peptide": "GAV"}], "label": ""},
+         "label"),
+    ])
+    def test_empty_peptides_rejected(self, record, field):
+        with pytest.raises(ValueError, match=f"line 2: '{field}' must be a non-empty peptide"):
+            load_candidates(io.StringIO(candidate_line() + "\n" + json.dumps(record)))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated_records_load_or_raise_value_error(self, data):
@@ -867,6 +876,16 @@ class TestZeroShotEval:
         model = RerankModel(small_config(table).model, table, seed=0)
         with pytest.raises(ValueError, match="no candidates from subset"):
             zero_shot_eval(model, spectra, cands, [["nonexistent"]])
+
+    def test_a_subset_that_admits_no_spectrum_is_named(self, table):
+        spectra, cands = synthesize_dataset(table, seed=11, n_spectra=4)
+        for cs in cands:
+            cs.candidates.append(("model_9", "GAVKP" * 8))  # 40 residues, over max_len 30
+        model = load_checkpoint(str(DATA / "v1_tiny.ckpt")).build_model(table)
+        assert model.config.embedding.max_len == 30
+        assert zero_shot_eval(model, spectra, cands, [["model_1"]])[0].n_spectra == 4
+        with pytest.raises(ValueError, match=r"^subset \['model_9'\]: every spectrum was excluded$"):
+            zero_shot_eval(model, spectra, cands, [["model_1"], ["model_9"]])
 
 
 class TestCheckpointIo:
