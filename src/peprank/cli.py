@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+
+import numpy as np
 
 from . import pipeline
 from .evaluation import (
@@ -93,6 +97,12 @@ def _label(spectrum_id: str, text: str | None, table: MassTable) -> Peptide | No
     return None if text is None else pipeline.parse_peptides(spectrum_id, [text], table)[0]
 
 
+def _read_spectra(path: str, table: MassTable) -> list[tuple]:
+    """Each spectrum of the MGF at ``path`` with its :func:`_label`, parsed as it is read."""
+    return _read(path, lambda handle: [(raw, _label(raw.spectrum_id, raw.label, table))
+                                       for raw in parse_mgf(handle)])
+
+
 def _read_candidates(path: str, table: MassTable) -> list[tuple]:
     """Each candidate set at ``path`` with its candidate peptides and its :func:`_label`,
     parsed with ``table`` as the file is read, so that errors name it."""
@@ -150,8 +160,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_preprocess(args) -> int:
     table = _load_table(args)
     _echo(args, {"subcommand": "preprocess", "mgf": args.mgf, "strict": args.strict})
-    spectra = _read(args.mgf, lambda handle: [(raw, _label(raw.spectrum_id, raw.label, table))
-                                              for raw in parse_mgf(handle)])
+    spectra = _read_spectra(args.mgf, table)
     kept, exclusions = [], []
     for raw, label in spectra:
         processed, reason = pipeline.gate_spectrum(raw, label, table)
@@ -215,7 +224,7 @@ def _cmd_train(args) -> int:
     _echo(args, {"subcommand": "train", "profile": args.profile,
                  "model": config.model.to_dict(),
                  "train": {k: getattr(config, k) for k in CONFIG_TRAIN_KEYS}})
-    spectra = _read(args.mgf, parse_mgf)
+    spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
     candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
     instances, excluded = pipeline.build_training_set(
         spectra, candidate_sets, table, config.model.embedding
@@ -234,8 +243,10 @@ def _cmd_train(args) -> int:
 def _cmd_rerank(args) -> int:
     table = _load_table(args)
     checkpoint = _load_checkpoint(args.checkpoint)
+    get_threads = _openblas("get_num_threads")
     _echo(args, {"subcommand": "rerank", "checkpoint": args.checkpoint,
-                 "model": checkpoint.config.to_dict(), "seed": checkpoint.seed})
+                 "model": checkpoint.config.to_dict(), "seed": checkpoint.seed,
+                 "blas_threads": get_threads() if get_threads else None})
     model = checkpoint.build_model(table)
     spectra = _read(args.mgf, parse_mgf)
     candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
@@ -336,7 +347,7 @@ def _cmd_analyze(args) -> int:
     elif args.analysis == "contribution":
         if not (args.selections and args.candidates):
             raise ValueError("contribution analysis needs --selections and --candidates")
-        shares = contribution_analysis(_selected_records(args, table), table)
+        shares = contribution_analysis(_selected_records(args, table, _corpus), table)
         header, rows = "model\tshare", [(model, shares[model]) for model in sorted(shares)]
     else:  # zeroshot, the last of argparse's choices
         if not (args.checkpoint and args.mgf and args.candidates and args.subsets):
@@ -345,7 +356,7 @@ def _cmd_analyze(args) -> int:
             )
         checkpoint = _load_checkpoint(args.checkpoint)
         model = checkpoint.build_model(table)
-        spectra = _read(args.mgf, parse_mgf)
+        spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
         candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
         subsets = [
             [name.strip() for name in chunk.split(",") if name.strip()]
@@ -456,7 +467,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
+def _openblas(call: str) -> Callable[..., int] | None:
+    """numpy's OpenBLAS ``set_num_threads`` or ``get_num_threads``, or None without one."""
+    try:
+        library = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    except OSError:
+        return None
+    return next((getattr(library, name) for name in (
+        f"scipy_openblas_{call}64_", f"openblas_{call}64_", f"openblas_{call}")
+        if hasattr(library, name)), None)
+
+
 def entrypoint() -> None:
+    # rerank scores on two threads; BLAS threads of each would oversubscribe the
+    # CPUs and busy-wait. An explicit thread variable wins.
+    if (not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
+            and (set_threads := _openblas("set_num_threads"))):
+        set_threads(1)
     sys.exit(main())
 
 

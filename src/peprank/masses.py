@@ -84,9 +84,6 @@ class Peptide:
     def __iter__(self) -> Iterator[str]:
         return iter(self.residues)
 
-    def __bool__(self) -> bool:
-        return bool(self.residues)
-
     def render(self) -> str:
         return "".join(self.residues)
 

@@ -30,6 +30,7 @@ with the same outputs in the same format.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -150,6 +151,7 @@ class RerankModel:
         self.store = ParameterStore(seed)
         self._create_params(self.store)
         self.attn_counts = {"spectrum": 0, "row": 0, "col": 0, "cross": 0}
+        self._count_lock = threading.Lock()  # a rerank helper thread adds counts too
 
     # -- parameters ---------------------------------------------------------
 
@@ -246,7 +248,9 @@ class RerankModel:
         groups = _groups([(rows, rows) for rows in _peak_rows(counts)])
         stream = [peaks]
         for i in range(self.config.n_layers):
-            self.attn_counts["spectrum"] += _score_count(groups)
+            scores = _score_count(groups)
+            with self._count_lock:
+                self.attn_counts["spectrum"] += scores
             stream.append(self._attention_sublayer(stream[-1], f"enc{i}/attn", groups, dropout_rng))
             stream.append(self._ff_sublayer(stream[-1], f"enc{i}/ff", dropout_rng))
         store = self.store
@@ -273,7 +277,9 @@ class RerankModel:
         for sub, groups, memory, queries in (("row", layout.rows, None, layout.keep),
                                              ("col", layout.columns, None, None),
                                              ("cross", layout.cross, spectrum, None)):
-            self.attn_counts[sub] += _score_count(groups)
+            scores = _score_count(groups)
+            with self._count_lock:
+                self.attn_counts[sub] += scores
             stream.append(self._attention_sublayer(stream[-1], f"mix{index}/{sub}", groups,
                                                    dropout_rng, memory, queries))
         out = self._ff_sublayer(stream[-1], f"mix{index}/ff", dropout_rng)

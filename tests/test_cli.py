@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -647,6 +650,29 @@ class TestErrorsFoundAfterAReadNameTheFile:
         assert code == 2
         assert err.endswith(f"error: {cands}: spectrum 's1': unknown residue token 'Z' in 'GZ'\n")
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "unused.ckpt"],
+        ["analyze", "--analysis", "zeroshot", "--checkpoint", str(V1_CHECKPOINT),
+         "--subsets", "model_1"]])
+    def test_a_bad_mgf_label(self, tmp_path, capsys, command):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        spectra[1].label = "GZV"
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        code, _, err = run(capsys, *command, "--mgf", str(mgf), "--candidates", str(cands_path))
+        assert code == 2
+        assert err.endswith(f"error: {mgf}: spectrum 'synth_00001': "
+                            "unknown residue token 'Z' in 'GZV'\n")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    def test_a_header_only_selections_file(self, tmp_path, capsys, synth_files, command):
+        selections = tmp_path / "selections.tsv"
+        with open(selections, "w", encoding="utf-8") as sink:
+            write_selections([], sink)
+        code, out, err = run(capsys, *command, "--selections", str(selections),
+                             "--candidates", str(synth_files[1]))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {selections}: corpus is empty\n")
+
     @pytest.mark.parametrize("field", ["label", "peptide"])
     @pytest.mark.parametrize("command", [
         ["rerank", "--checkpoint", str(V1_CHECKPOINT), "--mgf", "{mgf}"],
@@ -668,6 +694,31 @@ class TestErrorsFoundAfterAReadNameTheFile:
                            "--candidates", str(cands_path))
         assert code == 2
         assert err.endswith(f"error: {cands_path}:1: '{field}' must be a non-empty peptide\n")
+
+
+class TestEntrypoint:
+    def test_rerank_pins_blas_to_one_thread_unless_a_variable_sets_it(self, tmp_path):
+        """``python -m peprank.cli`` sets numpy's OpenBLAS to one thread; an
+        explicit OPENBLAS_NUM_THREADS wins. The selections do not change."""
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=12,
+                                            config=SynthConfig(noise_peaks=90))
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(pipeline.__file__).resolve().parents[1])
+        blas_threads, written = [], []
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = tmp_path / f"selections{len(written)}.tsv"
+            done = subprocess.run(
+                [sys.executable, "-m", "peprank.cli", "rerank", "--checkpoint", str(V1_CHECKPOINT),
+                 "--mgf", str(mgf), "--candidates", str(cands_path), "--out", str(out)],
+                env={**env, **extra}, capture_output=True, text=True, check=True)
+            resolved = done.stderr.split("# resolved: ", 1)[1].splitlines()[0]
+            blas_threads.append(json.loads(resolved)["blas_threads"])
+            written.append(out.read_text())
+        assert blas_threads[0] == (None if blas_threads[1] is None else 1)  # None: no OpenBLAS
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 13
 
 
 class TestRecordAdmission:

@@ -5,6 +5,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -710,15 +712,32 @@ def chunk_ids(model, spectra, candidate_sets):
     return [[cs.spectrum_id for cs, *_ in admitted[chunk]] for chunk in cell_chunks(cells)]
 
 
+@pytest.fixture()
+def helped(monkeypatch):
+    """The chunks that rerank_run hands its helper thread, with two usable CPUs."""
+    submitted = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, chunk):
+            submitted.append(chunk)
+            return super().submit(fn, chunk)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return submitted
+
+
 # c = 3 and c = 7 put spectra at row offsets that a [rows, d] @ [d, 1] product
 # over a whole chunk does not block the way it blocks a spectrum alone; c = 1
-# leaves rerank's last mixer block two cells per spectrum
+# leaves rerank's last mixer block two cells per spectrum; peaks150 (~150 peaks
+# after preprocessing) takes the helper thread
 RERANK_CORPORA = {
     "desk": SynthConfig(),
     "c1": SynthConfig(n_candidates=1),
     "wide": SynthConfig(n_candidates=10, min_length=25, max_length=40),
     "c3": SynthConfig(n_candidates=3),
     "c7": SynthConfig(n_candidates=7),
+    "peaks150": SynthConfig(noise_peaks=90),
 }
 
 
@@ -728,13 +747,15 @@ class TestChunkedRerank:
         return RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
 
     @pytest.mark.parametrize("corpus", RERANK_CORPORA)
-    def test_scores_are_the_bits_of_single_spectrum_forwards(self, table, desk_model, corpus):
+    def test_scores_are_the_bits_of_single_spectrum_forwards(self, table, desk_model, corpus,
+                                                             helped):
         spectra, cands = synthesize_dataset(table, seed=3, n_spectra=40,
                                             config=RERANK_CORPORA[corpus])
         chunks = chunk_ids(desk_model, spectra, cands)
         assert (max(map(len, chunks)) == 1) == (corpus == "wide")  # wide grids fill a chunk
         desk_model.reset_attention_counts()
         selections = rerank_run(desk_model, spectra, cands)
+        assert len(helped) == (len(chunks) // 2 if corpus == "peaks150" else 0)
         chunked_counts = desk_model.attn_counts
         desk_model.reset_attention_counts()
         b1_scores(desk_model, spectra, cands, residues=False)
@@ -807,6 +828,89 @@ class TestChunkedRerank:
             np.testing.assert_array_equal(sel.scores, expected[sel.spectrum_id])
         with pytest.raises(ValueError, match=f"spectrum '{poisoned}' excluded: non_finite_scores"):
             rerank_run(desk_model, spectra, cands, strict=True)
+
+
+THREAD_CORPORA = {  # desk, wide (as perfbench's) and 300-peak spectra
+    "desk": (40, SynthConfig()),
+    "wide": (6, SynthConfig(n_candidates=10, min_length=25, max_length=40, noise_peaks=90)),
+    "peaks300": (16, SynthConfig(noise_peaks=290)),
+}
+
+
+class TestThreadedRerank:
+    """A request whose spectra average RERANK_THREAD_MIN_PEAKS peaks scores its
+    odd chunks on a helper thread; see the ``helped`` fixture."""
+
+    @pytest.fixture(scope="class")
+    def desk_model(self, table):
+        return RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
+
+    @pytest.mark.parametrize("corpus", THREAD_CORPORA)
+    def test_selections_are_the_bytes_of_the_serial_run(self, table, desk_model, helped,
+                                                        monkeypatch, corpus):
+        n_spectra, config = THREAD_CORPORA[corpus]
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=n_spectra, config=config)
+        written = []
+        for min_peaks in (0, 10**9):  # threaded whatever the peaks, then serial
+            monkeypatch.setattr(pipeline, "RERANK_THREAD_MIN_PEAKS", min_peaks)
+            sink = io.StringIO()
+            write_selections(rerank_run(desk_model, spectra, cands), sink)
+            written.append(sink.getvalue())
+        assert len(helped) == len(chunk_ids(desk_model, spectra, cands)) // 2 > 0
+        assert written[0] == written[1]
+        assert written[0].count("\n") == n_spectra + 1
+
+    @pytest.mark.parametrize("cpus, noise_peaks", [({0, 1}, 0), ({0}, 90)])
+    def test_desk_shape_or_one_cpu_stays_on_the_calling_thread(
+            self, table, desk_model, helped, monkeypatch, cpus, noise_peaks):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=24,
+                                            config=SynthConfig(noise_peaks=noise_peaks))
+        assert len(chunk_ids(desk_model, spectra, cands)) > 1
+        assert len(rerank_run(desk_model, spectra, cands)) == 24
+        assert helped == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the helper sets its own errstate
+    def test_non_finite_spectra_are_excluded_in_file_order(self, table, desk_model, helped,
+                                                           monkeypatch):
+        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=32,
+                                            config=SynthConfig(noise_peaks=90))
+        chunks = chunk_ids(desk_model, spectra, cands)
+        assert len(chunks) >= 4
+        poisoned = [chunks[2][0], chunks[3][0]]  # the calling thread's, then the helper's
+        expected = b1_scores(desk_model, spectra, cands, residues=False)
+        admit = pipeline.admit_records
+
+        def admit_poisoned(*args, **kwargs):
+            admitted, excluded = admit(*args, **kwargs)
+            for cs, processed, _, _ in admitted:
+                if cs.spectrum_id in poisoned:
+                    processed.intensity[:] = np.inf  # numpy warns on the NaNs that follow
+            return admitted, excluded
+
+        monkeypatch.setattr(pipeline, "admit_records", admit_poisoned)
+        selections = rerank_run(desk_model, spectra, cands)
+        assert [sel.spectrum_id for sel in selections] == [
+            i for i in expected if i not in poisoned]
+        for sel in selections:
+            np.testing.assert_array_equal(sel.scores, expected[sel.spectrum_id])
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"spectrum '{poisoned[0]}' excluded: non_finite"):
+            rerank_run(desk_model, spectra, cands, strict=True)
+        assert threading.active_count() == threads
+        assert len(helped) == 2 * (len(chunks) // 2)
+
+    def test_attention_counts_are_exact_under_the_helper(self, table, desk_model, helped):
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=16,
+                                            config=SynthConfig(noise_peaks=90))
+        desk_model.reset_attention_counts()
+        b1_scores(desk_model, spectra, cands, residues=False)
+        expected = desk_model.attn_counts
+        for _ in range(20):
+            desk_model.reset_attention_counts()
+            rerank_run(desk_model, spectra, cands)
+            assert desk_model.attn_counts == expected
+        assert helped
 
 
 class TestCellChunks:
