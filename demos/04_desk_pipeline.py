@@ -75,8 +75,6 @@ for name, share in sorted(contribution_analysis(records, table).items()):
     print(f"   {name}: {share:.2%}")
 
 print("6. zero-shot style subset evaluation (fewer candidate sources)")
-for report in zero_shot_eval(
-    model, spectra, candidate_sets,
-    [["model_1", "model_2"], ["model_1", "model_2", "model_3", "model_4"]],
-):
-    print(f"   subset {','.join(report.models)}: recall {report.peptide_recall:.3f}")
+subsets = [["model_1", "model_2"], ["model_1", "model_2", "model_3", "model_4"]]
+for subset, stats in zip(subsets, zero_shot_eval(model, spectra, candidate_sets, subsets)):
+    print(f"   subset {','.join(subset)}: recall {stats.peptide_recall:.3f}")

@@ -248,7 +248,7 @@ def _cmd_rerank(args) -> int:
                  "model": checkpoint.config.to_dict(), "seed": checkpoint.seed,
                  "blas_threads": get_threads() if get_threads else None})
     model = checkpoint.build_model(table)
-    spectra = _read(args.mgf, parse_mgf)
+    spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
     candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
     selections = pipeline.rerank_run(model, spectra, candidate_sets, strict=args.strict)
     print(f"# reranked {len(selections)} of {len(candidate_sets)} spectra "
@@ -365,8 +365,8 @@ def _cmd_analyze(args) -> int:
         ]
         reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets)
         header, rows = "subset\tn_spectra\tpeptide_recall", [
-            (",".join(report.models), report.n_spectra, report.peptide_recall)
-            for report in reports]
+            (",".join(subset), stats.n_all_pep, stats.peptide_recall)
+            for subset, stats in zip(subsets, reports)]
     _write_report(args.out, header, rows)  # once every input has been read
     return 0
 

@@ -55,9 +55,6 @@ class MassTable:
     def __contains__(self, token: str) -> bool:
         return token in self._masses
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tokens)
-
     def mass(self, token: str) -> float:
         try:
             return self._masses[token]

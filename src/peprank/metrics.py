@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masses import MassTable, Peptide, cumulative_masses, pack_residues, residue_masses
+from .masses import MassTable, Peptide, pack_residues, residue_masses
 
 BRUTEFORCE_MAX_TOTAL_LEN = 12
 RUN_CELLS = 1 << 17  # bound on pairs x (longest peptide + 1) in one pmd_many run
@@ -198,19 +198,20 @@ def rmd(query: Peptide, target: Peptide, table: MassTable) -> np.ndarray:
 def rmd_many(queries: Sequence[Peptide], target: Peptide, table: MassTable) -> list[np.ndarray]:
     """:func:`rmd` of each query against one target, bit for bit.
 
-    One [c, N, M] pass: the queries' prefix masses are the row-wise sums of
-    their masses zero-padded to the longest, N, and the target's M prefix
-    masses are computed once.
+    One [c, N, M] pass: the queries' N and the target's M prefix masses are
+    the row-wise sums of one grid, the queries' masses and then the target's,
+    zero-padded to the longest.
     """
     if len(target) == 0:
         raise ValueError("rmd requires a non-empty target peptide")
     if not all(queries):
         raise ValueError("rmd requires a non-empty query peptide")
-    masses, row, position = pack_residues(queries, table)
-    qp = np.zeros((len(queries), max(map(len, queries), default=0)))
-    qp[row, position] = masses
-    np.cumsum(qp, axis=1, out=qp)  # row by row, the sums of cumulative_masses
-    kp = cumulative_masses(target, table, "prefix")
+    n = max(map(len, queries), default=0)
+    masses, row, position = pack_residues([*queries, target], table)
+    grid = np.zeros((len(queries) + 1, max(n, len(target))))
+    grid[row, position] = masses
+    np.cumsum(grid, axis=1, out=grid)  # row by row, the sums of cumulative_masses
+    qp, kp = grid[:-1, :n], grid[-1, : len(target)]
     diffs = (qp[:, :, None] - kp).reshape(qp.size, kp.size)  # a row per query prefix
     nearest = np.abs(diffs).argmin(axis=1)  # first minimum = smaller index
     picked = diffs[np.arange(qp.size), nearest].reshape(qp.shape)

@@ -23,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ParameterStore, Tensor
 from .encoders import EmbeddingConfig, check_field_types, grid_shapes
-from .evaluation import corpus_stats, pair_matches
+from .evaluation import CorpusStats, corpus_stats, pair_matches
 from .evaluation import aa_match  # noqa: F401  (perfbench's tracer wraps pipeline.aa_match)
 from .masses import (
     PROTON_MASS,
@@ -689,20 +689,14 @@ def read_selections(source: TextIO | Iterable[str]) -> list[Selection]:
     return parse_lines(lines, _selection, strip=False, first=2, unique=_spectrum_id)
 
 
-@dataclass
-class SubsetReport:
-    models: tuple[str, ...]
-    n_spectra: int
-    peptide_recall: float
-
-
 def zero_shot_eval(
     model: RerankModel,
     spectra: Sequence[RawSpectrum],
     candidate_sets: Sequence[CandidateSet],
     model_subsets: Sequence[Sequence[str]],
-) -> list[SubsetReport]:
-    """Rerank with candidates restricted to each base-model subset.
+) -> list[CorpusStats]:
+    """Rerank with candidates restricted to each base-model subset; the
+    selections' :func:`corpus_stats` for each subset, in subset order.
 
     Every candidate set must retain at least one candidate under each
     subset, and a label (the set's, else its spectrum's) for the recall.
@@ -714,7 +708,7 @@ def zero_shot_eval(
     unlabeled = [spectrum_id for spectrum_id, label in labels.items() if label is None]
     if unlabeled:
         raise ValueError(f"spectrum {unlabeled[0]!r} has no label")
-    reports: list[SubsetReport] = []
+    reports: list[CorpusStats] = []
     for subset in model_subsets:
         allowed = set(subset)
         filtered: list[CandidateSet] = []
@@ -732,14 +726,7 @@ def zero_shot_eval(
             parse_peptides(sel.spectrum_id, [sel.peptide, labels[sel.spectrum_id]], model.table)
             for sel in selections
         ]
-        stats = corpus_stats(pairs, model.table)
-        reports.append(
-            SubsetReport(
-                models=tuple(subset),
-                n_spectra=stats.n_all_pep,
-                peptide_recall=stats.peptide_recall,
-            )
-        )
+        reports.append(corpus_stats(pairs, model.table))
     return reports
 
 

@@ -110,29 +110,24 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
     """
     spectra: list[RawSpectrum] = []
     block_of: dict[str, int] = {}  # spectrum id -> line of its block
-    in_block = False
-    block_line = 0
-    headers: dict[str, str] = {}
-    mzs: list[float] = []
-    intensities: list[float] = []
+    block_line = 0  # line of the open block's BEGIN IONS; 0 outside a block
 
     for lineno, line in enumerate(source, start=1):
         text = line.strip()
-        if in_block and text[:1].isdigit():
+        if block_line and text[:1].isdigit():
             pass  # a peak line, even with a '=' in it: parsed below, past the other checks
         elif not text or text.startswith("#"):
             continue
         elif text == "BEGIN IONS":
-            if in_block:
+            if block_line:
                 raise ValueError(f"line {lineno}: nested BEGIN IONS")
-            in_block = True
             block_line = lineno
-            headers = {}
-            mzs = []
-            intensities = []
+            headers: dict[str, str] = {}
+            mzs: list[float] = []
+            intensities: list[float] = []
             continue
         elif text == "END IONS":
-            if not in_block:
+            if not block_line:
                 raise ValueError(f"line {lineno}: END IONS without BEGIN IONS")
             context = f"block at line {block_line}"
             if "PEPMASS" not in headers:
@@ -164,9 +159,9 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
             except (ValueError, OverflowError) as exc:  # a CHARGE too large for a float
                 raise ValueError(f"{context}: {exc}") from None
             spectra.append(spectrum)
-            in_block = False
+            block_line = 0
             continue
-        elif not in_block:
+        elif not block_line:
             continue
         elif "=" in text:
             key, _, value = text.partition("=")
@@ -181,7 +176,7 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
         except ValueError:
             raise ValueError(f"line {lineno}: malformed peak line {text!r}") from None
 
-    if in_block:
+    if block_line:
         raise ValueError(f"unterminated block starting at line {block_line}")
     return spectra
 

@@ -603,6 +603,21 @@ class TestAnalyzeCommands:
         assert code == 2
         assert "--predictions" in err
 
+    @pytest.mark.parametrize("command,message", [
+        (["evaluate"], "provide either --predictions or both --selections and --candidates"),
+        (["evaluate", "--selections", "unused.tsv"],
+         "provide either --predictions or both --selections and --candidates"),
+        (["analyze", "--analysis", "confusion"], "confusion analysis needs --predictions"),
+        (["analyze", "--analysis", "contribution", "--candidates", "unused.jsonl"],
+         "contribution analysis needs --selections and --candidates"),
+        (["analyze", "--analysis", "zeroshot", "--mgf", "unused.mgf"],
+         "zeroshot analysis needs --checkpoint, --mgf, --candidates, --subsets"),
+    ])
+    def test_each_missing_input_is_named(self, capsys, command, message):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
 
 class TestErrorsFoundAfterAReadNameTheFile:
     @pytest.mark.parametrize("entries, reason", [
@@ -651,6 +666,7 @@ class TestErrorsFoundAfterAReadNameTheFile:
         assert err.endswith(f"error: {cands}: spectrum 's1': unknown residue token 'Z' in 'GZ'\n")
 
     @pytest.mark.parametrize("command", [
+        ["rerank", "--checkpoint", str(V1_CHECKPOINT)],
         ["train", "--out", "unused.ckpt"],
         ["analyze", "--analysis", "zeroshot", "--checkpoint", str(V1_CHECKPOINT),
          "--subsets", "model_1"]])

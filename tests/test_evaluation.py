@@ -215,6 +215,10 @@ class TestLengthBinnedRecall:
         assert (10, 12) not in binned
         assert binned[(7, 9)] == 1.0
 
+    def test_empty_corpus(self, table):
+        with pytest.raises(ValueError, match="^corpus is empty$"):
+            length_binned_recall([], table, [(1, 10)])
+
     def test_uncovered_length_errors(self, table):
         pairs = pairs_of(table, ("GAV", "GAV"))
         with pytest.raises(ValueError, match="not covered"):
@@ -248,6 +252,10 @@ class TestResidueConfusion:
     def test_perfect_corpus(self, table):
         recalls = residue_confusion(pairs_of(table, ("GAV", "GAV"), ("KQ", "KQ")), table)
         assert all(v == 1.0 for v in recalls.values())
+
+    def test_empty_corpus(self, table):
+        with pytest.raises(ValueError, match="^corpus is empty$"):
+            residue_confusion([], table)
 
     def test_q_predicted_as_k_scores_zero(self, table):
         recalls = residue_confusion(pairs_of(table, ("GKV", "GQV")), table)

@@ -229,3 +229,11 @@ class TestMassTable:
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             MassTable({"X": 0.0})
+
+    @pytest.mark.parametrize("entries,message", [
+        ([("G", 57.0), ("", 71.0)], "empty residue token"),
+        ([("G", 57.0), ("A", 71.0), ("G", 58.0)], "duplicate residue token 'G'"),
+    ])
+    def test_empty_and_repeated_tokens_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MassTable(entries)

@@ -334,7 +334,8 @@ TIE_TABLE = MassTable({"q": 20.0, "a": 10.0, "b": 20.0})  # prefixes 10 and 30 t
 @st.composite
 def rmd_records(draw):
     """A random mass table, one target of 1-10 residues and 1-6 queries of
-    1-14 residues, so that queries are often longer than the target."""
+    1-14 residues, so that queries are often longer than the target, and
+    sometimes all shorter."""
     masses = draw(st.lists(st.floats(40.0, 200.0), min_size=1, max_size=5))
     table = MassTable({f"t{i}": m for i, m in enumerate(masses)})
     residues = st.sampled_from(table.tokens)
@@ -351,6 +352,7 @@ class TestRmdMany:
     @given(record=rmd_records())
     @example(record=(TIE_TABLE, [Peptide(("q",)), Peptide(("q", "q"))], Peptide(("a", "b"))))
     @example(record=(TIE_TABLE, [Peptide(("a",) * 9), Peptide(("b",))], Peptide(("a",))))
+    @example(record=(TIE_TABLE, [Peptide(("q",)), Peptide(("b", "a"))], Peptide(("a", "b") * 4)))
     def test_each_row_is_a_direct_scan_bit_for_bit(self, record):
         table, queries, target = record
         rows = rmd_many(queries, target, table)

@@ -944,9 +944,7 @@ class TestZeroShotEval:
             (parse_peptide(sel.peptide, table), parse_peptide(cs.label, table))
             for sel, cs in zip(selections, cands)
         ]
-        assert reports[0].peptide_recall == pytest.approx(
-            corpus_stats(pairs, table).peptide_recall
-        )
+        assert reports == [corpus_stats(pairs, table)]
 
     def test_single_model_subset_forces_selection(self, table):
         spectra, cands = synthesize_dataset(table, seed=21, n_spectra=5)
@@ -987,7 +985,7 @@ class TestZeroShotEval:
             cs.candidates.append(("model_9", "GAVKP" * 8))  # 40 residues, over max_len 30
         model = load_checkpoint(str(DATA / "v1_tiny.ckpt")).build_model(table)
         assert model.config.embedding.max_len == 30
-        assert zero_shot_eval(model, spectra, cands, [["model_1"]])[0].n_spectra == 4
+        assert zero_shot_eval(model, spectra, cands, [["model_1"]])[0].n_all_pep == 4
         with pytest.raises(ValueError, match=r"^subset \['model_9'\]: every spectrum was excluded$"):
             zero_shot_eval(model, spectra, cands, [["model_1"], ["model_9"]])
 

@@ -112,6 +112,25 @@ class TestParseMgf:
         assert list(spectrum.mz) == [100.0, 300.0]
         assert list(spectrum.intensity) == [2.0, 1.0]
 
+    def test_blank_and_comment_lines_skipped_inside_and_outside_blocks(self):
+        text = ("\n# before\nBEGIN IONS\n\n# TITLE=not_a_header\nPEPMASS=500.0\n  \n"
+                "CHARGE=2+\n100.0 1.0\n#200.0 1.0\n\nEND IONS\n\t\n# after\n")
+        spectra = parse_mgf(io.StringIO(text + text.replace("100.0", "300.0")))
+        assert [(s.spectrum_id, s.mz.tolist(), s.intensity.tolist()) for s in spectra] == [
+            ("spectrum_0", [100.0], [1.0]), ("spectrum_1", [300.0], [1.0])]
+
+    @pytest.mark.parametrize("charge,message", [
+        ("2-", "negative precursor charge '2-' unsupported"),
+        ("-2", "negative precursor charge '-2' unsupported"),
+        ("0", "precursor charge must be >= 1, got 0"),
+        ("0+", "precursor charge must be >= 1, got 0"),
+    ])
+    def test_unsupported_charge_names_its_block(self, charge, message):
+        text = MINIMAL_MGF + MINIMAL_MGF.replace("spec_1", "spec_2").replace("2+", charge)
+        with pytest.raises(ValueError) as caught:
+            parse_mgf(io.StringIO(text))
+        assert str(caught.value) == f"block at line 9: {message}"
+
     def test_untitled_spectra_get_running_index(self):
         block = "BEGIN IONS\nPEPMASS=500.0\nCHARGE=2+\n100.0 1.0\nEND IONS\n"
         spectra = parse_mgf(io.StringIO(block + block))
@@ -245,6 +264,11 @@ class TestPreprocess:
         assert [r.getMessage() for r in caplog.records] == [
             "spectrum 's' excluded: empty_after_preprocessing"
         ]
+
+    def test_all_zero_retained_intensities_are_empty(self, table):
+        spectrum = make_spectrum([10.0, 100.0, 200.0], [5.0, 0.0, 0.0])
+        assert preprocess_spectrum(spectrum) is None
+        assert gate_spectrum(spectrum, None, table) == (None, "empty_after_preprocessing")
 
     def test_strict_mode_raises(self, table):
         spectrum = make_spectrum([10.0], [1.0])
