@@ -354,15 +354,17 @@ def _cmd_analyze(args) -> int:
             raise ValueError(
                 "zeroshot analysis needs --checkpoint, --mgf, --candidates, --subsets"
             )
-        checkpoint = _load_checkpoint(args.checkpoint)
-        model = checkpoint.build_model(table)
-        spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
-        candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
         subsets = [
             [name.strip() for name in chunk.split(",") if name.strip()]
             for chunk in args.subsets.split(";")
             if chunk.strip()
         ]
+        if not subsets:
+            raise ValueError(f"--subsets {args.subsets!r} names no model")
+        checkpoint = _load_checkpoint(args.checkpoint)
+        model = checkpoint.build_model(table)
+        spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
+        candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
         reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets)
         header, rows = "subset\tn_spectra\tpeptide_recall", [
             (",".join(subset), stats.n_all_pep, stats.peptide_recall)

@@ -584,9 +584,11 @@ class Selection:
     scores: list[float]
 
 
-# grid cells per rerank forward: ~8 desk spectra or one wide one; desk rerank
-# was as fast at 768 and 1024 and slower at 256
-RERANK_CHUNK_CELLS = 512
+# grid cells per rerank forward: ~12 desk spectra or one wide one. Desk rerank
+# in shape order read (spectra/s, seeds 11-13) 456-467 at 512, 475-486 at 768,
+# 481-490 at 1024; 768 and 1024 tied on seeds 70-74, and a 1000-spectrum
+# rerank's peak RSS grew 3.2 MB over 512 at 768 and 5.6 MB at 1024
+RERANK_CHUNK_CELLS = 768
 # mean preprocessed peaks per admitted spectrum from which a rerank scores odd
 # chunks on a helper thread; threaded/serial rerank rate on 2 vCPUs, one BLAS
 # thread: 0.94x at 24 peaks, 0.95x at 73, 1.35x at 81, 1.63x at 103, 1.62x at
@@ -594,18 +596,23 @@ RERANK_CHUNK_CELLS = 512
 RERANK_THREAD_MIN_PEAKS = 80
 
 
-def cell_chunks(cells: Sequence[int]) -> list[slice]:
-    """Cut items, in order, into runs whose ``cells`` sum to at most
-    ``RERANK_CHUNK_CELLS``; an item over it is a run of its own."""
+def cell_chunks(peaks: Sequence[int], shapes: np.ndarray) -> tuple[list[int], list[slice]]:
+    """Shape order, the stable sort of spectra by (``peaks``, w_b, c_b) with
+    (c_b, w_b) from ``shapes`` (see :func:`~peprank.encoders.grid_shapes`),
+    cut into slices whose c_b x w_b grid cells sum to at most
+    ``RERANK_CHUNK_CELLS``; a spectrum over it is a slice of its own."""
+    shapes = np.asarray(shapes).tolist()
+    order = sorted(range(len(shapes)), key=lambda b: (peaks[b], shapes[b][1], shapes[b][0]))
     chunks, start, total = [], 0, 0
-    for i, n in enumerate(cells):
-        if i > start and total + n > RERANK_CHUNK_CELLS:
+    for i, b in enumerate(order):
+        c, w = shapes[b]
+        if i > start and total + c * w > RERANK_CHUNK_CELLS:
             chunks.append(slice(start, i))
             start, total = i, 0
-        total += n
-    if cells:
-        chunks.append(slice(start, len(cells)))
-    return chunks
+        total += c * w
+    if order:
+        chunks.append(slice(start, len(order)))
+    return order, chunks
 
 
 def rerank_run(
@@ -617,48 +624,53 @@ def rerank_run(
     """Forward every candidate set admitted, unlabeled, under the model's
     limits (see :func:`admit_records`) and pick per spectrum.
 
-    The admitted spectra are cut, in file order, into chunks of at most
-    ``RERANK_CHUNK_CELLS`` grid cells, c_b x w_b per spectrum (see
-    :func:`~peprank.encoders.grid_shapes` and :func:`cell_chunks`), and each
-    chunk is one forward that records no graph. No attention crosses spectra
-    and the peptide head runs per spectrum, so each spectrum's scores are the
-    bits of its B=1 forward. Rows keep candidate-file order; exact score ties resolve to
-    the lowest index. A spectrum with a non-finite score is excluded as
-    ``non_finite_scores``. When the admitted spectra average at least
-    ``RERANK_THREAD_MIN_PEAKS`` peaks and the process may use two CPUs, one
-    helper thread scores the odd chunks; results are taken in file order.
+    The admitted spectra are cut, in shape order, into chunks of at most
+    ``RERANK_CHUNK_CELLS`` grid cells (see :func:`cell_chunks`), so that
+    chunk-mates share attention groups, and each chunk is one forward that
+    records no graph. No attention crosses spectra and the peptide head runs
+    per spectrum, so each spectrum's scores are the bits of its B=1 forward.
+    When the admitted spectra average at least ``RERANK_THREAD_MIN_PEAKS``
+    peaks and the process may use two CPUs, one helper thread scores the odd
+    chunks. The scores are then taken in file order: a spectrum with a
+    non-finite score is excluded as ``non_finite_scores``, and selections
+    keep file order. Rows keep candidate-file order; exact score ties
+    resolve to the lowest index.
     """
     admitted, excluded = admit_records(spectra, candidate_sets, model.table,
                                        model.config.embedding, labeled=False, strict=strict)
-    cells = grid_shapes([candidates for _, _, candidates, _ in admitted]).prod(axis=1).tolist()
-    chunks = cell_chunks(cells)
+    order, chunks = cell_chunks([processed.n_peaks for _, processed, _, _ in admitted],
+                                grid_shapes([candidates for _, _, candidates, _ in admitted]))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threaded = (cpus or 1) > 1 and (sum(processed.n_peaks for _, processed, _, _ in admitted)
                                     >= RERANK_THREAD_MIN_PEAKS * len(admitted))
 
     def score(chunk: slice) -> list:  # errstate is per thread; no_grad is the caller's
-        sets, processed, candidates, _ = zip(*admitted[chunk])
+        rows = order[chunk]
+        _, processed, candidates, _ = zip(*(admitted[b] for b in rows))
         with np.errstate(all="ignore"):  # non-finite scores are checked below
             output, batch = model.forward(processed, candidates, residues=False)
-        return list(zip(sets, np.split(output.pmd_pred.data, np.cumsum(batch.shapes[:-1, 0]))))
+        return list(zip(rows, np.split(output.pmd_pred.data, np.cumsum(batch.shapes[:-1, 0]))))
 
-    selections: list[Selection] = []
     pool = ThreadPoolExecutor(max_workers=1)  # starts its thread at the first submit
     with ag.no_grad():
         try:
             helped = [pool.submit(score, chunk) for chunk in chunks[1::2]] if threaded else []
-            for i, chunk in enumerate(chunks):
-                scored = helped[i // 2].result() if i % 2 and helped else score(chunk)
-                for cs, scores in scored:
-                    if not np.isfinite(scores).all():
-                        skip_record(excluded, cs.spectrum_id, "non_finite_scores", strict)
-                        continue
-                    index = rerank_select(scores)
-                    model_name, peptide = cs.candidates[index]
-                    selections.append(
-                        Selection(cs.spectrum_id, index, model_name, peptide, scores.tolist()))
+            scored = {}  # each spectrum's scores, by index into admitted
+            for chunk in chunks[::2] if helped else chunks:
+                scored.update(score(chunk))
+            for future in helped:
+                scored.update(future.result())
         finally:  # the helper finishes its chunk under no_grad; queued ones are dropped
             pool.shutdown(cancel_futures=True)
+    selections: list[Selection] = []
+    for b, (cs, *_) in enumerate(admitted):
+        scores = scored[b]
+        if not np.isfinite(scores).all():
+            skip_record(excluded, cs.spectrum_id, "non_finite_scores", strict)
+            continue
+        index = rerank_select(scores)
+        model_name, peptide = cs.candidates[index]
+        selections.append(Selection(cs.spectrum_id, index, model_name, peptide, scores.tolist()))
     return selections
 
 

@@ -75,6 +75,21 @@ def grad_check(
     return worst
 
 
+def reference_softmax(scores: np.ndarray, mask) -> np.ndarray:
+    """Masked softmax over the last axis by numpy's plain reductions: masked
+    entries to -inf, then max-shift, exp, sum and divide. The reference that
+    ``autograd._softmax_forward`` must equal bit for bit; its short-row
+    branches rely on numpy's summation order, so a numpy that changes it
+    fails against this first."""
+    scores = scores.copy()
+    if mask is not None:
+        np.copyto(scores, -np.inf, where=~np.asarray(mask, dtype=bool))
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def reference_pmd(query: Peptide, target: Peptide, table: MassTable) -> float:
     """PMD by the textbook dynamic program, one Python cell at a time: the
     reference that ``pmd_many`` (and its one-pair case ``pmd``) must equal

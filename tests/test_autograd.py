@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peprank
 from peprank import autograd as ag
 from peprank.autograd import ParameterStore, Tensor
 
-from conftest import grad_check
+from conftest import grad_check, reference_softmax
 
 
 def leaf(rng, *shape):
@@ -84,6 +86,28 @@ class TestForwardValues:
             ag.softmax_masked(logits, np.zeros((1, 3), dtype=bool))
         probs = ag.softmax_masked(logits, np.array([[True], [True]])).data
         np.testing.assert_allclose(probs, 1 / 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.one_of(st.integers(1, 9), st.integers(1, 300)),
+           st.lists(st.integers(1, 6), max_size=3), st.sampled_from([None, "keys", "entries"]),
+           st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    def test_softmax_forward_is_the_reference_bit_for_bit(self, seed, keys, leading, masking,
+                                                          scale):
+        """Row lengths on both sides of the short-row branches (8 and 64
+        keys), leading shapes up to attention's four axes, and -inf masked
+        entries: a key mask broadcast over rows, as attention passes it, or
+        one mask entry per score."""
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(*leading, keys)) * scale
+        mask = None
+        if masking is not None:
+            shape = scores.shape if masking == "entries" else (
+                *leading[:1], *[1] * len(leading[1:]), keys)
+            mask = rng.random(shape) < 0.7
+            mask[..., rng.integers(keys)] = True  # no row masked entirely
+        got = ag._softmax_forward(scores.copy(), mask)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      reference_softmax(scores, mask).view(np.uint64))
 
     def test_rmse_per_row(self):
         pred = Tensor([[1.0, 2.0, 100.0], [0.0, 0.0, 3.0]])

@@ -612,6 +612,9 @@ class TestAnalyzeCommands:
          "contribution analysis needs --selections and --candidates"),
         (["analyze", "--analysis", "zeroshot", "--mgf", "unused.mgf"],
          "zeroshot analysis needs --checkpoint, --mgf, --candidates, --subsets"),
+        (["analyze", "--analysis", "zeroshot", "--checkpoint", "unused.ckpt", "--mgf",
+          "unused.mgf", "--candidates", "unused.jsonl", "--subsets", " ; "],
+         "--subsets ' ; ' names no model"),
     ])
     def test_each_missing_input_is_named(self, capsys, command, message):
         code, out, err = run(capsys, *command)

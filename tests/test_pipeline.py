@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from peprank import autograd as ag
 from peprank import pipeline
 from peprank.cli import main as cli_main
-from peprank.encoders import EmbeddingConfig
+from peprank.encoders import EmbeddingConfig, grid_shapes
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
 from peprank.metrics import pmd, rmd
 from peprank.model import ModelConfig, RerankModel, rerank_select
@@ -708,8 +708,9 @@ def chunk_ids(model, spectra, candidate_sets):
     """The spectrum ids of each chunk that rerank_run forwards together."""
     admitted, _ = admit_records(spectra, candidate_sets, model.table, model.config.embedding,
                                 labeled=False)
-    cells = [len(candidates) * (max(map(len, candidates)) + 1) for _, _, candidates, _ in admitted]
-    return [[cs.spectrum_id for cs, *_ in admitted[chunk]] for chunk in cell_chunks(cells)]
+    order, chunks = cell_chunks([processed.n_peaks for _, processed, _, _ in admitted],
+                                grid_shapes([candidates for _, _, candidates, _ in admitted]))
+    return [[admitted[i][0].spectrum_id for i in order[chunk]] for chunk in chunks]
 
 
 @pytest.fixture()
@@ -729,12 +730,14 @@ def helped(monkeypatch):
 
 # c = 3 and c = 7 put spectra at row offsets that a [rows, d] @ [d, 1] product
 # over a whole chunk does not block the way it blocks a spectrum alone; c = 1
-# leaves rerank's last mixer block two cells per spectrum; peaks150 (~150 peaks
-# after preprocessing) takes the helper thread
+# leaves rerank's last mixer block two cells per spectrum; wide grids (at least
+# 26 cells a candidate) each take over half a chunk; peaks150 (~150 peaks after
+# preprocessing) takes the helper thread
 RERANK_CORPORA = {
     "desk": SynthConfig(),
     "c1": SynthConfig(n_candidates=1),
-    "wide": SynthConfig(n_candidates=10, min_length=25, max_length=40),
+    "wide": SynthConfig(n_candidates=pipeline.RERANK_CHUNK_CELLS // 52 + 1, min_length=25,
+                        max_length=40),
     "c3": SynthConfig(n_candidates=3),
     "c7": SynthConfig(n_candidates=7),
     "peaks150": SynthConfig(noise_peaks=90),
@@ -793,8 +796,11 @@ class TestChunkedRerank:
         spectra = spectra + others
         target = cands[10]
         rng = np.random.default_rng(0)
-        arrangements = [cands,  # permuted mates, then replaced ones
-                        [cands[i] for i in rng.permutation(len(cands))],
+        rest = [cs for cs in cands if cs is not target]
+        # shape order undoes a permutation, so the second arrangement keeps a
+        # permuted half of the others; the last two replace the mates
+        arrangements = [cands,
+                        [rest[i] for i in rng.permutation(len(rest))[::2]] + [target],
                         other_cands[:2] + [target] + other_cands[2:],
                         cands[9:10] + other_cands[:1] + [target] + cands[:3]]
         expected = b1_scores(desk_model, spectra, cands + other_cands)
@@ -829,11 +835,62 @@ class TestChunkedRerank:
         with pytest.raises(ValueError, match=f"spectrum '{poisoned}' excluded: non_finite_scores"):
             rerank_run(desk_model, spectra, cands, strict=True)
 
+    @pytest.mark.parametrize("corpus", [*RERANK_CORPORA, "peaks300"])
+    def test_scores_do_not_depend_on_file_order(self, table, desk_model, corpus, helped):
+        config = RERANK_CORPORA.get(corpus, SynthConfig(noise_peaks=290))
+        spectra, cands = synthesize_dataset(table, seed=7, n_spectra=24, config=config)
+        permuted = [cands[i] for i in np.random.default_rng(0).permutation(len(cands))]
+        runs = []
+        for arrangement in (cands, permuted):
+            selections = rerank_run(desk_model, spectra, arrangement)
+            assert [sel.spectrum_id for sel in selections] == [
+                cs.spectrum_id for cs in arrangement]
+            runs.append({sel.spectrum_id: sel for sel in selections})
+        in_file, in_permuted = runs
+        for spectrum_id, sel in in_file.items():
+            assert (np.array(in_permuted[spectrum_id].scores).tobytes()
+                    == np.array(sel.scores).tobytes())
 
+    def test_non_finite_spectra_are_named_in_file_order(self, table, desk_model, monkeypatch,
+                                                        caplog):
+        """The spectrum that shape order scores last is first in file order
+        among the two poisoned ones: the warnings and the strict error still
+        name it first."""
+        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=DESK_CHUNKED)
+        admitted, _ = admit_records(spectra, cands, table, desk_model.config.embedding,
+                                    labeled=False)
+        order, _ = cell_chunks([processed.n_peaks for _, processed, _, _ in admitted],
+                               grid_shapes([candidates for _, _, candidates, _ in admitted]))
+        later = next(b for b in order if b > order[-1])  # scored before it, later in the file
+        poisoned = [admitted[b][0].spectrum_id for b in (order[-1], later)]
+        admit = pipeline.admit_records
+
+        def admit_poisoned(*args, **kwargs):
+            admitted, excluded = admit(*args, **kwargs)
+            for cs, processed, _, _ in admitted:
+                if cs.spectrum_id in poisoned:
+                    processed.intensity[:] = np.nan
+            return admitted, excluded
+
+        monkeypatch.setattr(pipeline, "admit_records", admit_poisoned)
+        with caplog.at_level("WARNING", logger=pipeline.logger.name):
+            selections = rerank_run(desk_model, spectra, cands)
+        assert [sel.spectrum_id for sel in selections] == [
+            cs.spectrum_id for cs in cands if cs.spectrum_id not in poisoned]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"spectrum {i!r} excluded: non_finite_scores" for i in poisoned]
+        with pytest.raises(ValueError, match=f"spectrum '{poisoned[0]}' excluded: non_finite"):
+            rerank_run(desk_model, spectra, cands, strict=True)
+
+
+# desk grids (4 candidates of 7-20 residues) average about 60 cells, so
+# DESK_CHUNKED desk spectra fill about two chunks, and twice as many four; the
+# tests that need the chunks assert them
+DESK_CHUNKED = pipeline.RERANK_CHUNK_CELLS // 32
 THREAD_CORPORA = {  # desk, wide (as perfbench's) and 300-peak spectra
     "desk": (40, SynthConfig()),
     "wide": (6, SynthConfig(n_candidates=10, min_length=25, max_length=40, noise_peaks=90)),
-    "peaks300": (16, SynthConfig(noise_peaks=290)),
+    "peaks300": (DESK_CHUNKED, SynthConfig(noise_peaks=290)),
 }
 
 
@@ -873,11 +930,12 @@ class TestThreadedRerank:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the helper sets its own errstate
     def test_non_finite_spectra_are_excluded_in_file_order(self, table, desk_model, helped,
                                                            monkeypatch):
-        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=32,
+        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=2 * DESK_CHUNKED,
                                             config=SynthConfig(noise_peaks=90))
         chunks = chunk_ids(desk_model, spectra, cands)
         assert len(chunks) >= 4
-        poisoned = [chunks[2][0], chunks[3][0]]  # the calling thread's, then the helper's
+        # one of the calling thread's and one of the helper's, in file order
+        poisoned = sorted([chunks[2][0], chunks[3][0]])
         expected = b1_scores(desk_model, spectra, cands, residues=False)
         admit = pipeline.admit_records
 
@@ -901,7 +959,7 @@ class TestThreadedRerank:
         assert len(helped) == 2 * (len(chunks) // 2)
 
     def test_attention_counts_are_exact_under_the_helper(self, table, desk_model, helped):
-        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=16,
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=DESK_CHUNKED,
                                             config=SynthConfig(noise_peaks=90))
         desk_model.reset_attention_counts()
         b1_scores(desk_model, spectra, cands, residues=False)
@@ -914,21 +972,32 @@ class TestThreadedRerank:
 
 
 class TestCellChunks:
-    @given(st.lists(st.integers(1, 3 * pipeline.RERANK_CHUNK_CELLS), max_size=40))
-    def test_chunks_cover_in_order_within_budget(self, cells):
-        budget, chunks = pipeline.RERANK_CHUNK_CELLS, cell_chunks(cells)
-        assert [i for chunk in chunks for i in range(len(cells))[chunk]] == list(range(len(cells)))
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40), st.integers(1, 40)),
+                    max_size=40))
+    def test_chunks_cover_the_shape_order_within_budget(self, spectra):
+        peaks = [p for p, _, _ in spectra]
+        shapes = [(c, w) for _, c, w in spectra]
+        budget = pipeline.RERANK_CHUNK_CELLS
+        order, chunks = cell_chunks(peaks, shapes)
+        keys = [(p, w, c) for p, c, w in spectra]
+        assert order == sorted(range(len(spectra)), key=lambda b: (keys[b], b))  # stable
+        assert [b for chunk in chunks for b in order[chunk]] == order
+        cells = [c * w for _, c, w in spectra]
         for chunk in chunks:
-            assert sum(cells[chunk]) <= budget or chunk.stop - chunk.start == 1
+            assert sum(cells[b] for b in order[chunk]) <= budget or chunk.stop - chunk.start == 1
         for chunk, after in zip(chunks, chunks[1:]):  # a chunk closes only when full
-            assert sum(cells[chunk]) + cells[after.start] > budget
+            assert sum(cells[b] for b in order[chunk]) + cells[order[after.start]] > budget
 
     def test_oversized_spectrum_gets_a_chunk_alone(self):
-        assert pipeline.RERANK_CHUNK_CELLS == 512
-        assert cell_chunks([100, 200, 600, 100, 300, 50]) == [
-            slice(0, 2), slice(2, 3), slice(3, 6)]
-        assert cell_chunks([600, 10, 20]) == [slice(0, 1), slice(1, 3)]
-        assert cell_chunks([]) == []
+        """Cells in tenths of the budget: 2, 4, 12, 2, 6, 1 in peak order,
+        then an oversized spectrum sorted first."""
+        budget = pipeline.RERANK_CHUNK_CELLS
+        shapes = [(c * budget // 10, 1) for c in (2, 4, 12, 2, 6, 1)]
+        assert cell_chunks(range(6), shapes) == (list(range(6)), [
+            slice(0, 2), slice(2, 3), slice(3, 6)])
+        assert cell_chunks([30, 30, 7], [(1, 1), (1, 1), (1, budget + 1)]) == (
+            [2, 0, 1], [slice(0, 1), slice(1, 3)])
+        assert cell_chunks([], np.zeros((0, 2), dtype=np.int64)) == ([], [])
 
 
 class TestZeroShotEval:
