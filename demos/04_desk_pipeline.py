@@ -47,9 +47,9 @@ print(f"   loss {history[0].loss:.3f} -> {history[-1].loss:.3f} "
 print("3. rerank the corpus with the trained model")
 model = checkpoint.build_model(table)
 selections = rerank_run(model, spectra, candidate_sets)
-labels = {cs.spectrum_id: cs.label for cs in candidate_sets}
+by_id = {cs.spectrum_id: cs for cs in candidate_sets}  # an excluded spectrum has no selection
 pairs = [
-    (parse_peptide(sel.peptide, table), parse_peptide(labels[sel.spectrum_id], table))
+    (parse_peptide(sel.peptide, table), parse_peptide(by_id[sel.spectrum_id].label, table))
     for sel in selections
 ]
 stats = corpus_stats(pairs, table)
@@ -67,9 +67,9 @@ for slot in range(4):
 
 print("5. which slot-model uniquely provided the correct picks?")
 records = [
-    ([(name, parse_peptide(text, table)) for name, text in candidate_sets[i].candidates],
-     parse_peptide(sel.peptide, table), parse_peptide(labels[sel.spectrum_id], table))
-    for i, sel in enumerate(selections)
+    ([(name, parse_peptide(text, table)) for name, text in by_id[sel.spectrum_id].candidates],
+     parse_peptide(sel.peptide, table), parse_peptide(by_id[sel.spectrum_id].label, table))
+    for sel in selections
 ]
 for name, share in sorted(contribution_analysis(records, table).items()):
     print(f"   {name}: {share:.2%}")

@@ -274,7 +274,7 @@ def _matched(sel: pipeline.Selection, record: tuple | None) -> tuple:
     if (len(sel.scores) != len(cs.candidates)  # so that the selected index is in range
             or cs.candidates[sel.index] != (sel.model_name, sel.peptide)):
         raise ValueError(f"spectrum {sel.spectrum_id!r}: selection {sel.index} "
-                         f"({sel.model_name} {sel.peptide}, {len(sel.scores)} scores) "
+                         f"({sel.model_name!r} {sel.peptide!r}, {len(sel.scores)} scores) "
                          f"does not match its {len(cs.candidates)} candidates")
     return [(m, c) for (m, _), c in zip(cs.candidates, candidates)], candidates[sel.index], label
 

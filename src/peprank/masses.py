@@ -90,27 +90,22 @@ class Peptide:
 
 @dataclass(frozen=True)
 class Precursor:
-    """Precursor ion observation: m/z, charge, and derived neutral mass."""
+    """Precursor ion observation: m/z and charge, with the neutral mass they imply."""
 
     mz: float
     charge: int
-    neutral_mass: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mz) and math.isfinite(self.neutral_mass)):
+        if not math.isfinite(self.mz) or not math.isfinite(self.neutral_mass):
             raise ValueError(f"precursor m/z {self.mz} and neutral mass must be finite")
-        if self.charge < 1:
-            raise ValueError(f"precursor charge must be >= 1, got {self.charge}")
-        expected = (self.mz - PROTON_MASS) * self.charge
-        if abs(expected - self.neutral_mass) > 1e-6:
-            raise ValueError(
-                f"inconsistent precursor: neutral mass {self.neutral_mass} vs "
-                f"(mz - proton) * charge = {expected}"
-            )
+
+    @property
+    def neutral_mass(self) -> float:
+        return precursor_neutral_mass(self.mz, self.charge)
 
     @classmethod
     def from_mz(cls, mz: float, charge: int) -> "Precursor":
-        return cls(mz=mz, charge=charge, neutral_mass=precursor_neutral_mass(mz, charge))
+        return cls(mz=mz, charge=charge)
 
 
 def parse_lines(source: Iterable[str], parse: Callable[[str], object], *, comments: bool = False,

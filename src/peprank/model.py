@@ -198,14 +198,19 @@ class RerankModel:
 
     # -- building blocks ----------------------------------------------------
 
-    def _attention_sublayer(self, x: Tensor, prefix: str, groups: Sequence[ag.AttentionGroup],
-                            dropout_rng, memory: Tensor | None = None,
+    def _attention_sublayer(self, x: Tensor, prefix: str, kind: str,
+                            groups: Sequence[ag.AttentionGroup], dropout_rng,
+                            memory: Tensor | None = None,
                             queries: np.ndarray | None = None) -> Tensor:
         """Pre-norm residual multi-head attention of packed rows x [n, d] over
         the packed rows [m, d] of ``memory`` (cross attention), or over their
         own normed values when it is None; one sequence per group entry.
         With ``queries``, only those rows of x query, and only they are
-        returned, in that order."""
+        returned, in that order. Adds the scores it computes, one per query
+        and key pair, to ``attn_counts[kind]``."""
+        scores = sum(g.q.size * g.k.shape[1] for g in groups)
+        with self._count_lock:
+            self.attn_counts[kind] += scores
         store = self.store
         normed = ag.layer_norm(x, store[f"{prefix}_norm/gain"], store[f"{prefix}_norm/bias"])
         key_value = normed if memory is None else memory
@@ -248,10 +253,8 @@ class RerankModel:
         groups = _groups([(rows, rows) for rows in _peak_rows(counts)])
         stream = [peaks]
         for i in range(self.config.n_layers):
-            scores = _score_count(groups)
-            with self._count_lock:
-                self.attn_counts["spectrum"] += scores
-            stream.append(self._attention_sublayer(stream[-1], f"enc{i}/attn", groups, dropout_rng))
+            stream.append(self._attention_sublayer(stream[-1], f"enc{i}/attn", "spectrum", groups,
+                                                   dropout_rng))
             stream.append(self._ff_sublayer(stream[-1], f"enc{i}/ff", dropout_rng))
         store = self.store
         encoded = ag.layer_norm(stream[-1], store["enc_final_norm/gain"],
@@ -277,10 +280,7 @@ class RerankModel:
         for sub, groups, memory, queries in (("row", layout.rows, None, layout.keep),
                                              ("col", layout.columns, None, None),
                                              ("cross", layout.cross, spectrum, None)):
-            scores = _score_count(groups)
-            with self._count_lock:
-                self.attn_counts[sub] += scores
-            stream.append(self._attention_sublayer(stream[-1], f"mix{index}/{sub}", groups,
+            stream.append(self._attention_sublayer(stream[-1], f"mix{index}/{sub}", sub, groups,
                                                    dropout_rng, memory, queries))
         out = self._ff_sublayer(stream[-1], f"mix{index}/ff", dropout_rng)
         for x in stream[1:]:  # stream[0] is the caller's
@@ -343,11 +343,6 @@ class RerankModel:
         for x in [embedded] + grids[1:]:  # grids[0] is the caller's MsaBatch.embeddings
             x.release()
         return output, batch
-
-
-def _score_count(groups: Sequence[ag.AttentionGroup]) -> int:
-    """Attention scores the groups compute: one per query and key pair."""
-    return sum(g.q.size * g.k.shape[1] for g in groups)
 
 
 def _groups(blocks, mask: np.ndarray | None = None) -> list[ag.AttentionGroup]:

@@ -108,6 +108,10 @@ def _candidate_set(text: str) -> CandidateSet:
         if not isinstance(entry, dict):
             raise ValueError("each candidate must be a JSON object")
         _require_strings(entry, ("model",), ("peptide",))
+    names = [("spectrum_id", spectrum_id)] + [("model", c["model"]) for c in raw_candidates]
+    for key, value in names:  # each is one field of a selections row
+        if "\t" in value or "\r" in value or "\n" in value:
+            raise ValueError(f"{key} {value!r} holds a tab or line break")
     label = record.get("label")
     if label is not None:
         _require_strings(record, (), ("label",))
@@ -255,7 +259,7 @@ def build_training_set(
     kept = []
     for k, (cs, spectrum, candidates, label) in enumerate(admitted):
         if k in all_correct:
-            excluded.append((cs.spectrum_id, "all_candidates_correct"))
+            skip_record(excluded, cs.spectrum_id, "all_candidates_correct", strict=False)
         else:
             kept.append((spectrum, candidates, label))
     targets = pmd_many([(c, label) for _, candidates, label in kept for c in candidates], table)

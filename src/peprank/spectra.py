@@ -14,13 +14,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .masses import (
-    MassTable,
-    Peptide,
-    Precursor,
-    peptide_mz,
-    peptide_neutral_mass,
-)
+from .masses import PROTON_MASS, MassTable, Peptide, Precursor, peptide_neutral_mass
 
 MZ_MIN = 50.5  # Da
 MZ_MAX = 4500.0  # Da
@@ -105,8 +99,8 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
 
     Blocks are delimited by BEGIN IONS / END IONS; PEPMASS and CHARGE are
     required per block, TITLE names the spectrum (falling back to a
-    running index) and must be unique, and an optional SEQ header carries
-    the label peptide.
+    running index), must be unique and may hold no tab or line break, and
+    an optional SEQ header carries the label peptide.
     """
     spectra: list[RawSpectrum] = []
     block_of: dict[str, int] = {}  # spectrum id -> line of its block
@@ -144,6 +138,8 @@ def parse_mgf(source: TextIO | Iterable[str]) -> list[RawSpectrum]:
                 raise ValueError(f"{context}: non-finite PEPMASS {headers['PEPMASS']!r}")
             charge = _parse_charge(headers["CHARGE"], context)
             spectrum_id = headers.get("TITLE", f"spectrum_{len(spectra)}")
+            if "\t" in spectrum_id or "\r" in spectrum_id or "\n" in spectrum_id:  # a TSV field
+                raise ValueError(f"{context}: TITLE {spectrum_id!r} holds a tab or line break")
             if spectrum_id in block_of:
                 raise ValueError(f"{context}: duplicate TITLE {spectrum_id!r} "
                                  f"(first used by the block at line {block_of[spectrum_id]})")
@@ -239,8 +235,9 @@ def validate_precursor(spectrum: RawSpectrum, label: Peptide, table: MassTable) 
     mass is within ``PRECURSOR_PPM_TOLERANCE`` parts per million of the
     label's neutral mass.
     """
-    theoretical_mz = peptide_mz(label, table, spectrum.precursor.charge)
+    precursor = spectrum.precursor
     theoretical_mass = peptide_neutral_mass(label, table)
-    mz_ok = abs(spectrum.precursor.mz - theoretical_mz) <= PRECURSOR_MZ_TOLERANCE
-    ppm = abs(spectrum.precursor.neutral_mass - theoretical_mass) / theoretical_mass * 1e6
+    theoretical_mz = (theoretical_mass + precursor.charge * PROTON_MASS) / precursor.charge
+    mz_ok = abs(precursor.mz - theoretical_mz) <= PRECURSOR_MZ_TOLERANCE
+    ppm = abs(precursor.neutral_mass - theoretical_mass) / theoretical_mass * 1e6
     return mz_ok and ppm <= PRECURSOR_PPM_TOLERANCE

@@ -509,11 +509,11 @@ class TestAnalyzeCommands:
     @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
     @pytest.mark.parametrize("row, message", [
         pytest.param("s1\t2\tm1\tPEPTIDE\t0.1,0.2,0.3",
-                     "selection 2 (m1 PEPTIDE, 3 scores)", id="no-candidate-at-index"),
+                     "selection 2 ('m1' 'PEPTIDE', 3 scores)", id="no-candidate-at-index"),
         pytest.param("s1\t0\tm1\tPEPTIDE\t0.1,0.2",
-                     "selection 0 (m1 PEPTIDE, 2 scores)", id="other-candidate"),
+                     "selection 0 ('m1' 'PEPTIDE', 2 scores)", id="other-candidate"),
         pytest.param("s1\t1\tm2\tGAVKP\t0.1,0.2,0.3",
-                     "selection 1 (m2 GAVKP, 3 scores)", id="score-count"),
+                     "selection 1 ('m2' 'GAVKP', 3 scores)", id="score-count"),
     ])
     def test_selection_must_match_its_candidate_record(self, tmp_path, capsys, command,
                                                       row, message):
@@ -530,6 +530,26 @@ class TestAnalyzeCommands:
                            "--candidates", str(cands))
         assert code == 2
         assert f"spectrum 's1': {message} does not match its 2 candidates" in err
+
+    def test_a_vertical_tab_in_a_selection_stays_on_one_error_line(self, tmp_path, capsys):
+        """``\x0b`` splits a line for ``str.splitlines``; the quoted model keeps it escaped."""
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(
+            "spectrum_id\tselected_index\tselected_model\tselected_peptide\tscores\n"
+            "s1\t1\t\x0bm2\tGAVKP\t0.125,0.75\n"
+        )
+        cands = tmp_path / "candidates.jsonl"
+        cands.write_text(json.dumps({"spectrum_id": "s1", "label": "PEPTIDE",
+                                     "candidates": [{"model": "m9", "peptide": "GAVKP"},
+                                                    {"model": "m2", "peptide": "GAVKP"}]})
+                         + "\n")
+        code, _, err = run(capsys, "evaluate", "--selections", str(selections),
+                           "--candidates", str(cands))
+        assert code == 2
+        echo, *error = err.splitlines()
+        assert echo.startswith("# resolved: ")
+        assert error == [f"error: {selections}: spectrum 's1': selection 1 "
+                         "('\\x0bm2' 'GAVKP', 2 scores) does not match its 2 candidates"]
 
     @pytest.mark.parametrize("selected", ["PEPTIDE", "PEPTLDE"])  # matches its label, or not
     def test_contribution_parses_every_candidate_naming_its_spectrum(self, tmp_path, capsys,

@@ -199,9 +199,22 @@ class TestPrecursor:
         with pytest.raises(ValueError, match="proton"):
             precursor_neutral_mass(0.5, 1)
 
-    def test_precursor_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Precursor(mz=500.0, charge=2, neutral_mass=123.0)
+    @pytest.mark.parametrize("mz, charge", [(500.0, 2), (379.714925, 2), (1234.5678, 3),
+                                            (PROTON_MASS + 1e-9, 1)])
+    def test_precursor_neutral_mass_is_derived_bit_for_bit(self, mz, charge):
+        assert Precursor(mz=mz, charge=charge).neutral_mass == precursor_neutral_mass(mz, charge)
+
+    @pytest.mark.parametrize("mz, charge, message", [
+        (500.0, 0, "charge must be >= 1, got 0"),
+        (PROTON_MASS, 2, "must exceed the proton mass"),
+        (0.5, 1, "must exceed the proton mass"),
+        (float("nan"), 2, "must be finite"),
+        (float("inf"), 2, "must be finite"),
+        (500.0, 10 ** 308, "must be finite"),  # a float charge product overflows to inf
+    ], ids=["charge-0", "mz-at-proton", "mz-below-proton", "mz-nan", "mz-inf", "mass-inf"])
+    def test_precursor_construction_rejects(self, mz, charge, message):
+        with pytest.raises(ValueError, match=message):
+            Precursor(mz=mz, charge=charge)
 
     def test_from_mz(self):
         p = Precursor.from_mz(500.0, 2)

@@ -132,6 +132,18 @@ class TestLoadCandidates:
         with pytest.raises(ValueError, match=f"line 2: '{field}' must be a non-empty peptide"):
             load_candidates(io.StringIO(candidate_line() + "\n" + json.dumps(record)))
 
+    @pytest.mark.parametrize("where", ["spectrum_id", "model"])
+    @pytest.mark.parametrize("name", ["model\t1", "a\rb", "a\nb"])
+    def test_tab_or_line_break_in_a_selections_field_rejected(self, where, name):
+        """A spectrum id or model becomes one field of a selections row."""
+        record = json.loads(candidate_line())
+        if where == "model":
+            record["candidates"][1]["model"] = name
+        else:
+            record["spectrum_id"] = name
+        with pytest.raises(ValueError, match=rf"^line 2: {where} '.*' holds a tab or line break$"):
+            load_candidates(io.StringIO(candidate_line("s0") + "\n" + json.dumps(record)))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated_records_load_or_raise_value_error(self, data):
@@ -277,6 +289,21 @@ class TestBuildTrainingSet:
         instances, excluded = build_training_set(spectra[:1], [all_correct], table)
         assert not instances
         assert excluded == [(cands[0].spectrum_id, "all_candidates_correct")]
+
+    def test_each_exclusion_is_logged_once_in_list_order(self, table, caplog):
+        spectra, cands = synthesize_dataset(table, seed=6, n_spectra=6)
+        for k in (1, 4):  # all correct, after the admission reasons
+            label = cands[k].label
+            cands[k] = CandidateSet(cands[k].spectrum_id, [("m1", label), ("m2", label)], label)
+        cands[3] = CandidateSet(cands[3].spectrum_id, cands[3].candidates, label="GGGG")
+        with caplog.at_level("WARNING", logger=pipeline.logger.name):
+            instances, excluded = build_training_set(spectra, cands, table)
+        ids = [cs.spectrum_id for cs in cands]
+        assert excluded == [(ids[3], "precursor_mismatch"), (ids[1], "all_candidates_correct"),
+                            (ids[4], "all_candidates_correct")]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"spectrum {i!r} excluded: {reason}" for i, reason in excluded]
+        assert len(instances) == 3
 
     def test_unjoinable_id_errors(self, table):
         spectra, cands = synthesize_dataset(table, seed=6, n_spectra=1)

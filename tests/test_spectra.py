@@ -347,9 +347,14 @@ class TestRawSpectrum:
         with pytest.raises(ValueError, match="block at line 9: non-finite PEPMASS"):
             parse_mgf(io.StringIO(text))
 
+    @pytest.mark.parametrize("title", ["a\tb", "a\rb"])
+    def test_tab_or_line_break_in_title_rejected(self, title):
+        """A TITLE becomes one field of a preprocess report row."""
+        text = MINIMAL_MGF + MINIMAL_MGF.replace("spec_1", title)
+        with pytest.raises(ValueError, match=r"^block at line 9: TITLE 'a\\.b' holds a tab or line"):
+            parse_mgf(io.StringIO(text))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_precursor_rejected(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
             Precursor.from_mz(bad, 2)
-        with pytest.raises(ValueError, match="must be finite"):
-            Precursor(mz=500.0, charge=2, neutral_mass=bad)
