@@ -60,28 +60,25 @@ def _echo(args: argparse.Namespace, resolved: dict) -> None:
     print(f"# resolved: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
 
 
+def _named(path: str, call: Callable[..., T], *args, **kwargs) -> T:
+    """``call(*args, **kwargs)``, whose ValueError ``line N: reason`` becomes
+    ``path:N: reason``, and any other ``path: reason``."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        line, _, reason = str(exc).partition(": ")
+        raise ValueError(f"{path}:{line[5:]}: {reason}" if line[:5] == "line " and
+                         line[5:].isdigit() else f"{path}: {exc}") from None
+
+
 def _read(path: str, reader: Callable[[TextIO], T],
           check: Callable[[T], object] | None = None) -> T:
-    """``reader`` of the file at ``path``, passed to ``check`` if given; their ValueError
-    ``line N: reason`` becomes ``path:N: reason``, and any other ``path: reason``."""
+    """``reader`` of the file at ``path``, then ``check`` of it if given, both :func:`_named`."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            result = reader(handle)
-            if check is not None:
-                check(result)
-            return result
-        except ValueError as exc:
-            line, _, reason = str(exc).partition(": ")
-            raise ValueError(f"{path}:{line[5:]}: {reason}" if line[:5] == "line " and
-                             line[5:].isdigit() else f"{path}: {exc}") from None
-
-
-def _load_checkpoint(path: str) -> pipeline.Checkpoint:
-    """``pipeline.load_checkpoint`` of ``path``; its ValueError becomes ``path: reason``."""
-    try:
-        return pipeline.load_checkpoint(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        result = _named(path, reader, handle)
+    if check is not None:
+        _named(path, check, result)
+    return result
 
 
 def _load_table(args: argparse.Namespace, scores_pmd: bool = False) -> MassTable:
@@ -101,14 +98,6 @@ def _read_spectra(path: str, table: MassTable) -> list[tuple]:
     """Each spectrum of the MGF at ``path`` with its :func:`_label`, parsed as it is read."""
     return _read(path, lambda handle: [(raw, _label(raw.spectrum_id, raw.label, table))
                                        for raw in parse_mgf(handle)])
-
-
-def _read_candidates(path: str, table: MassTable) -> list[tuple]:
-    """Each candidate set at ``path`` with its candidate peptides and its :func:`_label`,
-    parsed with ``table`` as the file is read, so that errors name it."""
-    return _read(path, lambda handle: [
-        (cs, pipeline.parse_peptides(cs.spectrum_id, cs.peptides, table),
-         _label(cs.spectrum_id, cs.label, table)) for cs in pipeline.load_candidates(handle)])
 
 
 def _read_pairs(source: TextIO, table: MassTable) -> list[tuple]:
@@ -225,10 +214,9 @@ def _cmd_train(args) -> int:
                  "model": config.model.to_dict(),
                  "train": {k: getattr(config, k) for k in CONFIG_TRAIN_KEYS}})
     spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
-    candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
-    instances, excluded = pipeline.build_training_set(
-        spectra, candidate_sets, table, config.model.embedding
-    )
+    candidate_sets = _read(args.candidates, pipeline.load_candidates)
+    instances, excluded = _named(args.candidates, pipeline.build_training_set,
+                                 spectra, candidate_sets, table, config.model.embedding)
     print(f"# training on {len(instances)} instances ({len(excluded)} excluded)",
           file=sys.stderr)
     with (open(args.loss_log, "w", encoding="utf-8") if args.loss_log
@@ -242,15 +230,16 @@ def _cmd_train(args) -> int:
 
 def _cmd_rerank(args) -> int:
     table = _load_table(args)
-    checkpoint = _load_checkpoint(args.checkpoint)
+    checkpoint = _named(args.checkpoint, pipeline.load_checkpoint, args.checkpoint)
     get_threads = _openblas("get_num_threads")
     _echo(args, {"subcommand": "rerank", "checkpoint": args.checkpoint,
                  "model": checkpoint.config.to_dict(), "seed": checkpoint.seed,
                  "blas_threads": get_threads() if get_threads else None})
-    model = checkpoint.build_model(table)
+    model = _named(args.checkpoint, checkpoint.build_model, table)
     spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
-    candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
-    selections = pipeline.rerank_run(model, spectra, candidate_sets, strict=args.strict)
+    candidate_sets = _read(args.candidates, pipeline.load_candidates)
+    selections = _named(args.candidates, pipeline.rerank_run, model, spectra, candidate_sets,
+                        strict=args.strict)
     print(f"# reranked {len(selections)} of {len(candidate_sets)} spectra "
           f"({len(candidate_sets) - len(selections)} excluded)", file=sys.stderr)
     with _output(args.out) as sink:
@@ -280,9 +269,12 @@ def _matched(sel: pipeline.Selection, record: tuple | None) -> tuple:
 
 
 def _selected_records(args, table: MassTable, check=None) -> list[tuple]:
-    """Each --selections row's :func:`_matched` --candidates record, the list passed
-    to ``check``, while the selections file is read: errors name it."""
-    by_id = {record[0].spectrum_id: record for record in _read_candidates(args.candidates, table)}
+    """Each --selections row's :func:`_matched` --candidates record, whose peptides and
+    :func:`_label` are parsed as that file is read; the list is passed to ``check``.
+    Errors name the file they come from."""
+    by_id = _read(args.candidates, lambda handle: {cs.spectrum_id: (
+        cs, pipeline.parse_peptides(cs.spectrum_id, cs.peptides, table),
+        _label(cs.spectrum_id, cs.label, table)) for cs in pipeline.load_candidates(handle)})
     return _read(args.selections, lambda handle: [
         _matched(sel, by_id.get(sel.spectrum_id))
         for sel in pipeline.read_selections(handle)], check)
@@ -361,11 +353,12 @@ def _cmd_analyze(args) -> int:
         ]
         if not subsets:
             raise ValueError(f"--subsets {args.subsets!r} names no model")
-        checkpoint = _load_checkpoint(args.checkpoint)
-        model = checkpoint.build_model(table)
+        checkpoint = _named(args.checkpoint, pipeline.load_checkpoint, args.checkpoint)
+        model = _named(args.checkpoint, checkpoint.build_model, table)
         spectra = [raw for raw, _ in _read_spectra(args.mgf, table)]
-        candidate_sets = [cs for cs, _, _ in _read_candidates(args.candidates, table)]
-        reports = pipeline.zero_shot_eval(model, spectra, candidate_sets, subsets)
+        candidate_sets = _read(args.candidates, pipeline.load_candidates)
+        reports = _named(args.candidates, pipeline.zero_shot_eval, model, spectra,
+                         candidate_sets, subsets)
         header, rows = "subset\tn_spectra\tpeptide_recall", [
             (",".join(subset), stats.n_all_pep, stats.peptide_recall)
             for subset, stats in zip(subsets, reports)]

@@ -187,8 +187,9 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
     Joins each set to its spectrum by id, resolves the label (the set's,
     else the spectrum's) when ``labeled``, parses every peptide, applies
     the model's ``limits`` and then :func:`gate_spectrum`. Each distinct
-    peptide text is parsed once, the label's first. An unjoinable id, a
-    missing label and an empty or unparseable peptide are hard errors.
+    peptide text is parsed once, the label's first; unless ``labeled``, the
+    label is the set's own and is only parsed. An unjoinable id, a missing
+    label and an empty or unparseable peptide are hard errors.
     Admitted: ``(candidate_set, processed, candidates, label)``.
     """
     by_id = {s.spectrum_id: s for s in spectra}
@@ -199,14 +200,14 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
         raw = by_id.get(spectrum_id)
         if raw is None:
             raise ValueError(f"candidate set {spectrum_id!r} has no matching spectrum")
-        label_text = (cs.label if cs.label is not None else raw.label) if labeled else None
+        label_text = raw.label if labeled and cs.label is None else cs.label
         if labeled and label_text is None:
             raise ValueError(f"spectrum {spectrum_id!r} has no label peptide")
         texts = list(dict.fromkeys(([] if label_text is None else [label_text]) + cs.peptides))
         parsed = dict(zip(texts, parse_peptides(spectrum_id, texts, table)))  # label first
-        label = None if label_text is None else parsed[label_text]
+        label = parsed[label_text] if labeled else None
         candidates = [parsed[text] for text in cs.peptides]
-        peptides = candidates + ([] if label is None else [label])
+        peptides = candidates + ([label] if labeled else [])
         if not all(peptides):
             raise ValueError(f"spectrum {spectrum_id!r} has an empty label or candidate")
         longest, charge = max(len(p) for p in peptides), raw.precursor.charge
@@ -292,6 +293,10 @@ class SynthConfig:
     max_length: int = 20
     noise_peaks: int = 8
     peak_dropout: float = 0.1
+
+    def __post_init__(self):  # every record needs a candidate and a non-empty label
+        if self.n_candidates < 1 or self.min_length < 1:
+            raise ValueError(f"n_candidates and min_length must be at least 1, in {self}")
 
 
 def _mutate(peptide: Peptide, table: MassTable, rng: np.random.Generator) -> Peptide:
@@ -716,14 +721,15 @@ def zero_shot_eval(
 
     Every candidate set must retain at least one candidate under each
     subset, and a label (the set's, else its spectrum's) for the recall.
-    Peptides are read with the model's mass table.
+    Peptides are read with the model's mass table, each label once.
     """
     spectrum_labels = {s.spectrum_id: s.label for s in spectra}
-    labels = {cs.spectrum_id: cs.label if cs.label is not None
-              else spectrum_labels.get(cs.spectrum_id) for cs in candidate_sets}
-    unlabeled = [spectrum_id for spectrum_id, label in labels.items() if label is None]
-    if unlabeled:
-        raise ValueError(f"spectrum {unlabeled[0]!r} has no label")
+    labels = {}
+    for cs in candidate_sets:
+        text = cs.label if cs.label is not None else spectrum_labels.get(cs.spectrum_id)
+        if text is None:
+            raise ValueError(f"spectrum {cs.spectrum_id!r} has no label")
+        labels[cs.spectrum_id] = parse_peptides(cs.spectrum_id, [text], model.table)[0]
     reports: list[CorpusStats] = []
     for subset in model_subsets:
         allowed = set(subset)
@@ -738,11 +744,9 @@ def zero_shot_eval(
         selections = rerank_run(model, spectra, filtered)
         if not selections:
             raise ValueError(f"subset {sorted(allowed)}: every spectrum was excluded")
-        pairs = [
-            parse_peptides(sel.spectrum_id, [sel.peptide, labels[sel.spectrum_id]], model.table)
-            for sel in selections
-        ]
-        reports.append(corpus_stats(pairs, model.table))
+        reports.append(corpus_stats([
+            (parse_peptides(sel.spectrum_id, [sel.peptide], model.table)[0],
+             labels[sel.spectrum_id]) for sel in selections], model.table))
     return reports
 
 

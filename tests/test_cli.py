@@ -167,6 +167,18 @@ class TestSynthCommand:
 
         assert generate("a") == generate("b")
 
+    @pytest.mark.parametrize("flag", ["--n-candidates", "--n-spectra"])
+    def test_no_candidates_is_a_data_error(self, tmp_path, capsys, flag):
+        mgf, cands = tmp_path / "s.mgf", tmp_path / "c.jsonl"
+        code, _, err = run(capsys, "synth", "--n-spectra", "2", flag, "0",
+                           "--out-mgf", str(mgf), "--out-candidates", str(cands))
+        if flag == "--n-spectra":  # an empty corpus is readable
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert "error: n_candidates and min_length must be at least 1" in err
+            assert not mgf.exists() and not cands.exists()
+
     def test_candidate_schema(self, synth_files):
         _, cands = synth_files
         for line in cands.read_text().splitlines():
@@ -569,21 +581,49 @@ class TestAnalyzeCommands:
         assert code == 2
         assert "spectrum 's1': unknown residue token 'Z' in 'GAVZK'" in err
 
-    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["analyze", "--analysis", "contribution"], ["train"], ["rerank"],
+        ["analyze", "--analysis", "zeroshot"]])
     def test_each_candidate_and_label_text_is_parsed_once(self, tmp_path, capsys, monkeypatch,
                                                           command):
+        """``train``, ``rerank`` and zeroshot parse each MGF label as the MGF is read, and each
+        distinct peptide text of a candidates record once; ``evaluate`` and contribution parse
+        every text of a record once. Parsed again: the MGF label that a ``train`` or zeroshot
+        record takes as its own, and zeroshot's selected peptide."""
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=6)
-        cands[-1].label = None  # an unselected record needs no label
-        _, cands_path = write_corpus(tmp_path, spectra, cands)
-        selections = tmp_path / "selections.tsv"
+        cands[0].candidates.append(("model_5", cands[0].peptides[1]))  # a repeated text
+        cands[-1].label = None  # an unselected record needs no label; it takes the MGF's
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        selections, config = tmp_path / "selections.tsv", tmp_path / "config.json"
         write_first_selections(selections, cands[:-1])
+        config.write_text(json.dumps({"d": 16, "n_heads": 2, "ff_dim": 32, "n_layers": 1,
+                                      "epochs": 1}))
+        mgf_labels = [s.label for s in spectra]
+        own = [[cs.label] if cs.label else [] for cs in cands]
+        resolved = [cs.label or s.label for s, cs in zip(spectra, cands)]
+        firsts = [cs.peptides[0] for cs in cands]  # model_1's, each set's first
+        every_text = [text for cs, label in zip(cands, own) for text in cs.peptides + label]
+        argv, expected = {
+            "evaluate": (["--selections", str(selections)], every_text),
+            "contribution": (["--selections", str(selections)], every_text),
+            "train": (["--mgf", str(mgf), "--config", str(config), "--out",
+                       str(tmp_path / "m.ckpt")],
+                      mgf_labels + [text for cs, label in zip(cands, resolved)
+                                    for text in dict.fromkeys([label] + cs.peptides)]),
+            "rerank": (["--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
+                        "--out", str(tmp_path / "out.tsv")],
+                       mgf_labels + [text for cs, label in zip(cands, own)
+                                     for text in dict.fromkeys(label + cs.peptides)]),
+            "zeroshot": (["--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
+                          "--subsets", "model_1", "--out", str(tmp_path / "out.tsv")],
+                         mgf_labels + resolved + firsts + firsts),
+        }[command[-1]]
         parsed = []
         monkeypatch.setattr(pipeline, "parse_peptide",
                             lambda text, t: parsed.append(text) or parse_peptide(text, t))
-        code, _, err = run(capsys, *command, "--selections", str(selections),
-                           "--candidates", str(cands_path))
+        code, _, err = run(capsys, *command, *argv, "--candidates", str(cands_path))
         assert code == 0, err
-        assert parsed == [text for cs in cands for text in cs.peptides + [cs.label] if text]
+        assert parsed == expected
 
     def test_zeroshot_takes_the_label_from_either_file(self, tmp_path, capsys):
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
@@ -670,6 +710,74 @@ class TestErrorsFoundAfterAReadNameTheFile:
         assert code == 2
         assert err.endswith(f"error: {cands_path}: spectrum 'synth_00001': "
                             "unknown residue token 'Z' in 'GZ'\n")
+
+    @pytest.mark.parametrize("command", [
+        ["rerank", "--checkpoint", str(V1_CHECKPOINT)],
+        ["train", "--out", "unused.ckpt"],
+        ["analyze", "--analysis", "zeroshot", "--checkpoint", str(V1_CHECKPOINT),
+         "--subsets", "model_1"]])
+    def test_an_orphan_candidate_set(self, tmp_path, capsys, command):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        cands[1].spectrum_id = "orphan"
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        code, _, err = run(capsys, *command, "--mgf", str(mgf), "--candidates", str(cands_path))
+        assert code == 2
+        assert err.endswith(f"error: {cands_path}: candidate set 'orphan' has no matching "
+                            "spectrum\n")
+
+    def test_a_strict_exclusion(self, tmp_path, capsys):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        spectra[1].precursor = Precursor.from_mz(spectra[1].precursor.mz, 12)
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        code, _, err = run(capsys, "rerank", "--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
+                           "--candidates", str(cands_path), "--strict")
+        assert code == 2
+        assert err.endswith(f"error: {cands_path}: spectrum 'synth_00001' excluded: "
+                            "charge_out_of_range (charge 12, max_charge=4)\n")
+
+    def test_a_zeroshot_subset_error(self, tmp_path, capsys):
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        code, _, err = run(capsys, "analyze", "--analysis", "zeroshot", "--checkpoint",
+                           str(V1_CHECKPOINT), "--mgf", str(mgf), "--candidates", str(cands_path),
+                           "--subsets", "model_1;model_9")
+        assert code == 2
+        assert err.endswith(f"error: {cands_path}: spectrum 'synth_00000' has no candidates "
+                            "from subset ['model_9']\n")
+
+    @pytest.mark.parametrize("command", [
+        ["rerank"], ["analyze", "--analysis", "zeroshot", "--subsets", "model_1,model_5"]])
+    def test_a_bad_label_of_a_record_excluded_as_too_long(self, tmp_path, capsys, caplog,
+                                                          command):
+        """The label is parsed although the record is excluded and rerank never uses it."""
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)
+        cands[1].candidates.append(("model_5", "G" * 31))  # over the checkpoint's max_len 30
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        args = (*command, "--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
+                "--candidates", str(cands_path), "--out", str(tmp_path / "out.tsv"))
+        code, _, err = run(capsys, *args)
+        assert code == 0, err
+        assert caplog.messages == ["spectrum 'synth_00001' excluded: too_long "
+                                   "(31 residues, max_len=30)"]
+        cands[1].label = "PEPZIDE"
+        mgf, cands_path = write_corpus(tmp_path, spectra, cands)
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert err.endswith(f"error: {cands_path}: spectrum 'synth_00001': "
+                            "unknown residue token 'Z' in 'PEPZIDE'\n")
+
+    @pytest.mark.parametrize("command", [
+        ["rerank"], ["analyze", "--analysis", "zeroshot", "--subsets", "model_1"]])
+    def test_a_mass_table_that_is_not_the_checkpoints_vocabulary(self, tmp_path, capsys,
+                                                                  command):
+        table = tmp_path / "two.tsv"
+        table.write_text("G\t57.02146\nA\t71.03711\n")
+        code, _, err = run(capsys, *command, "--mass-table", str(table), "--checkpoint",
+                           str(V1_CHECKPOINT), "--mgf", "unused.mgf", "--candidates",
+                           "unused.jsonl")
+        assert code == 2
+        assert (f"error: {V1_CHECKPOINT}: mass table tokens do not match the model "
+                "vocabulary") in err
 
     @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
     def test_a_candidate_that_does_not_parse_in_a_selection(self, tmp_path, capsys, command):

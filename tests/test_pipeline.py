@@ -238,6 +238,11 @@ class TestSynthesizeDataset:
             slots.add(cs.peptides.index(label))
         assert len(slots) > 1  # not always the same candidate slot
 
+    @pytest.mark.parametrize("field", ["n_candidates", "min_length"])
+    def test_a_config_that_writes_unreadable_records_is_rejected(self, field):
+        with pytest.raises(ValueError, match="n_candidates and min_length must be at least 1"):
+            SynthConfig(**{field: 0})
+
     def test_precursor_consistent_with_label(self, table):
         from peprank.spectra import validate_precursor
 
@@ -696,6 +701,21 @@ class TestRerankRun:
         with pytest.raises(ValueError, match="max_len"):
             rerank_run(model, spectra, [bad], strict=True)
         assert rerank_run(model, spectra, [bad]) == []
+
+    def test_an_over_length_label_is_parsed_but_not_limited(self, table, monkeypatch):
+        spectra, cands = synthesize_dataset(table, seed=18, n_spectra=1)
+        config = small_config(table)
+        model = RerankModel(config.model, table, seed=0)
+        long_label = "G" * (config.model.embedding.max_len + 1)
+        labeled = replace(cands[0], label=long_label)
+        parsed = []
+        monkeypatch.setattr(pipeline, "parse_peptide",
+                            lambda text, t: parsed.append(text) or parse_peptide(text, t))
+        assert rerank_run(model, spectra, [labeled]) == rerank_run(model, spectra, cands)
+        assert parsed == ([long_label] + cands[0].peptides  # each label first, deduplicated
+                          + list(dict.fromkeys([cands[0].label] + cands[0].peptides)))
+        with pytest.raises(ValueError, match="unknown residue token 'Z' in 'GZ'"):
+            rerank_run(model, spectra, [replace(cands[0], label="GZ")])
 
     def test_selection_round_trip(self, table):
         spectra, cands = synthesize_dataset(table, seed=19, n_spectra=3)
