@@ -8,9 +8,12 @@ finite-difference gradient checks have clean tolerances.
 
 from __future__ import annotations
 
+from concurrent.futures import wait
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from . import threads
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -552,6 +555,58 @@ class AttentionGroup(NamedTuple):
     key_mask: np.ndarray | None = None
 
 
+# scores per group (count x n_q x n_k, the unit of RerankModel.attn_counts) from
+# which an attention that records a graph may hand the group to the helper
+# thread. perfbench wide step p50 on 2 vCPUs, one BLAS thread, seeds 20-22: 485,
+# 438 and 436 ms dealing nothing; 316-336 at 2,048; 330-342 at 8,192; 369-398 at
+# 32,768; 420-445 at 65,536. A desk step's largest group has 6,552 scores; at
+# 2,048, dealing 96 of 104 desk calls, desk-train steps read 106.2 and 110.9 ->
+# 112.5 and 111.6 ms
+ATTENTION_THREAD_MIN_SCORES = 8192
+
+
+def _deal(scores: Sequence[int]) -> list[int]:
+    """Indexes, in order, of the groups with these score counts that the
+    helper runs: those of at least ``ATTENTION_THREAD_MIN_SCORES``, dealt
+    largest first to the side with fewer scores so far. The calling thread
+    keeps every smaller group and wins ties."""
+    large = sorted((i for i, s in enumerate(scores) if s >= ATTENTION_THREAD_MIN_SCORES),
+                   key=lambda i: -scores[i])
+    ours, theirs, load = sum(scores) - sum(scores[i] for i in large), [], 0
+    for i in large:
+        if load < ours:
+            theirs.append(i)
+            load += scores[i]
+        else:
+            ours += scores[i]
+    return sorted(theirs)
+
+
+def _run_dealt(work, items: Sequence, theirs: Sequence[int], pool) -> list:
+    """``[work(item) for item in items]``, where ``pool``'s thread runs the
+    items indexed by ``theirs``, in order and under the caller's
+    ``np.geterr()``, while this thread runs the others in order. The
+    helper's share is waited for before this returns or raises; when both
+    sides raise, this thread's exception is the one raised."""
+    if not theirs:
+        return [work(item) for item in items]
+    errors = np.geterr()
+
+    def share():
+        with np.errstate(**errors):
+            return [work(items[i]) for i in theirs]
+
+    future = pool.submit(share)
+    dealt = set(theirs)
+    try:
+        results = {i: work(item) for i, item in enumerate(items) if i not in dealt}
+    except BaseException:
+        wait([future])
+        raise
+    results.update(zip(theirs, future.result()))
+    return [results[i] for i in range(len(items))]
+
+
 def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over indexed sequences, as one
     graph node.
@@ -565,6 +620,12 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
     heads are merged back into [n, d] at the query rows. Beside its inputs
     the node keeps only the probabilities for the backward, which gathers
     the rows again.
+
+    A group writes only its own rows, so when the node records a graph and
+    the process may use two CPUs, the groups of at least
+    ``ATTENTION_THREAD_MIN_SCORES`` scores are dealt between this thread
+    and the helper (see :func:`_deal`), forward and backward, with the
+    bits of one thread.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     n, d = q.shape
@@ -575,6 +636,22 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
     counts = np.bincount(np.concatenate(indexed), minlength=n_rows)
     if counts.size != n_rows or (counts != 1).any():
         raise ValueError("attention groups must index every query and key row exactly once")
+    scores = [g.q.size * g.k.shape[1] for g in groups]
+    recording = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    pool = (threads.helper() if recording and max(scores, default=0) >= ATTENTION_THREAD_MIN_SCORES
+            else None)
+    if (pool is not None and len(groups) == 1 and groups[0].q.shape[0] > 1
+            and scores[0] >= 2 * ATTENTION_THREAD_MIN_SCORES):
+        # a lone group is cut along its sequences into two of its shape: the
+        # products and the softmax work per sequence, so each keeps its bits.
+        # Only when each half is large: wide's column attention, 272 sequences
+        # of 10, took 21.0 -> 12.3 ms forward and backward, but 136 of 10 only
+        # 9.5 -> 9.1 ms
+        half = (groups[0].q.shape[0] + 1) // 2
+        groups = [AttentionGroup(*(None if a is None else a[s] for a in groups[0]))
+                  for s in (slice(None, half), slice(half, None))]
+        scores = [g.q.size * g.k.shape[1] for g in groups]
+    theirs = [] if pool is None else _deal(scores)
 
     def heads(x, rows):
         count, length = rows.shape
@@ -584,18 +661,22 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
         out[rows.ravel()] = x.transpose(0, 2, 1, 3).reshape(rows.size, d)
 
     data = np.empty_like(q.data)
-    saved = []
-    for grp in groups:
+
+    def forward_group(grp):
         kh, vh = heads(k.data, grp.k), heads(v.data, grp.k)
         p = np.matmul(heads(q.data, grp.q), kh.transpose(0, 1, 3, 2))
         p *= scale
         _softmax_forward(p, None if grp.key_mask is None else grp.key_mask[:, None, None, :])
         merge(np.matmul(p, vh), data, grp.q)
-        saved.append((grp, p))
+        return grp, p
+
+    saved = _run_dealt(forward_group, groups, theirs, pool)
 
     def backward_fn(g):
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
-        for grp, p in saved:
+
+        def backward_group(saved_group):
+            grp, p = saved_group
             gh = heads(g, grp.q)
             if gv is not None:
                 merge(np.matmul(np.swapaxes(p, -1, -2), gh), gv, grp.k)
@@ -609,6 +690,8 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
                 # so the key gradient is bit-identical to the composed ops'
                 qh = heads(q.data, grp.q)
                 merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), gk, grp.k)
+
+        _run_dealt(backward_group, saved, theirs, pool)
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad, fresh=True)

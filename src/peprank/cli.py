@@ -170,9 +170,11 @@ def _cmd_synth(args) -> int:
     config = pipeline.SynthConfig(n_candidates=args.n_candidates)
     _echo(args, {"subcommand": "synth", "n_spectra": args.n_spectra,
                  "config": dataclasses.asdict(config)})
-    spectra, candidate_sets = pipeline.synthesize_dataset(
-        table, args.seed, args.n_spectra, config
-    )
+    try:
+        spectra, candidate_sets = pipeline.synthesize_dataset(
+            table, args.seed, args.n_spectra, config)
+    except ValueError as exc:
+        raise ValueError(f"--n-spectra {args.n_spectra}: {exc}") from None
     with open(args.out_mgf, "w", encoding="utf-8") as sink:
         write_mgf(spectra, sink)
     with open(args.out_candidates, "w", encoding="utf-8") as sink:
@@ -257,7 +259,7 @@ def _matched(sel: pipeline.Selection, record: tuple | None) -> tuple:
     one at its index. Returns what :func:`contribution_analysis` takes of a record."""
     if record is None:
         raise ValueError(f"selection {sel.spectrum_id!r} has no candidate record")
-    cs, candidates, label = record
+    cs, label, candidates = record
     if label is None:
         raise ValueError(f"spectrum {sel.spectrum_id!r} has no label")
     if (len(sel.scores) != len(cs.candidates)  # so that the selected index is in range
@@ -270,11 +272,11 @@ def _matched(sel: pipeline.Selection, record: tuple | None) -> tuple:
 
 def _selected_records(args, table: MassTable, check=None) -> list[tuple]:
     """Each --selections row's :func:`_matched` --candidates record, whose peptides and
-    :func:`_label` are parsed as that file is read; the list is passed to ``check``.
-    Errors name the file they come from."""
+    label are parsed as that file is read (see :func:`pipeline.parse_record`); the list
+    is passed to ``check``. Errors name the file they come from."""
     by_id = _read(args.candidates, lambda handle: {cs.spectrum_id: (
-        cs, pipeline.parse_peptides(cs.spectrum_id, cs.peptides, table),
-        _label(cs.spectrum_id, cs.label, table)) for cs in pipeline.load_candidates(handle)})
+        cs, *pipeline.parse_record(cs.spectrum_id, cs.label, cs.peptides, table))
+        for cs in pipeline.load_candidates(handle)})
     return _read(args.selections, lambda handle: [
         _matched(sel, by_id.get(sel.spectrum_id))
         for sel in pipeline.read_selections(handle)], check)

@@ -24,8 +24,10 @@ candidate grid as rows of one [N, d] array. Token-wise ops run once over
 the packed rows; each attention gathers its sequences' rows by index,
 within one spectrum each, and batches sequences of equal shape into one
 product, so no sublayer reorders the grid. A training minibatch is one such
-batch (one autograd graph); a single spectrum is the one-spectrum batch,
-with the same outputs in the same format.
+batch (one autograd graph), whose large attention groups may run on the
+helper thread, with the same bits (see :func:`peprank.autograd.attention`);
+a single spectrum is the one-spectrum batch, with the same outputs in the
+same format.
 """
 
 from __future__ import annotations

@@ -14,13 +14,13 @@ import logging
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from . import autograd as ag
+from . import autograd as ag, threads
 from .autograd import ParameterStore, Tensor
 from .encoders import EmbeddingConfig, check_field_types, grid_shapes
 from .evaluation import CorpusStats, corpus_stats, pair_matches
@@ -159,6 +159,16 @@ def parse_peptides(spectrum_id: str, texts: Sequence[str], table: MassTable) -> 
         raise ValueError(f"spectrum {spectrum_id!r}: {exc}") from None
 
 
+def parse_record(spectrum_id: str, label_text: str | None, texts: Sequence[str],
+                 table: MassTable) -> tuple[Peptide | None, list[Peptide]]:
+    """A record's label (None without ``label_text``) and its peptides
+    ``texts``, in order, each distinct text parsed once, the label's first;
+    a parse error names the spectrum."""
+    distinct = list(dict.fromkeys(([] if label_text is None else [label_text]) + list(texts)))
+    parsed = dict(zip(distinct, parse_peptides(spectrum_id, distinct, table)))
+    return None if label_text is None else parsed[label_text], [parsed[text] for text in texts]
+
+
 def gate_spectrum(raw: RawSpectrum, label: Peptide | None,
                   table: MassTable) -> tuple[ProcessedSpectrum | None, str | None]:
     """Precursor check against the label (when given), then preprocessing.
@@ -203,10 +213,8 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
         label_text = raw.label if labeled and cs.label is None else cs.label
         if labeled and label_text is None:
             raise ValueError(f"spectrum {spectrum_id!r} has no label peptide")
-        texts = list(dict.fromkeys(([] if label_text is None else [label_text]) + cs.peptides))
-        parsed = dict(zip(texts, parse_peptides(spectrum_id, texts, table)))  # label first
-        label = parsed[label_text] if labeled else None
-        candidates = [parsed[text] for text in cs.peptides]
+        parsed_label, candidates = parse_record(spectrum_id, label_text, cs.peptides, table)
+        label = parsed_label if labeled else None
         peptides = candidates + ([label] if labeled else [])
         if not all(peptides):
             raise ValueError(f"spectrum {spectrum_id!r} has an empty label or candidate")
@@ -336,8 +344,11 @@ def synthesize_dataset(
     Peaks are theoretical singly-charged b- and y-ions of the label plus
     uniform noise, with random peak dropout. Each candidate set holds the
     label and mutated variants, shuffled over the candidate slots so no
-    slot is trivially correct; slot i is attributed to "model_{i+1}".
+    slot is trivially correct; slot i is attributed to "model_{i+1}". A
+    negative ``n_spectra`` is an error.
     """
+    if n_spectra < 0:
+        raise ValueError(f"n_spectra must be at least 0, got {n_spectra}")
     rng = np.random.default_rng(seed)
     tokens = table.tokens
     spectra: list[RawSpectrum] = []
@@ -639,19 +650,18 @@ def rerank_run(
     records no graph. No attention crosses spectra and the peptide head runs
     per spectrum, so each spectrum's scores are the bits of its B=1 forward.
     When the admitted spectra average at least ``RERANK_THREAD_MIN_PEAKS``
-    peaks and the process may use two CPUs, one helper thread scores the odd
-    chunks. The scores are then taken in file order: a spectrum with a
-    non-finite score is excluded as ``non_finite_scores``, and selections
-    keep file order. Rows keep candidate-file order; exact score ties
-    resolve to the lowest index.
+    peaks and the process may use two CPUs, the helper thread (see
+    :mod:`peprank.threads`) scores the odd chunks. The scores are then taken
+    in file order: a spectrum with a non-finite score is excluded as
+    ``non_finite_scores``, and selections keep file order. Rows keep
+    candidate-file order; exact score ties resolve to the lowest index.
     """
     admitted, excluded = admit_records(spectra, candidate_sets, model.table,
                                        model.config.embedding, labeled=False, strict=strict)
     order, chunks = cell_chunks([processed.n_peaks for _, processed, _, _ in admitted],
                                 grid_shapes([candidates for _, _, candidates, _ in admitted]))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threaded = (cpus or 1) > 1 and (sum(processed.n_peaks for _, processed, _, _ in admitted)
-                                    >= RERANK_THREAD_MIN_PEAKS * len(admitted))
+    peaks = sum(processed.n_peaks for _, processed, _, _ in admitted)
+    pool = threads.helper() if peaks >= RERANK_THREAD_MIN_PEAKS * len(admitted) else None
 
     def score(chunk: slice) -> list:  # errstate is per thread; no_grad is the caller's
         rows = order[chunk]
@@ -660,17 +670,18 @@ def rerank_run(
             output, batch = model.forward(processed, candidates, residues=False)
         return list(zip(rows, np.split(output.pmd_pred.data, np.cumsum(batch.shapes[:-1, 0]))))
 
-    pool = ThreadPoolExecutor(max_workers=1)  # starts its thread at the first submit
     with ag.no_grad():
+        helped = [pool.submit(score, chunk) for chunk in chunks[1::2]] if pool is not None else []
         try:
-            helped = [pool.submit(score, chunk) for chunk in chunks[1::2]] if threaded else []
             scored = {}  # each spectrum's scores, by index into admitted
             for chunk in chunks[::2] if helped else chunks:
                 scored.update(score(chunk))
             for future in helped:
                 scored.update(future.result())
         finally:  # the helper finishes its chunk under no_grad; queued ones are dropped
-            pool.shutdown(cancel_futures=True)
+            for future in helped:
+                future.cancel()
+            wait(helped)
     selections: list[Selection] = []
     for b, (cs, *_) in enumerate(admitted):
         scores = scored[b]

@@ -3,7 +3,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from peprank import autograd as ag
+from peprank import autograd as ag, threads
 from peprank.autograd import Tensor
 from peprank.evaluation import AA_TOLERANCE, CUM_TOLERANCE
 from peprank.masses import MassTable, Peptide, default_mass_table, residue_masses
@@ -18,6 +18,28 @@ def table() -> MassTable:
 @pytest.fixture()
 def tiny_table() -> MassTable:
     return MassTable({"G": 57.02146, "A": 71.03711})
+
+
+@pytest.fixture()
+def helped(monkeypatch):
+    """What is handed to the helper thread, one (args, future) per submit,
+    with two usable CPUs."""
+    submitted = []
+    helper = threads.helper
+
+    class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, *args):
+            future = self.pool.submit(fn, *args)
+            submitted.append((args, future))
+            return future
+
+    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threads, "helper", lambda: None if (pool := helper()) is None
+                        else Recording(pool))
+    return submitted
 
 
 def random_table(rng: np.random.Generator, n_tokens: int = 6) -> MassTable:

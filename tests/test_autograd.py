@@ -1,5 +1,9 @@
+import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import peprank
-from peprank import autograd as ag
+from peprank import autograd as ag, threads
 from peprank.autograd import ParameterStore, Tensor
 
 from conftest import grad_check, reference_softmax
@@ -548,6 +552,140 @@ class TestAttention:
         ag.backward(ag.tensor_sum(out))
         np.testing.assert_allclose(w.grad, x.data.reshape(-1, 4).sum(axis=0)[:, None]
                                    * np.ones((1, 5)))
+
+
+class TestAttentionOnTheHelper:
+    """An attention that records a graph hands its groups of at least
+    ATTENTION_THREAD_MIN_SCORES scores to the helper thread; see the
+    ``helped`` fixture."""
+
+    @staticmethod
+    def run(q, k, v, groups):
+        """The output, and the input gradients of a weighted sum of it."""
+        for t in (q, k, v):
+            t.grad = None
+        out = ag.attention(q, k, v, groups, n_heads=2)
+        ag.backward(ag.tensor_sum(ag.mul(out, Tensor(np.linspace(-1.0, 1.0, out.size)
+                                                      .reshape(out.shape)))))
+        return [out.data.copy()] + [t.grad.copy() for t in (q, k, v)]
+
+    @staticmethod
+    def sequences(sizes, n_k):
+        """One group per size: that many sequences of n_k rows, each row a query
+        and a key, packed end to end."""
+        starts = np.cumsum([0] + [count * n_k for count in sizes])
+        rows = [np.arange(a, b).reshape(-1, n_k) for a, b in zip(starts, starts[1:])]
+        return [ag.AttentionGroup(r, r) for r in rows]
+
+    @pytest.mark.parametrize("sizes", [[3, 5, 1, 4], [5]])  # four groups; one, cut in two
+    def test_dealt_groups_keep_the_bits_of_one_thread(self, helped, monkeypatch, sizes):
+        rng = np.random.default_rng(31)
+        groups = self.sequences(sizes, 6)
+        n = sum(sizes) * 6
+        q, k, v = leaf(rng, n, 8), leaf(rng, n, 8), leaf(rng, n, 8)
+        mask = rng.random(n) > 0.3
+        mask[::6] = True  # every sequence keeps a key
+        groups = [ag.AttentionGroup(g.q, g.k, mask[g.k]) for g in groups]
+        alone = self.run(q, k, v, groups)
+        assert helped == []  # no group reaches the default threshold
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # both threads write the shared outputs, often switching
+        try:
+            for run in range(20):
+                dealt = self.run(q, k, v, groups)
+                assert len(helped) == 2 * (run + 1)  # forward and backward
+                for got, want in zip(dealt, alone):
+                    assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_deal_largest_first_to_the_less_loaded_side(self, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 10)
+        # 5 and 9 stay here; 30 to the helper, 20 here (30 > 14), 12 there (30 < 34)
+        assert ag._deal([5, 30, 20, 12, 9]) == [1, 3]
+        assert ag._deal([30]) == []  # a lone group runs here
+        assert ag._deal([20, 20]) == [1]  # ties go to the calling thread
+        assert ag._deal([9, 9]) == []
+
+    def test_the_helper_runs_under_the_callers_errstate(self, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        seen, softmax = [], ag._softmax_forward
+        monkeypatch.setattr(ag, "_softmax_forward", lambda scores, mask: (
+            seen.append((threading.current_thread().name, np.geterr())), softmax(scores, mask))[1])
+        rng = np.random.default_rng(32)
+        q = leaf(rng, 12, 4)
+        with np.errstate(over="raise", under="warn", invalid="ignore", divide="print"):
+            expected = np.geterr()
+            ag.attention(q, q, q, self.sequences([1, 1], 6), n_heads=2)
+        assert len(helped) == 1
+        assert sorted(name.startswith("peprank-helper") for name, _ in seen) == [False, True]
+        assert all(errors == expected for _, errors in seen)
+
+    def test_a_group_that_fails_on_the_helper_raises_here(self, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        rng = np.random.default_rng(33)
+        q = leaf(rng, 6, 4)
+        groups = self.sequences([1, 1], 3)
+        mask = np.array([True, True, True, False, False, False])  # the helper's keys
+        groups = [ag.AttentionGroup(g.q, g.k, mask[g.k]) for g in groups]
+        with pytest.raises(ValueError, match="all entries masked"):
+            ag.attention(q, q, q, groups, n_heads=2)
+        (_, future), = helped
+        assert future.done() and isinstance(future.exception(), ValueError)
+
+    def test_when_both_threads_fail_the_callers_error_is_raised(self, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+
+        def fail(scores, mask):
+            raise RuntimeError(threading.current_thread().name)
+
+        monkeypatch.setattr(ag, "_softmax_forward", fail)
+        q = leaf(np.random.default_rng(34), 6, 4)
+        with pytest.raises(RuntimeError) as raised:
+            ag.attention(q, q, q, self.sequences([1, 1], 3), n_heads=2)
+        assert str(raised.value) == threading.current_thread().name
+        (_, future), = helped
+        assert future.done() and str(future.exception()).startswith("peprank-helper")
+
+    def test_no_graph_no_helper(self, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        rng = np.random.default_rng(35)
+        groups = self.sequences([2, 2], 3)
+        with ag.no_grad():
+            ag.attention(leaf(rng, 12, 4), leaf(rng, 12, 4), leaf(rng, 12, 4), groups, 2)
+        x = Tensor(rng.normal(size=(12, 4)))  # no input needs a gradient
+        ag.attention(x, x, x, groups, n_heads=2)
+        assert helped == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helper(self, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        q = leaf(np.random.default_rng(37), 12, 4)
+        groups = self.sequences([1, 1], 6)
+        self.run(q, q, q, groups)  # the parent's helper thread is running
+        pid = os.fork()
+        if pid == 0:  # the child exits without returning into pytest
+            code = 1
+            try:
+                code = 0 if self.run(q, q, q, groups)[0].shape == (12, 4) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+        assert len(helped) == 2  # the parent's forward and backward; the child's are its own
+
+    def test_one_usable_cpu_no_helper(self, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        q = leaf(np.random.default_rng(36), 12, 4)
+        self.run(q, q, q, self.sequences([2, 2], 3))
+        assert threads.helper() is None and helped == []
 
 
 class TestDeterminism:

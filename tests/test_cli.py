@@ -179,6 +179,14 @@ class TestSynthCommand:
             assert "error: n_candidates and min_length must be at least 1" in err
             assert not mgf.exists() and not cands.exists()
 
+    def test_a_negative_count_is_a_data_error(self, tmp_path, capsys):
+        mgf, cands = tmp_path / "s.mgf", tmp_path / "c.jsonl"
+        code, _, err = run(capsys, "synth", "--n-spectra", "-3",
+                           "--out-mgf", str(mgf), "--out-candidates", str(cands))
+        assert code == 2
+        assert err.endswith("error: --n-spectra -3: n_spectra must be at least 0, got -3\n")
+        assert not mgf.exists() and not cands.exists()
+
     def test_candidate_schema(self, synth_files):
         _, cands = synth_files
         for line in cands.read_text().splitlines():
@@ -587,9 +595,9 @@ class TestAnalyzeCommands:
     def test_each_candidate_and_label_text_is_parsed_once(self, tmp_path, capsys, monkeypatch,
                                                           command):
         """``train``, ``rerank`` and zeroshot parse each MGF label as the MGF is read, and each
-        distinct peptide text of a candidates record once; ``evaluate`` and contribution parse
-        every text of a record once. Parsed again: the MGF label that a ``train`` or zeroshot
-        record takes as its own, and zeroshot's selected peptide."""
+        distinct peptide text of a candidates record once, as ``evaluate`` and contribution do;
+        the label's first. Parsed again: the MGF label that a ``train`` or zeroshot record
+        takes as its own, and zeroshot's selected peptide."""
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=6)
         cands[0].candidates.append(("model_5", cands[0].peptides[1]))  # a repeated text
         cands[-1].label = None  # an unselected record needs no label; it takes the MGF's
@@ -602,18 +610,17 @@ class TestAnalyzeCommands:
         own = [[cs.label] if cs.label else [] for cs in cands]
         resolved = [cs.label or s.label for s, cs in zip(spectra, cands)]
         firsts = [cs.peptides[0] for cs in cands]  # model_1's, each set's first
-        every_text = [text for cs, label in zip(cands, own) for text in cs.peptides + label]
+        distinct = [text for cs, label in zip(cands, own)
+                    for text in dict.fromkeys(label + cs.peptides)]
         argv, expected = {
-            "evaluate": (["--selections", str(selections)], every_text),
-            "contribution": (["--selections", str(selections)], every_text),
+            "evaluate": (["--selections", str(selections)], distinct),
+            "contribution": (["--selections", str(selections)], distinct),
             "train": (["--mgf", str(mgf), "--config", str(config), "--out",
                        str(tmp_path / "m.ckpt")],
                       mgf_labels + [text for cs, label in zip(cands, resolved)
                                     for text in dict.fromkeys([label] + cs.peptides)]),
             "rerank": (["--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
-                        "--out", str(tmp_path / "out.tsv")],
-                       mgf_labels + [text for cs, label in zip(cands, own)
-                                     for text in dict.fromkeys(label + cs.peptides)]),
+                        "--out", str(tmp_path / "out.tsv")], mgf_labels + distinct),
             "zeroshot": (["--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
                           "--subsets", "model_1", "--out", str(tmp_path / "out.tsv")],
                          mgf_labels + resolved + firsts + firsts),
@@ -624,6 +631,23 @@ class TestAnalyzeCommands:
         code, _, err = run(capsys, *command, *argv, "--candidates", str(cands_path))
         assert code == 0, err
         assert parsed == expected
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["analyze", "--analysis", "contribution"]])
+    def test_a_desk_corpus_parses_each_distinct_text_once(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        """A desk record's label is one of its 4 candidates, and two of its mutants are
+        sometimes the same text, so these 600 records take 2,375 parses, not 3,000."""
+        spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=600)
+        _, cands_path = write_corpus(tmp_path, spectra, cands)
+        selections = tmp_path / "selections.tsv"
+        write_first_selections(selections, cands)
+        parsed = []
+        monkeypatch.setattr(pipeline, "parse_peptide",
+                            lambda text, t: parsed.append(text) or parse_peptide(text, t))
+        code, _, err = run(capsys, *command, "--selections", str(selections),
+                           "--candidates", str(cands_path))
+        assert code == 0, err
+        assert len(parsed) == 2375 == sum(len({cs.label, *cs.peptides}) for cs in cands)
 
     def test_zeroshot_takes_the_label_from_either_file(self, tmp_path, capsys):
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=4)

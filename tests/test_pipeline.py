@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peprank import autograd as ag
-from peprank import pipeline
+from peprank import pipeline, threads
 from peprank.cli import main as cli_main
 from peprank.encoders import EmbeddingConfig, grid_shapes
 from peprank.masses import PROTON_MASS, Precursor, parse_peptide, peptide_mz
@@ -760,21 +759,6 @@ def chunk_ids(model, spectra, candidate_sets):
     return [[admitted[i][0].spectrum_id for i in order[chunk]] for chunk in chunks]
 
 
-@pytest.fixture()
-def helped(monkeypatch):
-    """The chunks that rerank_run hands its helper thread, with two usable CPUs."""
-    submitted = []
-
-    class Pool(ThreadPoolExecutor):
-        def submit(self, fn, chunk):
-            submitted.append(chunk)
-            return super().submit(fn, chunk)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return submitted
-
-
 # c = 3 and c = 7 put spectra at row offsets that a [rows, d] @ [d, 1] product
 # over a whole chunk does not block the way it blocks a spectrum alone; c = 1
 # leaves rerank's last mixer block two cells per spectrum; wide grids (at least
@@ -967,7 +951,7 @@ class TestThreadedRerank:
     @pytest.mark.parametrize("cpus, noise_peaks", [({0, 1}, 0), ({0}, 90)])
     def test_desk_shape_or_one_cpu_stays_on_the_calling_thread(
             self, table, desk_model, helped, monkeypatch, cpus, noise_peaks):
-        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         spectra, cands = synthesize_dataset(table, seed=3, n_spectra=24,
                                             config=SynthConfig(noise_peaks=noise_peaks))
         assert len(chunk_ids(desk_model, spectra, cands)) > 1
@@ -1045,6 +1029,70 @@ class TestCellChunks:
         assert cell_chunks([30, 30, 7], [(1, 1), (1, 1), (1, budget + 1)]) == (
             [2, 0, 1], [slice(0, 1), slice(1, 3)])
         assert cell_chunks([], np.zeros((0, 2), dtype=np.int64)) == ([], [])
+
+
+WIDE = THREAD_CORPORA["wide"][1]
+
+
+class TestThreadedTraining:
+    """A training step's attention groups of at least
+    ATTENTION_THREAD_MIN_SCORES scores run on the helper thread; see the
+    ``helped`` fixture."""
+
+    @staticmethod
+    def train_wide(table, path):
+        """Loss history, checkpoint bytes and one minibatch's gradients of a
+        two-step wide run at dropout 0.3."""
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=16, config=WIDE)
+        instances, _ = build_training_set(spectra, cands, table)
+        config = TrainConfig.desk(table.tokens, epochs=1, batch_size=8)
+        config = replace(config, model=replace(config.model, dropout_rate=0.3))
+        checkpoint, history = train(config, instances, table, seed=5)
+        save_checkpoint(checkpoint, str(path))
+        model = RerankModel(config.model, table, seed=2)
+        model.store.zero_grad()
+        pipeline.minibatch_loss(model, instances[:8], np.random.default_rng(4)).backward()
+        return ([repr(r.loss) for r in history], path.read_bytes(),
+                [t.grad.tobytes() for t in model.store.tensors()])
+
+    def test_wide_training_keeps_its_bits_with_the_helper(self, table, tmp_path, helped,
+                                                          monkeypatch):
+        runs = [self.train_wide(table, tmp_path / "default.ckpt")]
+        submits = [len(helped)]
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)  # every group dealt
+        runs.append(self.train_wide(table, tmp_path / "all.ckpt"))
+        submits.append(len(helped) - sum(submits))
+        monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        runs.append(self.train_wide(table, tmp_path / "alone.ckpt"))
+        submits.append(len(helped) - sum(submits))
+        # wide deals in each of its 3 minibatches' 8 attentions, forward and backward
+        assert submits == [48, 48, 0]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_desk_training_hands_the_helper_nothing(self, table, helped, monkeypatch):
+        calls, attention = [], ag.attention
+        monkeypatch.setattr(ag, "attention", lambda *args: calls.append(1) or attention(*args))
+        spectra, cands = synthesize_dataset(table, seed=0, n_spectra=200)
+        instances, _ = build_training_set(spectra, cands, table)
+        config = TrainConfig.desk(table.tokens, epochs=2)
+        _, history = train(config, instances, table, seed=5)
+        # per layer, the spectrum encoder's and a mixer block's row, column and cross
+        # attention, in each step and in train's closing check of a score
+        assert len(calls) == 4 * config.model.n_layers * (len(history) + 1) > 200
+        assert helped == []
+
+    def test_scoring_forwards_never_deal(self, table, helped, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        spectra, cands = synthesize_dataset(table, seed=3, n_spectra=6, config=WIDE)
+        model = RerankModel(ModelConfig.desk(table.tokens), table, seed=1)
+        instances, _ = build_training_set(spectra, cands, table)
+        with ag.no_grad():
+            model.forward([i.spectrum for i in instances], [i.candidates for i in instances])
+        assert helped == []
+        assert len(rerank_run(model, spectra, cands)) == 6
+        # rerank's odd chunks, and no attention group
+        assert len(helped) == len(chunk_ids(model, spectra, cands)) // 2 > 0
+        assert all(isinstance(chunk, slice) for (chunk,), _ in helped)
 
 
 class TestZeroShotEval:
