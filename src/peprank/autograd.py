@@ -8,7 +8,6 @@ finite-difference gradient checks have clean tolerances.
 
 from __future__ import annotations
 
-from concurrent.futures import wait
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -582,31 +581,6 @@ def _deal(scores: Sequence[int]) -> list[int]:
     return sorted(theirs)
 
 
-def _run_dealt(work, items: Sequence, theirs: Sequence[int], pool) -> list:
-    """``[work(item) for item in items]``, where ``pool``'s thread runs the
-    items indexed by ``theirs``, in order and under the caller's
-    ``np.geterr()``, while this thread runs the others in order. The
-    helper's share is waited for before this returns or raises; when both
-    sides raise, this thread's exception is the one raised."""
-    if not theirs:
-        return [work(item) for item in items]
-    errors = np.geterr()
-
-    def share():
-        with np.errstate(**errors):
-            return [work(items[i]) for i in theirs]
-
-    future = pool.submit(share)
-    dealt = set(theirs)
-    try:
-        results = {i: work(item) for i, item in enumerate(items) if i not in dealt}
-    except BaseException:
-        wait([future])
-        raise
-    results.update(zip(theirs, future.result()))
-    return [results[i] for i in range(len(items))]
-
-
 def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over indexed sequences, as one
     graph node.
@@ -624,8 +598,8 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
     A group writes only its own rows, so when the node records a graph and
     the process may use two CPUs, the groups of at least
     ``ATTENTION_THREAD_MIN_SCORES`` scores are dealt between this thread
-    and the helper (see :func:`_deal`), forward and backward, with the
-    bits of one thread.
+    and the helper (see :func:`_deal` and :func:`peprank.threads.run`),
+    forward and backward, with the bits of one thread.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     n, d = q.shape
@@ -638,9 +612,9 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
         raise ValueError("attention groups must index every query and key row exactly once")
     scores = [g.q.size * g.k.shape[1] for g in groups]
     recording = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    pool = (threads.helper() if recording and max(scores, default=0) >= ATTENTION_THREAD_MIN_SCORES
-            else None)
-    if (pool is not None and len(groups) == 1 and groups[0].q.shape[0] > 1
+    dealing = (recording and max(scores, default=0) >= ATTENTION_THREAD_MIN_SCORES
+               and threads.helper() is not None)
+    if (dealing and len(groups) == 1 and groups[0].q.shape[0] > 1
             and scores[0] >= 2 * ATTENTION_THREAD_MIN_SCORES):
         # a lone group is cut along its sequences into two of its shape: the
         # products and the softmax work per sequence, so each keeps its bits.
@@ -651,7 +625,7 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
         groups = [AttentionGroup(*(None if a is None else a[s] for a in groups[0]))
                   for s in (slice(None, half), slice(half, None))]
         scores = [g.q.size * g.k.shape[1] for g in groups]
-    theirs = [] if pool is None else _deal(scores)
+    theirs = _deal(scores) if dealing else []
 
     def heads(x, rows):
         count, length = rows.shape
@@ -670,7 +644,7 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
         merge(np.matmul(p, vh), data, grp.q)
         return grp, p
 
-    saved = _run_dealt(forward_group, groups, theirs, pool)
+    saved = threads.run(forward_group, groups, theirs)
 
     def backward_fn(g):
         gq, gk, gv = (np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v))
@@ -691,7 +665,7 @@ def attention(q, k, v, groups: Sequence[AttentionGroup], n_heads: int) -> Tensor
                 qh = heads(q.data, grp.q)
                 merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), gk, grp.k)
 
-        _run_dealt(backward_group, saved, theirs, pool)
+        threads.run(backward_group, saved, theirs)
         for t, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(t, grad, fresh=True)

@@ -25,9 +25,9 @@ the packed rows; each attention gathers its sequences' rows by index,
 within one spectrum each, and batches sequences of equal shape into one
 product, so no sublayer reorders the grid. A training minibatch is one such
 batch (one autograd graph), whose large attention groups may run on the
-helper thread, with the same bits (see :func:`peprank.autograd.attention`);
-a single spectrum is the one-spectrum batch, with the same outputs in the
-same format.
+helper thread through :func:`peprank.threads.run`, with the same bits (see
+:func:`peprank.autograd.attention`); a single spectrum is the one-spectrum
+batch, with the same outputs in the same format.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import struct
-from concurrent.futures import wait
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
@@ -650,18 +649,18 @@ def rerank_run(
     records no graph. No attention crosses spectra and the peptide head runs
     per spectrum, so each spectrum's scores are the bits of its B=1 forward.
     When the admitted spectra average at least ``RERANK_THREAD_MIN_PEAKS``
-    peaks and the process may use two CPUs, the helper thread (see
-    :mod:`peprank.threads`) scores the odd chunks. The scores are then taken
-    in file order: a spectrum with a non-finite score is excluded as
-    ``non_finite_scores``, and selections keep file order. Rows keep
-    candidate-file order; exact score ties resolve to the lowest index.
+    peaks and the process may use two CPUs, the helper thread scores the
+    odd chunks as one share (see :func:`peprank.threads.run`). The scores
+    are then taken in file order: a spectrum with a non-finite score is
+    excluded as ``non_finite_scores``, and selections keep file order. Rows
+    keep candidate-file order; exact score ties resolve to the lowest index.
     """
     admitted, excluded = admit_records(spectra, candidate_sets, model.table,
                                        model.config.embedding, labeled=False, strict=strict)
     order, chunks = cell_chunks([processed.n_peaks for _, processed, _, _ in admitted],
                                 grid_shapes([candidates for _, _, candidates, _ in admitted]))
     peaks = sum(processed.n_peaks for _, processed, _, _ in admitted)
-    pool = threads.helper() if peaks >= RERANK_THREAD_MIN_PEAKS * len(admitted) else None
+    theirs = range(1, len(chunks), 2) if peaks >= RERANK_THREAD_MIN_PEAKS * len(admitted) else ()
 
     def score(chunk: slice) -> list:  # errstate is per thread; no_grad is the caller's
         rows = order[chunk]
@@ -671,17 +670,7 @@ def rerank_run(
         return list(zip(rows, np.split(output.pmd_pred.data, np.cumsum(batch.shapes[:-1, 0]))))
 
     with ag.no_grad():
-        helped = [pool.submit(score, chunk) for chunk in chunks[1::2]] if pool is not None else []
-        try:
-            scored = {}  # each spectrum's scores, by index into admitted
-            for chunk in chunks[::2] if helped else chunks:
-                scored.update(score(chunk))
-            for future in helped:
-                scored.update(future.result())
-        finally:  # the helper finishes its chunk under no_grad; queued ones are dropped
-            for future in helped:
-                future.cancel()
-            wait(helped)
+        scored = dict(pair for pairs in threads.run(score, chunks, theirs) for pair in pairs)
     selections: list[Selection] = []
     for b, (cs, *_) in enumerate(admitted):
         scores = scored[b]
@@ -730,14 +719,16 @@ def zero_shot_eval(
     """Rerank with candidates restricted to each base-model subset; the
     selections' :func:`corpus_stats` for each subset, in subset order.
 
-    Every candidate set must retain at least one candidate under each
-    subset, and a label (the set's, else its spectrum's) for the recall.
+    Every candidate set must match a spectrum, keep a candidate under each
+    subset, and have a label (its own, else its spectrum's) for the recall.
     Peptides are read with the model's mass table, each label once.
     """
-    spectrum_labels = {s.spectrum_id: s.label for s in spectra}
+    by_id = {s.spectrum_id: s for s in spectra}
     labels = {}
     for cs in candidate_sets:
-        text = cs.label if cs.label is not None else spectrum_labels.get(cs.spectrum_id)
+        if cs.spectrum_id not in by_id:
+            raise ValueError(f"candidate set {cs.spectrum_id!r} has no matching spectrum")
+        text = cs.label if cs.label is not None else by_id[cs.spectrum_id].label
         if text is None:
             raise ValueError(f"spectrum {cs.spectrum_id!r} has no label")
         labels[cs.spectrum_id] = parse_peptides(cs.spectrum_id, [text], model.table)[0]

@@ -636,9 +636,15 @@ class TestAttentionOnTheHelper:
 
     def test_when_both_threads_fail_the_callers_error_is_raised(self, helped, monkeypatch):
         monkeypatch.setattr(ag, "ATTENTION_THREAD_MIN_SCORES", 0)
+        helper_started = threading.Event()
 
-        def fail(scores, mask):
-            raise RuntimeError(threading.current_thread().name)
+        def fail(scores, mask):  # the helper's group starts before the caller's fails
+            name = threading.current_thread().name
+            if name.startswith("peprank-helper"):
+                helper_started.set()
+            else:
+                assert helper_started.wait(30)
+            raise RuntimeError(name)
 
         monkeypatch.setattr(ag, "_softmax_forward", fail)
         q = leaf(np.random.default_rng(34), 6, 4)
