@@ -39,12 +39,8 @@ from .masses import (
 from .metrics import pmd_many, rmd_many
 from .metrics import pmd, rmd  # noqa: F401  (perfbench's tracer wraps pipeline.pmd and .rmd)
 from .model import ModelConfig, RerankModel, joint_loss, rerank_select
-from .spectra import (
-    ProcessedSpectrum,
-    RawSpectrum,
-    preprocess_spectrum,
-    validate_precursor,
-)
+from .spectra import (MZ_MAX, MZ_MIN, ProcessedSpectrum, RawSpectrum, preprocess_spectrum,
+                      validate_precursor)
 
 logger = logging.getLogger(__name__)
 
@@ -196,10 +192,11 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
     Joins each set to its spectrum by id, resolves the label (the set's,
     else the spectrum's) when ``labeled``, parses every peptide, applies
     the model's ``limits`` and then :func:`gate_spectrum`. Each distinct
-    peptide text is parsed once, the label's first; unless ``labeled``, the
-    label is the set's own and is only parsed. An unjoinable id, a missing
-    label and an empty or unparseable peptide are hard errors.
-    Admitted: ``(candidate_set, processed, candidates, label)``.
+    peptide text is parsed once, the label's first. Unless ``labeled``, the
+    label is the set's own (None without one): it is parsed and returned,
+    but neither counts toward ``max_len`` nor gates the precursor. An
+    unjoinable id, a missing label and an empty or unparseable peptide are
+    hard errors. Admitted: ``(candidate_set, processed, candidates, label)``.
     """
     by_id = {s.spectrum_id: s for s in spectra}
     admitted: list[tuple] = []
@@ -212,8 +209,7 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
         label_text = raw.label if labeled and cs.label is None else cs.label
         if labeled and label_text is None:
             raise ValueError(f"spectrum {spectrum_id!r} has no label peptide")
-        parsed_label, candidates = parse_record(spectrum_id, label_text, cs.peptides, table)
-        label = parsed_label if labeled else None
+        label, candidates = parse_record(spectrum_id, label_text, cs.peptides, table)
         peptides = candidates + ([label] if labeled else [])
         if not all(peptides):
             raise ValueError(f"spectrum {spectrum_id!r} has an empty label or candidate")
@@ -225,7 +221,7 @@ def admit_records(spectra: Sequence[RawSpectrum], candidate_sets: Sequence[Candi
             skip_record(excluded, spectrum_id, "charge_out_of_range", strict,
                         f" (charge {charge}, max_charge={limits.max_charge})")
         else:
-            processed, reason = gate_spectrum(raw, label, table)
+            processed, reason = gate_spectrum(raw, label if labeled else None, table)
             if reason is not None:
                 skip_record(excluded, spectrum_id, reason, strict)
             else:
@@ -368,7 +364,7 @@ def synthesize_dataset(
             keep[:] = True
         mzs = [ion for ion, k in zip(ions, keep) if k]
         intensities = list(rng.uniform(0.3, 1.0, size=len(mzs)))
-        noise_mz = rng.uniform(50.5, min(4500.0, neutral), size=config.noise_peaks)
+        noise_mz = rng.uniform(MZ_MIN, min(MZ_MAX, neutral), size=config.noise_peaks)
         mzs += list(noise_mz)
         intensities += list(rng.uniform(0.02, 0.15, size=config.noise_peaks))
 
@@ -634,14 +630,19 @@ def cell_chunks(peaks: Sequence[int], shapes: np.ndarray) -> tuple[list[int], li
     return order, chunks
 
 
-def rerank_run(
-    model: RerankModel,
-    spectra: Sequence[RawSpectrum],
-    candidate_sets: Sequence[CandidateSet],
-    strict: bool = False,
-) -> list[Selection]:
+def rerank_run(model: RerankModel, spectra: Sequence[RawSpectrum],
+               candidate_sets: Sequence[CandidateSet], strict: bool = False) -> list[Selection]:
     """Forward every candidate set admitted, unlabeled, under the model's
-    limits (see :func:`admit_records`) and pick per spectrum.
+    limits (see :func:`admit_records`) and pick per spectrum (see
+    :func:`_rerank_admitted`)."""
+    admitted, excluded = admit_records(spectra, candidate_sets, model.table,
+                                       model.config.embedding, labeled=False, strict=strict)
+    return [sel for sel, _ in _rerank_admitted(model, admitted, excluded, strict)]
+
+
+def _rerank_admitted(model: RerankModel, admitted: list[tuple], excluded: list[tuple[str, str]],
+                     strict: bool) -> list[tuple[Selection, tuple]]:
+    """Each admitted record's selection, paired with the record.
 
     The admitted spectra are cut, in shape order, into chunks of at most
     ``RERANK_CHUNK_CELLS`` grid cells (see :func:`cell_chunks`), so that
@@ -655,8 +656,6 @@ def rerank_run(
     excluded as ``non_finite_scores``, and selections keep file order. Rows
     keep candidate-file order; exact score ties resolve to the lowest index.
     """
-    admitted, excluded = admit_records(spectra, candidate_sets, model.table,
-                                       model.config.embedding, labeled=False, strict=strict)
     order, chunks = cell_chunks([processed.n_peaks for _, processed, _, _ in admitted],
                                 grid_shapes([candidates for _, _, candidates, _ in admitted]))
     peaks = sum(processed.n_peaks for _, processed, _, _ in admitted)
@@ -671,16 +670,16 @@ def rerank_run(
 
     with ag.no_grad():
         scored = dict(pair for pairs in threads.run(score, chunks, theirs) for pair in pairs)
-    selections: list[Selection] = []
-    for b, (cs, *_) in enumerate(admitted):
-        scores = scored[b]
+    picked: list[tuple[Selection, tuple]] = []
+    for b, record in enumerate(admitted):
+        cs, scores = record[0], scored[b]
         if not np.isfinite(scores).all():
             skip_record(excluded, cs.spectrum_id, "non_finite_scores", strict)
             continue
         index = rerank_select(scores)
-        model_name, peptide = cs.candidates[index]
-        selections.append(Selection(cs.spectrum_id, index, model_name, peptide, scores.tolist()))
-    return selections
+        selection = Selection(cs.spectrum_id, index, *cs.candidates[index], scores.tolist())
+        picked.append((selection, record))
+    return picked
 
 
 def write_selections(selections: Iterable[Selection], sink: TextIO) -> None:
@@ -710,45 +709,44 @@ def read_selections(source: TextIO | Iterable[str]) -> list[Selection]:
     return parse_lines(lines, _selection, strip=False, first=2, unique=_spectrum_id)
 
 
-def zero_shot_eval(
-    model: RerankModel,
-    spectra: Sequence[RawSpectrum],
-    candidate_sets: Sequence[CandidateSet],
-    model_subsets: Sequence[Sequence[str]],
-) -> list[CorpusStats]:
+def zero_shot_eval(model: RerankModel, spectra: Sequence[RawSpectrum],
+                   candidate_sets: Sequence[CandidateSet],
+                   model_subsets: Sequence[Sequence[str]]) -> list[CorpusStats]:
     """Rerank with candidates restricted to each base-model subset; the
     selections' :func:`corpus_stats` for each subset, in subset order.
 
     Every candidate set must match a spectrum, keep a candidate under each
     subset, and have a label (its own, else its spectrum's) for the recall.
-    Peptides are read with the model's mass table, each label once.
+    Each subset's sets carry that label text and go through rerank's own
+    admission and selection (see :func:`_rerank_admitted`), so each subset
+    parses each distinct text of a record once, parse errors follow record
+    order, and the selected candidate and the label are admission's peptides.
     """
     by_id = {s.spectrum_id: s for s in spectra}
     labels = {}
     for cs in candidate_sets:
         if cs.spectrum_id not in by_id:
             raise ValueError(f"candidate set {cs.spectrum_id!r} has no matching spectrum")
-        text = cs.label if cs.label is not None else by_id[cs.spectrum_id].label
-        if text is None:
+        labels[cs.spectrum_id] = cs.label if cs.label is not None else by_id[cs.spectrum_id].label
+        if labels[cs.spectrum_id] is None:
             raise ValueError(f"spectrum {cs.spectrum_id!r} has no label")
-        labels[cs.spectrum_id] = parse_peptides(cs.spectrum_id, [text], model.table)[0]
     reports: list[CorpusStats] = []
     for subset in model_subsets:
         allowed = set(subset)
-        filtered: list[CandidateSet] = []
-        for cs in candidate_sets:
-            kept = [(m, p) for m, p in cs.candidates if m in allowed]
-            if not kept:
+        filtered = [CandidateSet(cs.spectrum_id, [c for c in cs.candidates if c[0] in allowed],
+                                 labels[cs.spectrum_id]) for cs in candidate_sets]
+        for cs in filtered:
+            if not cs.candidates:
                 raise ValueError(
                     f"spectrum {cs.spectrum_id!r} has no candidates from subset {sorted(allowed)}"
                 )
-            filtered.append(CandidateSet(cs.spectrum_id, kept))
-        selections = rerank_run(model, spectra, filtered)
-        if not selections:
+        admitted, excluded = admit_records(spectra, filtered, model.table,
+                                           model.config.embedding, labeled=False)
+        picked = _rerank_admitted(model, admitted, excluded, strict=False)
+        if not picked:
             raise ValueError(f"subset {sorted(allowed)}: every spectrum was excluded")
-        reports.append(corpus_stats([
-            (parse_peptides(sel.spectrum_id, [sel.peptide], model.table)[0],
-             labels[sel.spectrum_id]) for sel in selections], model.table))
+        reports.append(corpus_stats([(candidates[sel.index], label)
+                                     for sel, (_, _, candidates, label) in picked], model.table))
     return reports
 
 

@@ -596,8 +596,8 @@ class TestAnalyzeCommands:
                                                           command):
         """``train``, ``rerank`` and zeroshot parse each MGF label as the MGF is read, and each
         distinct peptide text of a candidates record once, as ``evaluate`` and contribution do;
-        the label's first. Parsed again: the MGF label that a ``train`` or zeroshot record
-        takes as its own, and zeroshot's selected peptide."""
+        the label's first. Zeroshot's record holds only its subset's candidates, here model_1's.
+        Parsed again: the MGF label that a ``train`` or zeroshot record takes as its own."""
         spectra, cands = synthesize_dataset(default_mass_table(), seed=11, n_spectra=6)
         cands[0].candidates.append(("model_5", cands[0].peptides[1]))  # a repeated text
         cands[-1].label = None  # an unselected record needs no label; it takes the MGF's
@@ -623,7 +623,8 @@ class TestAnalyzeCommands:
                         "--out", str(tmp_path / "out.tsv")], mgf_labels + distinct),
             "zeroshot": (["--checkpoint", str(V1_CHECKPOINT), "--mgf", str(mgf),
                           "--subsets", "model_1", "--out", str(tmp_path / "out.tsv")],
-                         mgf_labels + resolved + firsts + firsts),
+                         mgf_labels + [text for label, first in zip(resolved, firsts)
+                                       for text in dict.fromkeys([label, first])]),
         }[command[-1]]
         parsed = []
         monkeypatch.setattr(pipeline, "parse_peptide",

@@ -1160,6 +1160,31 @@ class TestZeroShotEval:
         with pytest.raises(ValueError, match=r"^subset \['model_9'\]: every spectrum was excluded$"):
             zero_shot_eval(model, spectra, cands, [["model_1"], ["model_9"]])
 
+    def test_each_subset_reports_the_rerank_of_its_restricted_sets(self, table):
+        """A record with a 40-residue model_9 candidate is too long for max_len 30 only
+        in the subsets that keep model_9; a record without a label takes the MGF's."""
+        from peprank.evaluation import corpus_stats
+
+        spectra, cands = synthesize_dataset(table, seed=13, n_spectra=8)
+        for k, cs in enumerate(cands):
+            if k % 3 == 0:
+                cs.label = None
+            if k % 2 == 0:
+                cs.candidates.append(("model_9", "GAVKP" * 8))
+        model = load_checkpoint(str(DATA / "v1_tiny.ckpt")).build_model(table)
+        assert model.config.embedding.max_len == 30
+        labels = {s.spectrum_id: parse_peptide(cs.label or s.label, table)
+                  for s, cs in zip(spectra, cands)}
+        subsets = [["model_1"], ["model_1", "model_9"], ["model_2", "model_3"]]
+        reports = zero_shot_eval(model, spectra, cands, subsets)
+        for subset, report in zip(subsets, reports):
+            restricted = [CandidateSet(cs.spectrum_id, [c for c in cs.candidates
+                                                        if c[0] in subset]) for cs in cands]
+            assert report == corpus_stats(
+                [(parse_peptide(sel.peptide, table), labels[sel.spectrum_id])
+                 for sel in rerank_run(model, spectra, restricted)], table)
+        assert [report.n_all_pep for report in reports] == [8, 4, 8]
+
 
 class TestCheckpointIo:
     def test_round_trip_bit_identical(self, table, tmp_path):
